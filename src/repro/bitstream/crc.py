@@ -490,7 +490,7 @@ class ConfigCrc:
                 try:
                     packed = struct.pack(f"<{count}I", *words)
                 except struct.error:
-                    packed = None  # out-of-range word: per-word loop validates
+                    packed = None  # an out-of-range word does not pack
             if packed is not None:
                 if self._run_addr is not None and self._run_addr != register_addr:
                     self._flush_run()
@@ -501,15 +501,19 @@ class ConfigCrc:
                     self._fold_full_blocks(register_addr)
                 self.words_folded += count
                 return
+        self.fold_run(register_addr, words)
+
+    def fold_run(self, register_addr: int, words) -> None:
+        """Fold a run of 32-bit words written to one register, uncached.
+
+        :meth:`update_run` without the content cache, for runs too short
+        to key or whose content never repeats (a corrupted stream's
+        payloads): caching those would only grow the cache.
+        """
         self._flush_run()
-        t0, t1, t2, t3 = _TABLES
-        crc = self._crc ^ 0xFFFFFFFF
-        for word in words:
-            x = crc ^ word
-            crc = t3[x & 0xFF] ^ t2[(x >> 8) & 0xFF] ^ t1[(x >> 16) & 0xFF] ^ t0[x >> 24]
-            crc = t0[(crc ^ register_addr) & 0xFF] ^ (crc >> 8)
-        self._crc = crc ^ 0xFFFFFFFF
-        self.words_folded += count
+        raw = _fold_run_raw(self._crc ^ 0xFFFFFFFF, register_addr, words)
+        self._crc = raw ^ 0xFFFFFFFF
+        self.words_folded += len(words)
 
     def _apply_run_block(self, raw: int, register_addr: int, block: bytes) -> int:
         """Fold one packed run block via its content-cached constant."""

@@ -10,9 +10,21 @@ depend on the column resource type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .far import BLOCK_TYPE_MAIN, FrameAddress
+from .far import (
+    _BT_MASK,
+    _BT_SHIFT,
+    _COL_MASK,
+    _COL_SHIFT,
+    _MINOR_MASK,
+    _ROW_MASK,
+    _ROW_SHIFT,
+    _TOP_MASK,
+    _TOP_SHIFT,
+    BLOCK_TYPE_MAIN,
+    FrameAddress,
+)
 
 __all__ = [
     "FRAME_WORDS",
@@ -125,25 +137,38 @@ class DeviceLayout:
         return self._column_minors[column]
 
     # -- address <-> index -------------------------------------------------
+    def far_word_index(self, word: int) -> Optional[int]:
+        """Flat frame index of a 32-bit FAR word, or ``None`` if unmapped.
+
+        Pure integer arithmetic on the packed fields (bits 26–31 are
+        ignored, as :meth:`FrameAddress.decode` ignores them): the
+        configuration port maps every FAR write through here, and a
+        corrupted stream can carry >100 k of them per load.
+        """
+        if (word >> _BT_SHIFT) & _BT_MASK != BLOCK_TYPE_MAIN:
+            return None
+        row = (word >> _ROW_SHIFT) & _ROW_MASK
+        column = (word >> _COL_SHIFT) & _COL_MASK
+        minor = word & _MINOR_MASK
+        if (
+            row >= self.rows
+            or column >= len(self._column_minors)
+            or minor >= self._column_minors[column]
+        ):
+            return None
+        return (
+            ((word >> _TOP_SHIFT) & _TOP_MASK) * self.rows * self._frames_per_row
+            + row * self._frames_per_row
+            + self._col_base[column]
+            + minor
+        )
+
     def frame_index(self, far: FrameAddress) -> int:
         """Flat frame index of ``far`` (0 .. total_frames-1)."""
-        if far.block_type != BLOCK_TYPE_MAIN:
-            raise ValueError("only main-block frames are mapped in this model")
-        if far.row >= self.rows:
-            raise ValueError(f"{far}: row out of range (rows={self.rows})")
-        if far.column >= len(self.columns):
-            raise ValueError(f"{far}: column out of range")
-        if far.minor >= self._column_minors[far.column]:
-            raise ValueError(
-                f"{far}: minor out of range for {self.columns[far.column]} column"
-            )
-        half_base = far.top * self.rows * self.frames_per_row
-        return (
-            half_base
-            + far.row * self.frames_per_row
-            + self._col_base[far.column]
-            + far.minor
-        )
+        index = self.far_word_index(far.encode())
+        if index is None:
+            raise ValueError(f"{far} is not a mapped frame of this device")
+        return index
 
     def frame_address(self, index: int) -> FrameAddress:
         """Inverse of :meth:`frame_index`."""

@@ -8,7 +8,8 @@ those baselines:
 * **simulation metrics** (per-point events, latency, availability,
   recovery rate, MTTR percentiles) are products of the deterministic
   kernel, so they gate with a *tight* tolerance — a regression here is a
-  real behaviour change, not noise;
+  real behaviour change, not noise.  Per-point kernel event counts gate
+  exactly, in both directions;
 * **wall-clock** is advisory by default (a 1-core CI container is far
   too noisy to gate on) and only gates when the caller passes an
   explicit ``wall_tolerance``.
@@ -69,7 +70,8 @@ class Check:
     fresh: float
     tolerance: float
     #: Which direction is a regression: ``"higher"`` (latency, MTTR,
-    #: events, wall) or ``"lower"`` (availability, recovery rate).
+    #: wall), ``"lower"`` (availability, recovery rate) or ``"either"``
+    #: (exact counts such as kernel events, where any drift is one).
     worse: str = "higher"
     #: Advisory checks are reported but never fail the gate.
     advisory: bool = False
@@ -79,6 +81,8 @@ class Check:
         """Signed fractional change in the worse direction."""
         scale = max(abs(self.baseline), 1e-12)
         change = (self.fresh - self.baseline) / scale
+        if self.worse == "either":
+            return abs(change)
         return change if self.worse == "higher" else -change
 
     @property
@@ -89,10 +93,16 @@ class Check:
         verdict = "REGRESSED" if self.regressed else (
             "advisory" if self.advisory else "ok"
         )
+        if self.worse == "either":
+            band = f"{self.fresh - self.baseline:+g}, exact"
+        else:
+            band = (
+                f"{self.delta:+.1%} worse-direction, "
+                f"tol {self.tolerance:.1%}"
+            )
         return (
             f"{self.suite}.{self.metric}: baseline {self.baseline:g}, "
-            f"fresh {self.fresh:g} ({self.delta:+.1%} worse-direction, "
-            f"tol {self.tolerance:.1%}) [{verdict}]"
+            f"fresh {self.fresh:g} ({band}) [{verdict}]"
         )
 
 
@@ -360,10 +370,11 @@ def _compare_sweeps(
     }
     for label, fresh_point in sorted(fresh["points"].items()):
         base_point = base_points.get(label, {})
+        # Exact, both ways: a 2 % band once hid a dropped kernel event.
         _check(
             checks, "sweeps", f"{label}.events",
             base_point.get("events"), fresh_point.get("events"),
-            tolerance, worse="higher", inject_scale=inject_scale,
+            0.0, worse="either", inject_scale=inject_scale,
             skipped=skipped,
         )
         _check(

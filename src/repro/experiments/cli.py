@@ -37,8 +37,9 @@ Two further subcommand-style experiments:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from ..exec import ResultCache, SweepRunner, default_cache_dir
 from ..obs import TELEMETRY_BOOK
@@ -399,6 +400,22 @@ def _run_bench_command(args) -> int:
     return code
 
 
+def _unwritable_output(args) -> Optional[str]:
+    """Why an output-path flag cannot be written, checked before any run
+    so a bad path fails fast instead of after minutes of simulation."""
+    for flag, path in (("--metrics-out", args.metrics_out), ("--out", args.out)):
+        if not path:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            return f"{flag} {path}: directory {directory} does not exist"
+        if os.path.isdir(path):
+            return f"{flag} {path}: is a directory"
+        if not os.access(directory, os.W_OK):
+            return f"{flag} {path}: directory {directory} is not writable"
+    return None
+
+
 def main(argv=None) -> int:
     """Parse arguments and print the requested experiment reports."""
     parser = argparse.ArgumentParser(
@@ -669,7 +686,8 @@ def main(argv=None) -> int:
         metavar="FRAC",
         help=(
             "bench: fractional tolerance for deterministic simulation "
-            "metrics (default 0.02)"
+            "metrics (default 0.02; per-point kernel event counts always "
+            "gate exactly)"
         ),
     )
     parser.add_argument(
@@ -721,6 +739,10 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 0 (0 = one worker per CPU)")
     if args.cases is not None and args.cases < 1:
         parser.error("--cases must be >= 1")
+    problem = _unwritable_output(args)
+    if problem:
+        print(f"repro-pdr: error: {problem}", file=sys.stderr)
+        return 2
 
     if "fuzz" in args.experiments:
         if len(args.experiments) != 1:

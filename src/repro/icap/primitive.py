@@ -19,7 +19,6 @@ from typing import Optional
 
 from ..bitstream.crc import ConfigCrc
 from ..bitstream.device import FRAME_BYTES, FRAME_WORDS
-from ..bitstream.far import FrameAddress
 from ..bitstream.packets import NOOP_WORD, SYNC_WORD, decode_header
 from ..bitstream.registers import Command, ConfigRegister
 from ..fabric.config_memory import ConfigMemory
@@ -27,6 +26,17 @@ from ..fabric.config_memory import ConfigMemory
 __all__ = ["ConfigPort"]
 
 _WORD_STRUCT = struct.Struct("<I")
+_MASK32 = 0xFFFFFFFF
+
+_CRC = int(ConfigRegister.CRC)
+_FAR = int(ConfigRegister.FAR)
+_FDRI = int(ConfigRegister.FDRI)
+_CMD = int(ConfigRegister.CMD)
+_IDCODE = int(ConfigRegister.IDCODE)
+
+#: Registers whose payload words must act one at a time: a matching CRC
+#: write and the RCRC command both reset the CRC accumulator mid-run.
+_PER_WORD_REGISTERS = (_CRC, _CMD)
 
 
 class ConfigPort:
@@ -101,39 +111,57 @@ class ConfigPort:
             self._payload_remaining = header.word_count
 
     def feed_words(self, words) -> None:
-        """Consume a word sequence, with a bulk fast path for FDRI data.
+        """Consume a word sequence; identical to :meth:`feed_word` per word.
 
-        Behaviour is identical to calling :meth:`feed_word` per word; the
-        fast path only kicks in while a large FDRI payload is being
-        streamed, which is >98 % of a partial bitstream.
+        Words before the sync word are skipped in one search, and every
+        payload run goes through in bulk: FDRI data packs into frames
+        and folds through the content-cached CRC; FAR, IDCODE and
+        side-effect-free registers fold uncached (corrupted streams never
+        repeat) and apply their effect once per run.  Packet headers,
+        NOOPs and CRC/CMD writes go word by word.
         """
         index = 0
         total = len(words)
-        fdri = int(ConfigRegister.FDRI)
         while index < total:
-            if (
-                self.synced
-                and self._payload_remaining > 1
-                and self._payload_register == fdri
-            ):
-                chunk_len = min(self._payload_remaining, total - index)
-                chunk = words[index : index + chunk_len]
+            if not self.synced:
                 try:
-                    packed = struct.pack(f"<{chunk_len}I", *chunk)
-                except struct.error:
-                    chunk = [w & 0xFFFFFFFF for w in chunk]
-                    packed = struct.pack(f"<{chunk_len}I", *chunk)
-                self._payload_remaining -= chunk_len
-                self.words_consumed += chunk_len
-                self.crc.update_run(fdri, chunk, packed=packed)
-                self._fdri_run(packed)
-                index += chunk_len
+                    stop = words.index(SYNC_WORD, index)
+                except ValueError:
+                    stop = total
+                skipped = words[index:stop]
+                if skipped and (max(skipped) > _MASK32 or min(skipped) < 0):
+                    # An out-of-range word could mask to the sync word.
+                    words = [word & _MASK32 for word in words]
+                    continue
+                self.words_consumed += stop - index
+                index = stop
+                if index < total:
+                    self.feed_word(words[index])
+                    index += 1
+                continue
+            register = self._payload_register
+            if self._payload_remaining and register not in _PER_WORD_REGISTERS:
+                count = min(self._payload_remaining, total - index)
+                run = words[index : index + count]
+                self._payload_remaining -= count
+                self.words_consumed += count
+                index += count
+                if register == _FDRI:
+                    self._fdri_run(run)
+                else:
+                    self._register_run(register, run)
                 continue
             self.feed_word(words[index])
             index += 1
 
-    def _fdri_run(self, packed: bytes) -> None:
-        """Bulk equivalent of per-word :meth:`_fdri_word` on packed bytes."""
+    def _fdri_run(self, words) -> None:
+        """Bulk :meth:`_handle_write` for a run of FDRI data words."""
+        try:
+            packed = struct.pack(f"<{len(words)}I", *words)
+        except struct.error:
+            words = [word & _MASK32 for word in words]
+            packed = struct.pack(f"<{len(words)}I", *words)
+        self.crc.update_run(_FDRI, words, packed=packed)
         if not self.wcfg_active or self.idcode_error:
             return
         buffer = self._frame_buffer
@@ -145,28 +173,52 @@ class ConfigPort:
                 self._commit_frame(self._held_frame)
             self._held_frame = completed
 
+    def _register_run(self, register: int, words) -> None:
+        """Bulk :meth:`_handle_write` for a run to FAR, IDCODE or a
+        register without side effects.
+
+        The run folds into the CRC in one pass.  As word-by-word writes
+        would, the last mapped FAR word sets the frame index, and any
+        unmapped FAR word or wrong IDCODE latches its error.
+        """
+        if max(words) > _MASK32 or min(words) < 0:
+            words = [word & _MASK32 for word in words]
+        self.crc.fold_run(register, words)
+        if register == _FAR:
+            indices = [
+                i for i in map(self.layout.far_word_index, words) if i is not None
+            ]
+            if len(indices) < len(words):
+                self.crc_error = True
+            if indices:
+                self._far_index = indices[-1]
+        elif register == _IDCODE:
+            if words.count(self.layout.idcode) < len(words):
+                self.idcode_error = True
+
     # -- register semantics -------------------------------------------------
     def _handle_write(self, register: Optional[int], word: int) -> None:
         if register is None:  # pragma: no cover - guarded in feed_word
             return
-        if register == int(ConfigRegister.CRC):
+        if register == _CRC:
             if not self.crc.check(word):
                 self.crc_error = True
             return
 
         self.crc.update(register, word)
 
-        if register == int(ConfigRegister.IDCODE):
+        if register == _IDCODE:
             if word != self.layout.idcode:
                 self.idcode_error = True
-        elif register == int(ConfigRegister.FAR):
-            try:
-                self._far_index = self.layout.frame_index(FrameAddress.decode(word))
-            except ValueError:
+        elif register == _FAR:
+            index = self.layout.far_word_index(word)
+            if index is None:
                 self.crc_error = True
-        elif register == int(ConfigRegister.FDRI):
+            else:
+                self._far_index = index
+        elif register == _FDRI:
             self._fdri_word(word)
-        elif register == int(ConfigRegister.CMD):
+        elif register == _CMD:
             self._command(word)
 
     def _fdri_word(self, word: int) -> None:

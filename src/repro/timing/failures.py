@@ -21,22 +21,17 @@ __all__ = ["make_word_corruptor", "corruption_rate"]
 def corruption_rate(freq_mhz: float, fmax_mhz: float) -> float:
     """Fraction of words corrupted for a violated data path.
 
-    Zero when within fmax; rises steeply with the relative violation
-    (5 % violation → ~1/2000 words; 15 % → ~1/60; 50 % → saturated).
+    Zero within fmax; above it ``(6 v)²`` for the relative violation
+    ``v = freq / fmax - 1``, saturating at every word from ``v = 1/6``.
+    On the Table-I grid (fmax 315 MHz at 40 °C) the ICAP saw 1,195 of a
+    load's 132,190 words corrupted at 320 MHz @ 40 °C, and 97,207 at
+    360 MHz @ 40 °C.
     """
     if freq_mhz <= fmax_mhz:
         return 0.0
     violation = freq_mhz / fmax_mhz - 1.0
     rate = (violation * 6.0) ** 2
     return min(rate, 1.0)
-
-
-def _xorshift32(state: int) -> int:
-    state &= 0xFFFFFFFF
-    state ^= (state << 13) & 0xFFFFFFFF
-    state ^= state >> 17
-    state ^= (state << 5) & 0xFFFFFFFF
-    return state & 0xFFFFFFFF
 
 
 def _salt_words(region: str) -> List[int]:
@@ -81,12 +76,19 @@ def make_word_corruptor(
     state_box = [seed]
 
     def corrupt(words: List[int]) -> List[int]:
+        # The xorshift32 steps are inlined, as in encode_asp_frames: the
+        # walk takes one step per word of every over-clocked transfer.
         state = state_box[0]
+        mask = 0xFFFFFFFF
         out = list(words)
         for i in range(len(out)):
-            state = _xorshift32(state)
+            state ^= (state << 13) & mask
+            state ^= state >> 17
+            state = (state ^ (state << 5)) & mask
             if state < threshold:
-                state = _xorshift32(state)
+                state ^= (state << 13) & mask
+                state ^= state >> 17
+                state = (state ^ (state << 5)) & mask
                 out[i] ^= state or 0x1
         state_box[0] = state
         return out

@@ -115,6 +115,35 @@ def test_frame_index_bounds():
         layout.frame_index(FrameAddress(column=999))
 
 
+def test_far_word_index_matches_the_frame_address_walk():
+    """The arithmetic FAR-word mapping agrees with an independent oracle:
+    the encoding of every frame the layout enumerates, bits 26-31 masked."""
+    import random
+
+    layout = make_z7020_layout()
+    oracle = {
+        layout.frame_address(index).encode(): index
+        for index in range(layout.total_frames)
+    }
+    last_column = len(layout.columns) - 1
+    edges = [
+        FrameAddress(row=layout.rows - 1, column=last_column),
+        FrameAddress(row=layout.rows),  # one row past the half
+        FrameAddress(top=1, row=layout.rows - 1, column=last_column),
+        FrameAddress(column=last_column + 1),
+        FrameAddress(column=5, minor=layout.minors_of_column(5) - 1),
+        FrameAddress(column=5, minor=layout.minors_of_column(5)),
+        FrameAddress(block_type=1),
+        FrameAddress(block_type=7, top=1, row=1, column=3, minor=2),
+    ]
+    rng = random.Random(5)
+    words = list(oracle) + [far.encode() for far in edges]
+    words += [word | (0x3F << 26) for word in words[::97]]
+    words += [rng.getrandbits(32) for _ in range(5000)]
+    for word in words:
+        assert layout.far_word_index(word) == oracle.get(word & 0x03FFFFFF), hex(word)
+
+
 def test_unknown_region_rejected():
     layout = make_z7020_layout()
     with pytest.raises(KeyError):

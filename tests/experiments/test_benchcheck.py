@@ -63,7 +63,7 @@ def test_scaled_distorts_in_the_worse_direction():
 # -- run_check exit codes ------------------------------------------------------
 
 
-def _write_sweeps_baseline(path, events=7297.0, latency=677.025, wall=1.0):
+def _write_sweeps_baseline(path, events=7296.0, latency=677.025, wall=1.0):
     doc = {
         "sweep": {"frequencies_mhz": [200.0]},
         "runs": {
@@ -82,7 +82,7 @@ def _write_sweeps_baseline(path, events=7297.0, latency=677.025, wall=1.0):
     (path / "BENCH_sweeps.json").write_text(json.dumps(doc))
 
 
-def _fake_probe_sweeps(events=7297.0, latency=677.025, wall=2.0):
+def _fake_probe_sweeps(events=7296.0, latency=677.025, wall=2.0):
     def probe(frequencies_mhz):
         return {
             "wall_s": wall,
@@ -113,6 +113,22 @@ def test_run_check_flags_real_regression(tmp_path, monkeypatch):
     code, lines = run_check(suites=("sweeps",), baseline_dir=str(tmp_path))
     assert code == 1
     assert any("latency_us" in line and "REGRESSED" in line for line in lines)
+
+
+@pytest.mark.parametrize("drift", [-1.0, 1.0])
+def test_run_check_one_event_drift_fails_the_gate(tmp_path, monkeypatch, drift):
+    # Kernel event counts gate exactly, in both directions: a 2 % band
+    # once let a dropped event per point (7297 -> 7296) pass unnoticed.
+    _write_sweeps_baseline(tmp_path)
+    monkeypatch.setattr(
+        benchcheck, "probe_sweeps", _fake_probe_sweeps(events=7296.0 + drift)
+    )
+    code, lines = run_check(suites=("sweeps",), baseline_dir=str(tmp_path))
+    assert code == 1
+    assert any(
+        "events" in line and "exact" in line and "REGRESSED" in line
+        for line in lines
+    )
 
 
 def test_run_check_inject_scale_forces_failure(tmp_path, monkeypatch):
@@ -172,6 +188,9 @@ def test_probe_sweeps_matches_committed_baseline_shape():
     """One real (fast, single-point) probe: deterministic kernel figures."""
     fresh = benchcheck.probe_sweeps([200.0])
     point = fresh["points"]["bench@200MHz"]
-    assert point["events"] > 0
+    committed = {
+        p["label"]: p for p in load_baseline("sweeps")["runs"]["serial"]["points"]
+    }
+    assert point["events"] == committed["bench@200MHz"]["events"]
     assert point["latency_us"] == pytest.approx(677.025, rel=0.05)
     assert fresh["wall_s"] > 0

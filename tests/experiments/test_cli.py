@@ -54,6 +54,21 @@ def test_cli_requires_an_argument():
         main([])
 
 
+@pytest.mark.parametrize("flag", ["--metrics-out", "--out"])
+def test_cli_output_path_into_missing_directory_exits_two_before_running(
+    tmp_path, capsys, flag
+):
+    path = tmp_path / "missing" / "out.json"
+    experiment = "table2" if flag == "--metrics-out" else "report"
+    code = main([experiment, flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # nothing ran
+    assert captured.err.count("\n") == 1
+    assert "does not exist" in captured.err and flag in captured.err
+    assert not path.parent.exists()
+
+
 def test_cli_metrics_out_writes_telemetry_json(tmp_path):
     import json
 
