@@ -1,13 +1,9 @@
 """DDR3 DRAM device + controller models (the PS memory system).
 
-Two controllers share one device model and one master-facing API:
-
-* :class:`BankDramController` (default) — bank machines with an
-  open-/closed-page policy, a deterministic refresh engine, and a
-  round-robin command multiplexer over per-master queues.
-* :class:`DramController` (legacy) — the flat-latency FIFO server,
-  kept as the ``REPRO_DRAM=flat`` / ``dram_model="flat"`` kill switch
-  and differential baseline.
+:class:`DramDevice` holds the backing store and per-bank open-row state;
+:class:`BankDramController` drives it — bank machines with an
+open-/closed-page policy, a deterministic refresh engine, and a
+round-robin command multiplexer over per-master queues.
 """
 
 from .bank import (
@@ -15,15 +11,15 @@ from .bank import (
     REFRESH_MODES,
     BankDramController,
     BankTiming,
+    MasterLedger,
+    MemoryRequest,
 )
-from .controller import DramController, MasterLedger, MemoryRequest
 from .device import DdrTiming, DramDevice
 
 __all__ = [
     "BankDramController",
     "BankTiming",
     "DdrTiming",
-    "DramController",
     "DramDevice",
     "MasterLedger",
     "MemoryRequest",

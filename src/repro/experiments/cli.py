@@ -297,27 +297,33 @@ def _run_fleet_command(args, runner: SweepRunner) -> int:
     exit status 1 when a ``--max-*`` SLO target is breached.
 
     ``--chaos`` arms a per-board fault storm (``--chaos-intensity``,
-    ``--kill-boards``, same ``--seed`` discipline) and routes execution
-    through the health/failover control plane; availability is then
-    graded against ``--min-availability``.  ``--verify`` attaches the
+    ``--kill-boards``, same ``--seed`` discipline) under the
+    health/failover control plane every campaign runs through;
+    availability is then graded against ``--min-availability``.  An
+    invalid option combination is one ``repro-pdr: error:`` line and
+    exit status 2, before anything runs.  ``--verify`` attaches the
     invariant monitor to every board; any violation fails the run, as
     does (by default) an unhandled dead simulation process.
     """
     from ..fleet import FleetSpec, format_report, render_json, run_fleet
 
-    spec = FleetSpec(
-        boards=args.boards,
-        seed=args.seed,
-        duration_ms=args.duration_ms,
-        arrival=args.arrival,
-        rate_per_ms=args.rate,
-        queue_depth=args.queue_depth,
-        batching=not args.no_batching,
-        chaos=args.chaos,
-        chaos_intensity=args.chaos_intensity,
-        kill_boards=args.kill_boards,
-        verify=args.verify,
-    )
+    try:
+        spec = FleetSpec(
+            boards=args.boards,
+            seed=args.seed,
+            duration_ms=args.duration_ms,
+            arrival=args.arrival,
+            rate_per_ms=args.rate,
+            queue_depth=args.queue_depth,
+            batching=not args.no_batching,
+            chaos=args.chaos,
+            chaos_intensity=args.chaos_intensity,
+            kill_boards=args.kill_boards,
+            verify=args.verify,
+        )
+    except ValueError as exc:
+        print(f"repro-pdr: error: {exc}", file=sys.stderr)
+        return 2
     report = run_fleet(spec, runner=runner)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -14,21 +14,17 @@ request-level SLOs — p50/p99 latency, rejected-request rate, per-board
 utilisation — with the same nearest-rank/rollup machinery as every
 other campaign in the repo.
 
-:mod:`repro.fleet.health` adds the fault-tolerance control plane: per-
-board chaos storms, a deterministic board health state machine
-(healthy → degraded → quarantined → dead) with a circuit breaker, and
-request-level failover with capped retries — the degraded-mode SLOs
+Every board executes through the resilience layer and
+:mod:`repro.fleet.health` tracks each board's health: a ``chaos`` spec
+arms per-board fault storms, a deterministic board health state machine
+(healthy → degraded → quarantined → dead) with a circuit breaker gates
+request-level failover with capped retries, and the degraded-mode SLOs
 (availability under board loss, failover latency penalty, goodput)
-surface through the same :class:`FleetReport`.
+surface through the same :class:`FleetReport`.  A plain spec is the
+same campaign with no fault plan armed and nothing to fail over.
 """
 
-from .health import (
-    DEADLINE_FACTOR,
-    FleetHealthTracker,
-    PROBE_COOLDOWN_US,
-    chaos_board_point,
-    run_chaos_fleet,
-)
+from .health import DEADLINE_FACTOR, FleetHealthTracker, PROBE_COOLDOWN_US
 from .report import FleetReport, FleetSlos, format_report, render_json
 from .scheduler import FleetPlan, plan_fleet
 from .service import FleetSpec, board_point, run_fleet
@@ -45,11 +41,9 @@ __all__ = [
     "PROBE_COOLDOWN_US",
     "board_point",
     "build_workload",
-    "chaos_board_point",
     "format_report",
     "plan_fleet",
     "reissue",
     "render_json",
-    "run_chaos_fleet",
     "run_fleet",
 ]

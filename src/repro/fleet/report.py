@@ -66,8 +66,8 @@ class RequestOutcome:
     #: The serving load's post-load scrub verdict.
     ok: bool
     #: Service attempts consumed across boards (1 = no failover).
-    attempts: int = 1
-    terminal: str = TERMINAL_SERVED
+    attempts: int
+    terminal: str
 
     def to_mapping(self) -> Dict[str, Any]:
         return {
@@ -226,11 +226,11 @@ class FleetReport:
         plan,
         outcomes: Sequence[RequestOutcome],
         boards: Sequence[BoardUsage],
-        rounds: int = 1,
-        failovers: int = 0,
-        health: Optional[Sequence[Mapping[str, Any]]] = None,
-        unhandled: Optional[Sequence[Mapping[str, Any]]] = None,
-        verify: Optional[Mapping[str, Any]] = None,
+        rounds: int,
+        failovers: int,
+        health: Sequence[Mapping[str, Any]],
+        unhandled: Sequence[Mapping[str, Any]],
+        verify: Optional[Mapping[str, Any]],
     ) -> "FleetReport":
         served = [
             outcome for outcome in outcomes
@@ -297,8 +297,8 @@ class FleetReport:
             outcomes=list(outcomes),
             horizon_us=horizon_us,
             rounds=int(rounds),
-            health=[dict(entry) for entry in health or []],
-            unhandled=[dict(entry) for entry in unhandled or []],
+            health=[dict(entry) for entry in health],
+            unhandled=[dict(entry) for entry in unhandled],
             verify=dict(verify) if verify is not None else None,
         )
 

@@ -98,15 +98,12 @@ class BoardPlan:
 
     board: int
     #: Dispatch groups: each inner list is one scatter-gather batch
-    #: (single-job groups dispatch through the plain reconfigure path).
+    #: (single-job groups dispatch as one plain reconfiguration).
     groups: List[List[PlannedJob]] = field(default_factory=list)
 
     @property
     def jobs(self) -> List[PlannedJob]:
         return [job for group in self.groups for job in group]
-
-    def executable_groups(self) -> List[List[List]]:
-        return [[job.as_executable() for job in group] for group in self.groups]
 
 
 @dataclass

@@ -317,9 +317,7 @@ class InvariantMonitor:
 
     def check_dram_quiescent(self, controller, now_ns: float) -> None:
         """Ledger + refresh-coverage conservation on an idle controller."""
-        ledgers = getattr(controller, "masters", None)
-        if ledgers is None:
-            return
+        ledgers = controller.masters
         self._count(2)
         ledger_bytes = sum(ledger.bytes for ledger in ledgers.values())
         moved = controller.bytes_read + controller.bytes_written
@@ -336,7 +334,7 @@ class InvariantMonitor:
                 f"{controller.name}: per-master waits sum to {ledger_wait} "
                 f"ns but queue_wait_ns reads {controller.queue_wait_ns}",
             )
-        if getattr(controller, "refresh_mode", None) == "engine":
+        if controller.refresh_mode == "engine":
             self._count()
             controller.sync_refresh(now_ns)
             due = int(now_ns // controller.timing.trefi_ns)

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.axi import AxiHpPort, AxiInterconnect
-from repro.dram import DramController, DramDevice
+from repro.dram import BankDramController, DramDevice
 from repro.sim import Simulator
 
 
 def _rig():
     sim = Simulator()
     device = DramDevice()
-    interconnect = AxiInterconnect(sim, DramController(sim, device))
+    interconnect = AxiInterconnect(sim, BankDramController(sim, device))
     return sim, interconnect
 
 

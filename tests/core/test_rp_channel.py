@@ -5,7 +5,7 @@ import pytest
 from repro.axi import AxiHpPort, AxiInterconnect, AxiStream, StreamBurst
 from repro.core import PdrSystem, RpDataChannel
 from repro.dma import S2mmDmaEngine
-from repro.dram import DramController, DramDevice
+from repro.dram import BankDramController, DramDevice
 from repro.fabric import Aes128Asp, Crc32Asp, FirFilterAsp
 from repro.sim import ClockDomain, Simulator
 
@@ -14,7 +14,7 @@ from repro.sim import ClockDomain, Simulator
 def _s2mm_rig():
     sim = Simulator()
     device = DramDevice()
-    interconnect = AxiInterconnect(sim, DramController(sim, device))
+    interconnect = AxiInterconnect(sim, BankDramController(sim, device))
     port = AxiHpPort(sim, interconnect)
     clock = ClockDomain(sim, 150.0)
     stream = AxiStream(sim, fifo_words=512)
@@ -57,7 +57,7 @@ def test_s2mm_records_metrics_like_mm2s():
 
     sim = Simulator()
     device = DramDevice()
-    interconnect = AxiInterconnect(sim, DramController(sim, device))
+    interconnect = AxiInterconnect(sim, BankDramController(sim, device))
     port = AxiHpPort(sim, interconnect)
     clock = ClockDomain(sim, 150.0)
     metrics = MetricsRegistry(now_fn=lambda: sim.now)

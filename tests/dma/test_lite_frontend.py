@@ -13,7 +13,7 @@ from repro.dma import (
     MM2S_LENGTH,
     MM2S_SA,
 )
-from repro.dram import DramController, DramDevice
+from repro.dram import BankDramController, DramDevice
 from repro.sim import ClockDomain, Simulator
 
 
@@ -21,7 +21,7 @@ from repro.sim import ClockDomain, Simulator
 def rig():
     sim = Simulator()
     device = DramDevice()
-    interconnect = AxiInterconnect(sim, DramController(sim, device))
+    interconnect = AxiInterconnect(sim, BankDramController(sim, device))
     port = AxiHpPort(sim, interconnect)
     clock = ClockDomain(sim, 100.0)
     stream = AxiStream(sim, fifo_words=1024)

@@ -288,6 +288,21 @@ def test_chaos_injector_arms_on_bank_controller():
     assert system.dram_controller.fault_read_tamper is not None
 
 
+def test_env_overrides_refresh_mode(monkeypatch):
+    """``REPRO_DRAM_REFRESH`` flips refresh accounting without touching
+    the config — the hook for A/B soak runs over campaigns that build
+    their ``PdrSystemConfig`` internally."""
+    from repro.core import PdrSystem
+
+    monkeypatch.setenv("REPRO_DRAM_REFRESH", "engine")
+    assert PdrSystem().dram_controller.refresh_mode == "engine"
+    monkeypatch.setenv("REPRO_DRAM_REFRESH", "sometimes")
+    with pytest.raises(ValueError):
+        PdrSystem()
+    monkeypatch.delenv("REPRO_DRAM_REFRESH")
+    assert PdrSystem().dram_controller.refresh_mode == "lazy"
+
+
 # ----------------------------------------------------------------- snapshot --
 def test_device_capture_restore_roundtrips_bank_state():
     device = DramDevice()

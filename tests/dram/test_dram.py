@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import DdrTiming, DramController, DramDevice
+from repro.dram import BankDramController, BankTiming, DramDevice
 from repro.sim import Simulator
 
 
@@ -43,14 +43,20 @@ def test_out_of_bounds_rejected():
 def test_row_hit_vs_miss_latency():
     device = DramDevice()
     timing = device.timing
-    first = device.access_latency_ns(0, 64)       # cold: row miss
-    second = device.access_latency_ns(64, 64)     # same row: hit
-    other = device.access_latency_ns(10 * timing.row_bytes * timing.banks, 64)
-    assert first == timing.row_miss_ns
-    assert second == timing.row_hit_ns
-    assert other == timing.row_miss_ns
+    first = device.bank_access(0, 64)[0]       # cold: row miss
+    second = device.bank_access(64, 64)[0]     # same row: hit
+    other = device.bank_access(10 * timing.row_bytes * timing.banks, 64)[0]
+    assert first == "miss"
+    assert second == "hit"
+    assert other == "conflict"  # same bank, different row
+    # Default calibration: hit 202 ns, miss and conflict 302 ns.
+    latency = BankTiming().access_ns
+    assert [latency(first), latency(second), latency(other)] == [
+        302.0, 202.0, 302.0
+    ]
     assert device.row_hits == 1
-    assert device.row_misses == 2
+    assert device.row_misses == 1
+    assert device.row_conflicts == 1
 
 
 def test_banks_keep_independent_open_rows():
@@ -59,10 +65,10 @@ def test_banks_keep_independent_open_rows():
     # Rows in different banks stay open simultaneously.
     addr_bank0 = 0
     addr_bank1 = timing.row_bytes
-    device.access_latency_ns(addr_bank0, 64)
-    device.access_latency_ns(addr_bank1, 64)
-    assert device.access_latency_ns(addr_bank0, 64) == timing.row_hit_ns
-    assert device.access_latency_ns(addr_bank1, 64) == timing.row_hit_ns
+    device.bank_access(addr_bank0, 64)
+    device.bank_access(addr_bank1, 64)
+    assert device.bank_access(addr_bank0, 64)[0] == "hit"
+    assert device.bank_access(addr_bank1, 64)[0] == "hit"
 
 
 def test_transfer_time_scales_with_size():
@@ -84,7 +90,7 @@ def test_property_store_load(addr, data):
 # --------------------------------------------------------------- controller --
 def test_controller_read_write():
     sim = Simulator()
-    controller = DramController(sim)
+    controller = BankDramController(sim)
     got = {}
 
     def driver(sim):
@@ -101,7 +107,7 @@ def test_controller_read_write():
 
 def test_controller_serves_fifo():
     sim = Simulator()
-    controller = DramController(sim)
+    controller = BankDramController(sim)
     order = []
 
     def reader(sim, tag):
@@ -121,7 +127,7 @@ def test_idle_gap_does_not_accumulate_refresh_debt():
     gap added ~20 us to the next transfer's first burst.
     """
     sim = Simulator()
-    controller = DramController(sim)
+    controller = BankDramController(sim)
     durations = {}
 
     def driver(sim):
@@ -135,15 +141,15 @@ def test_idle_gap_does_not_accumulate_refresh_debt():
 
     sim.process(driver(sim))
     sim.run()
-    stall = controller.device.timing.refresh_stall_ns
+    stall = controller.timing.trfc_ns
     assert durations["after_idle"] <= durations["first"] + stall + 1.0
 
 
 def test_sustained_refresh_overhead_about_two_percent():
     """During continuous traffic, refresh costs ~tRFC/tREFI of bandwidth."""
     sim = Simulator()
-    timing = DdrTiming()
-    controller = DramController(sim, DramDevice(timing=timing))
+    controller = BankDramController(sim, DramDevice())
+    timing = controller.timing
     state = {}
 
     def driver(sim):
@@ -154,7 +160,7 @@ def test_sustained_refresh_overhead_about_two_percent():
 
     sim.process(driver(sim))
     sim.run()
-    duty = timing.refresh_stall_ns / timing.refresh_interval_ns
+    duty = timing.trfc_ns / timing.trefi_ns
     # Elapsed must exceed the no-refresh time by roughly the refresh duty.
     no_refresh = state["elapsed"] / (1 + duty)
     overhead = state["elapsed"] - no_refresh

@@ -91,3 +91,27 @@ def test_fleet_chaos_availability_breach_exits_one(capsys):
 def test_fleet_min_availability_ignored_without_chaos():
     code, _ = run_cli(ARGS + ["--min-availability", "1.1"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--rate", "0"],
+        ["--duration-ms", "0"],
+        ["--boards", "0"],
+        ["--queue-depth", "0"],
+        ["--kill-boards", "1"],
+        ["--chaos", "--chaos-intensity", "-1"],
+    ],
+    ids=[
+        "rate", "duration", "boards", "queue-depth", "kill-no-chaos",
+        "intensity",
+    ],
+)
+def test_fleet_invalid_options_are_one_error_line_exit_two(extra, capsys):
+    code, out = run_cli(ARGS + extra)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro-pdr: error: ")

@@ -22,9 +22,7 @@ def test_plan_is_deterministic():
     first = plan_fleet(requests, boards=3)
     second = plan_fleet(requests, boards=3)
     assert first.rejected == second.rejected
-    assert [b.executable_groups() for b in first.boards] == [
-        b.executable_groups() for b in second.boards
-    ]
+    assert [b.groups for b in first.boards] == [b.groups for b in second.boards]
 
 
 def test_every_admitted_request_is_planned_exactly_once():

@@ -15,7 +15,7 @@ from repro.dma import (
     MM2S_LENGTH,
     MM2S_SA,
 )
-from repro.dram import DramController, DramDevice
+from repro.dram import BankDramController, DramDevice
 from repro.fabric import ConfigMemory, FirFilterAsp, encode_asp_frames
 from repro.icap import IcapController
 from repro.sim import ClockDomain, Simulator
@@ -29,7 +29,7 @@ class TransferRig:
         self.layout = make_z7020_layout()
         self.memory = ConfigMemory(self.layout)
         self.dram = DramDevice()
-        controller = DramController(self.sim, self.dram)
+        controller = BankDramController(self.sim, self.dram)
         interconnect = AxiInterconnect(self.sim, controller)
         self.port = AxiHpPort(self.sim, interconnect)
         self.clock = ClockDomain(self.sim, freq_mhz)
