@@ -1,19 +1,18 @@
-"""Benchmark E11: the chaos soak engine.
+"""Golden output E11: the chaos soak engine.
 
 Runs a small seeded soak campaign (3 episodes), asserts the chaos
 layer's core guarantees (every planned fault injected, SLOs met, zero
-invariant violations), and records wall-clock plus the fault/recovery
-mass and MTTR percentiles to ``BENCH_chaos.json`` at the repo root so
-future PRs can see both the perf and the resilience curve.
+invariant violations), and writes the fault/recovery mass, availability,
+MTTR percentiles and kernel event count to ``BENCH_chaos.json`` at the
+repo root.  Every recorded value is simulated, so a rerun reproduces the
+file byte for byte and ``git diff --exit-code -- 'BENCH_*.json'`` gates
+it.
 """
 
 import json
 import os
-import time
 
 from repro.chaos import SoakSlos, run_soak
-
-from conftest import run_once
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_chaos.json")
@@ -22,15 +21,8 @@ _SEED = 1
 _CASES = 3
 
 
-def _run_campaign():
-    t0 = time.perf_counter()
+def test_bench_chaos_soak():
     report = run_soak(seed=_SEED, cases=_CASES)
-    wall_s = time.perf_counter() - t0
-    return report, wall_s
-
-
-def test_bench_chaos_soak(benchmark):
-    report, wall_s = run_once(benchmark, _run_campaign)
 
     # The chaos layer's core guarantees, even at benchmark scale.
     assert report.faults_injected == report.faults_planned
@@ -41,10 +33,7 @@ def test_bench_chaos_soak(benchmark):
 
     payload = {
         "generated_by": "benchmarks/test_bench_chaos.py",
-        "host_cpus": os.cpu_count(),
         "campaign": {"seed": _SEED, "cases": _CASES},
-        "soak_wall_s": round(wall_s, 3),
-        "episodes_per_s": round(_CASES / wall_s, 3),
         "faults": {
             "injected": report.faults_injected,
             "recovered": report.faults_recovered,

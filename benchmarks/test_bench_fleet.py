@@ -1,23 +1,21 @@
-"""Benchmark E14/E16: the fleet-scale PDR service, calm and under chaos.
+"""Golden output E14/E16: the fleet-scale PDR service, calm and under chaos.
 
 Runs a small seeded fleet campaign (4 boards, Poisson arrivals),
 asserts the fleet layer's core guarantees (every request accounted for,
 no scrub failures, batching active), then reruns the fleet under a
 board-kill chaos storm (E16) and asserts the health/failover layer's
 guarantees: request conservation, failover activity, and a quarantined
-board rejoining through its half-open circuit-breaker probe.  Records
-wall-clock plus both the calm and degraded-mode SLO figures to
-``BENCH_fleet.json`` at the repo root so future PRs can see the perf,
-service-quality and fault-tolerance curves together.
+board rejoining through its half-open circuit-breaker probe.  Writes
+both the calm and degraded-mode SLO figures to ``BENCH_fleet.json`` at
+the repo root.  Every recorded value is simulated, so a rerun
+reproduces the file byte for byte and
+``git diff --exit-code -- 'BENCH_*.json'`` gates it.
 """
 
 import json
 import os
-import time
 
 from repro.fleet import FleetSpec, run_fleet
-
-from conftest import run_once
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_fleet.json")
@@ -37,15 +35,8 @@ _CHAOS_SPEC = FleetSpec(
 )
 
 
-def _run_campaign():
-    t0 = time.perf_counter()
+def test_bench_fleet_service():
     report = run_fleet(_SPEC)
-    wall_s = time.perf_counter() - t0
-    return report, wall_s
-
-
-def test_bench_fleet_service(benchmark):
-    report, wall_s = run_once(benchmark, _run_campaign)
 
     # The fleet layer's core guarantees, even at benchmark scale.
     assert report.offered == report.admitted + report.rejected
@@ -54,9 +45,7 @@ def test_bench_fleet_service(benchmark):
     assert report.coalesced > 0  # the hot set actually coalesced
     assert report.slos.p99_latency_us is not None
 
-    t0 = time.perf_counter()
     chaos_report = run_fleet(_CHAOS_SPEC)
-    chaos_wall_s = time.perf_counter() - t0
 
     # The health/failover layer's guarantees: conservation under board
     # loss, actual failover traffic, and a breaker-probe rejoin.
@@ -75,10 +64,7 @@ def test_bench_fleet_service(benchmark):
 
     payload = {
         "generated_by": "benchmarks/test_bench_fleet.py",
-        "host_cpus": os.cpu_count(),
         "campaign": _SPEC.to_mapping(),
-        "fleet_wall_s": round(wall_s, 3),
-        "requests_per_s": round(report.offered / wall_s, 3),
         "requests": {
             "offered": report.offered,
             "admitted": report.admitted,
@@ -93,7 +79,6 @@ def test_bench_fleet_service(benchmark):
             for usage in report.boards
         },
         "chaos_campaign": _CHAOS_SPEC.to_mapping(),
-        "fleet_chaos_wall_s": round(chaos_wall_s, 3),
         "chaos_rounds": chaos_report.rounds,
         "chaos_slos": chaos_report.slos.to_mapping(),
         "chaos_board_states": {

@@ -98,9 +98,8 @@ class PdrSystemConfig:
     #: Compile the telemetry probes out: metrics become shared no-ops and
     #: the tracer stops retaining records.  Phase spans (and therefore
     #: ``ReconfigResult.phase_us``/``critical_path``) survive — they are
-    #: part of the result contract, not the instrumentation.  The
-    #: probe-overhead benchmark (``benchmarks/test_bench_obs.py``)
-    #: measures this flag's worth.
+    #: part of the result contract, not the instrumentation.  perfbench's
+    #: ``obs.overhead_ratio`` measures this flag's worth.
     telemetry: bool = True
     #: Row-buffer policy for the bank model: ``"open"`` keeps rows open
     #: (sequential streams hit), ``"closed"`` auto-precharges every access.

@@ -9,9 +9,10 @@ run only simulates the points the cache has never seen (or whose code
 has changed since).
 
 Point functions run inside :func:`_execute_point`, which times the call
-and collects the event-throughput statistic the function reports via
-:func:`note_events`; the per-point :class:`PointStats` trajectory is what
-``benchmarks/sweep_perf.py`` records to ``BENCH_sweeps.json``.
+and collects the kernel event count the function reports via
+:func:`note_events` into the per-point :class:`PointStats`;
+``benchmarks/test_bench_sweeps.py`` records those event counts to
+``BENCH_sweeps.json``.
 """
 
 from __future__ import annotations

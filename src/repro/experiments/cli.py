@@ -24,14 +24,12 @@ text or Perfetto-loadable Chrome trace JSON); ``--trace-dump [N]``
 prints the last N (default 50) trace records of each system;
 ``--profile`` prints a per-system sim-time flame table.
 
-Two further subcommand-style experiments:
-
-* ``repro-pdr report`` runs a 56-point reconfiguration campaign and
-  emits the deterministic telemetry rollup (markdown to stdout, canonical
-  JSON via ``--out``) — byte-identical for any ``--jobs N``;
-* ``repro-pdr bench --check`` re-runs the benchmark probes and diffs
-  them against the committed ``BENCH_*.json`` baselines, exiting 1 on
-  regression (``--inject-scale 2.0`` self-tests the gate).
+``repro-pdr report`` runs a 56-point reconfiguration campaign and
+emits the deterministic telemetry rollup (markdown to stdout, canonical
+JSON via ``--out``) — byte-identical for any ``--jobs N``.  ``report``,
+``fleet`` and ``contention`` write ``--out`` and no telemetry; every
+other command writes ``--metrics-out`` and no ``--out``.  A flag the
+selected command would not write is rejected before anything runs.
 """
 
 from __future__ import annotations
@@ -381,29 +379,27 @@ def _run_contention_command(args, runner: SweepRunner) -> int:
     return 0
 
 
-def _run_bench_command(args) -> int:
-    """``repro-pdr bench --check``: the perf-regression gate."""
-    from .benchcheck import run_check
+#: Commands that write ``--out`` (their canonical JSON report); every
+#: other command writes ``--metrics-out`` (telemetry) instead.
+_OUT_COMMANDS = ("contention", "fleet", "report")
 
-    if not args.check:
-        print(
-            "bench: nothing to do without --check "
-            "(run `pytest benchmarks/` to regenerate baselines)",
-            file=sys.stderr,
+
+def _ignored_output(args) -> Optional[str]:
+    """Why an output flag would be silently ignored by the selected
+    command, checked before any run so the caller never gets exit 0 and
+    no file."""
+    writers = [name for name in args.experiments if name in _OUT_COMMANDS]
+    if args.metrics_out and writers:
+        return (
+            f"--metrics-out: '{writers[0]}' exports no telemetry "
+            f"(use --out for its report)"
         )
-        return 2
-    code, lines = run_check(
-        suites=tuple(args.suite)
-        if args.suite
-        else ("sweeps", "chaos", "fleet", "dram"),
-        tolerance=args.tolerance,
-        wall_tolerance=args.wall_tolerance,
-        inject_scale=args.inject_scale,
-        baseline_dir=args.baseline_dir,
-    )
-    for line in lines:
-        print(line)
-    return code
+    if args.out and not writers:
+        return (
+            f"--out: '{args.experiments[0]}' writes no report file "
+            f"(only {'/'.join(_OUT_COMMANDS)} do)"
+        )
+    return None
 
 
 def _unwritable_output(args) -> Optional[str]:
@@ -436,7 +432,7 @@ def main(argv=None) -> int:
         "experiments",
         nargs="+",
         choices=sorted(EXPERIMENTS)
-        + ["all", "bench", "chaos", "contention", "fleet", "fuzz", "report"],
+        + ["all", "chaos", "contention", "fleet", "fuzz", "report"],
         help=(
             "which paper artifacts to regenerate; 'fuzz' instead runs the "
             "deterministic scenario fuzzer under the invariant monitor; "
@@ -446,8 +442,7 @@ def main(argv=None) -> int:
             "system; 'fleet' drives a multi-board fleet "
             "with open-loop request traffic and reports request-level "
             "SLOs; 'report' aggregates a 56-point "
-            "campaign into a telemetry rollup; 'bench --check' diffs "
-            "fresh benchmark probes against the committed baselines"
+            "campaign into a telemetry rollup"
         ),
     )
     parser.add_argument(
@@ -652,7 +647,7 @@ def main(argv=None) -> int:
         default=None,
         help=(
             "write the telemetry of every simulated system to PATH "
-            "(see --format)"
+            "(see --format; not with report, fleet or contention)"
         ),
     )
     parser.add_argument(
@@ -678,58 +673,10 @@ def main(argv=None) -> int:
         "--out",
         metavar="PATH",
         default=None,
-        help="report: also write the rollup as canonical JSON to PATH",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="bench: diff fresh probes against committed BENCH_*.json",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.02,
-        metavar="FRAC",
         help=(
-            "bench: fractional tolerance for deterministic simulation "
-            "metrics (default 0.02; per-point kernel event counts always "
-            "gate exactly)"
+            "report/fleet/contention: also write the canonical JSON "
+            "report to PATH"
         ),
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help=(
-            "bench: gate wall-clock at this fractional tolerance "
-            "(default: wall-clock is advisory only — CI containers are "
-            "too noisy to gate on)"
-        ),
-    )
-    parser.add_argument(
-        "--inject-scale",
-        type=float,
-        default=1.0,
-        metavar="F",
-        help=(
-            "bench: multiply fresh measurements by F in their "
-            "worse-direction before comparison (self-test hook: "
-            "--inject-scale 2.0 must exit 1)"
-        ),
-    )
-    parser.add_argument(
-        "--suite",
-        action="append",
-        choices=["sweeps", "chaos", "fleet", "dram"],
-        default=None,
-        help="bench: check only this suite (repeatable; default all four)",
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        metavar="DIR",
-        default=None,
-        help="bench: directory holding BENCH_*.json (default repo root)",
     )
     parser.add_argument(
         "--trace-dump",
@@ -745,7 +692,7 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 0 (0 = one worker per CPU)")
     if args.cases is not None and args.cases < 1:
         parser.error("--cases must be >= 1")
-    problem = _unwritable_output(args)
+    problem = _ignored_output(args) or _unwritable_output(args)
     if problem:
         print(f"repro-pdr: error: {problem}", file=sys.stderr)
         return 2
@@ -763,11 +710,6 @@ def main(argv=None) -> int:
         if args.cases is None:
             args.cases = 10
         return _run_chaos_command(args)
-
-    if "bench" in args.experiments:
-        if len(args.experiments) != 1:
-            parser.error("'bench' cannot be combined with other experiments")
-        return _run_bench_command(args)
 
     cache = None
     if args.cache is not None:

@@ -20,7 +20,7 @@ for fault-injection experiments.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..bitstream.device import FRAME_BYTES, FRAME_WORDS, DeviceLayout
 from ..bitstream.far import FrameAddress
@@ -131,11 +131,6 @@ class ConfigMemory:
             )
         )
 
-    def region_packed(self, name: str) -> bytes:
-        """A region's frame data as packed little-endian bytes."""
-        first, count = self.layout.region_span(name)
-        return self.read_frames_packed(first, count)
-
     def iter_region_words(self, name: str):
         """Iterate a region's words without building frame lists (read-back
         hot path: the CRC scrubber digests >130 k words per pass)."""
@@ -167,14 +162,6 @@ class ConfigMemory:
                 return False
         return True
 
-    def region_equals_packed(self, name: str, packed) -> bool:
-        """True if the region's packed frame data matches ``packed``."""
-        first, count = self.layout.region_span(name)
-        if len(packed) != count * FRAME_BYTES:
-            return False
-        offset = first * FRAME_BYTES
-        return self._slab[offset : offset + count * FRAME_BYTES] == packed
-
     def write_region(self, name: str, frames: Sequence[Sequence[int]]) -> None:
         """Directly write a whole region (test/PCAP path, not the ICAP)."""
         first, count = self.layout.region_span(name)
@@ -185,31 +172,11 @@ class ConfigMemory:
         for i, frame in enumerate(frames):
             self.write_frame(first + i, frame)
 
-    def write_region_packed(self, name: str, packed) -> None:
-        """Directly write a whole region from packed little-endian bytes."""
-        first, count = self.layout.region_span(name)
-        if len(packed) != count * FRAME_BYTES:
-            raise ValueError(
-                f"region {name} needs {count * FRAME_BYTES} bytes, "
-                f"got {len(packed)}"
-            )
-        view = memoryview(packed)
-        for i in range(count):
-            self._write_packed(first + i, view[i * FRAME_BYTES : (i + 1) * FRAME_BYTES])
-
     def clear_region(self, name: str) -> None:
         first, count = self.layout.region_span(name)
         blank = bytes(FRAME_BYTES)
         for i in range(count):
             self._write_packed(first + i, blank)
-
-    def region_generation(self, name: str) -> Dict[int, int]:
-        """Generation counter per frame index of the region."""
-        first, count = self.layout.region_span(name)
-        return {
-            index: self._generation[index]
-            for index in range(first, first + count)
-        }
 
     # -- snapshot support ----------------------------------------------------
     def capture_state(self):

@@ -28,7 +28,7 @@ from .health import DEADLINE_FACTOR, FleetHealthTracker, PROBE_COOLDOWN_US
 from .report import FleetReport, FleetSlos, format_report, render_json
 from .scheduler import FleetPlan, plan_fleet
 from .service import FleetSpec, board_point, run_fleet
-from .workload import FleetRequest, build_workload, reissue
+from .workload import FleetRequest, build_workload
 
 __all__ = [
     "DEADLINE_FACTOR",
@@ -43,7 +43,6 @@ __all__ = [
     "build_workload",
     "format_report",
     "plan_fleet",
-    "reissue",
     "render_json",
     "run_fleet",
 ]

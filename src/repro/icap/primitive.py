@@ -277,20 +277,6 @@ class ConfigPort:
             far_index, frame_count
         )
 
-    @staticmethod
-    def strip_readback_pad(words: list) -> list:
-        """Drop the FDRO pad frame from a read-back word stream."""
-        if len(words) < FRAME_WORDS:
-            raise ValueError("read-back stream shorter than the pad frame")
-        return words[FRAME_WORDS:]
-
-    @staticmethod
-    def strip_readback_pad_packed(data: bytes) -> bytes:
-        """Drop the FDRO pad frame from a packed read-back byte stream."""
-        if len(data) < FRAME_BYTES:
-            raise ValueError("read-back stream shorter than the pad frame")
-        return data[FRAME_BYTES:]
-
     def _command(self, command: int) -> None:
         if command == int(Command.RCRC):
             self.crc.reset()

@@ -125,7 +125,8 @@ class CampaignReport:
     #: Result fields that appeared in records but never carried a number
     #: (e.g. an all-hang grid where every ``latency_us`` is ``None``) ->
     #: explicit reason.  The degraded twin of ``results`` — the same
-    #: convention as ``bench --check``'s skipped-metric lines, so a
+    #: convention as the null ``latency_us`` plus
+    #: ``latency_unavailable_reason`` in ``BENCH_sweeps.json``, so a
     #: rollup that never ran is reported, not silently absent.
     skipped: Dict[str, str] = field(default_factory=dict)
     #: Per-point single-line table rows (label, key result fields).

@@ -43,12 +43,3 @@ class Interrupt(Exception):
     def __init__(self, cause=None):
         super().__init__(cause)
         self.cause = cause
-
-
-class StopProcess(Exception):
-    """Raised by :func:`repro.sim.kernel.stop_process` helpers to end a
-    process early with a return value."""
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value

@@ -172,8 +172,3 @@ class SramPrSystem:
     def run_asp(self, region: str, words: List[int]) -> List[int]:
         """Execute the currently configured ASP of ``region`` functionally."""
         return self.regions[region].compute(words)
-
-    @staticmethod
-    def theoretical_throughput_mb_s() -> float:
-        """The paper's §VI bandwidth arithmetic."""
-        return THEORETICAL_THROUGHPUT_MB_S

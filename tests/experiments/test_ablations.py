@@ -1,4 +1,4 @@
-"""Ablation benchmarks A1-A6 (design choices DESIGN.md calls out).
+"""Ablations A1-A6 (design choices DESIGN.md calls out).
 
 These go beyond the paper's tables: each isolates one mechanism of the
 design and shows its quantitative effect.
@@ -10,13 +10,11 @@ from repro.core import PdrSystem, PdrSystemConfig
 from repro.fabric import Aes128Asp, FirFilterAsp
 from repro.sram_pr import SramPrSystem
 
-from conftest import run_once
-
 WORKLOAD = FirFilterAsp([1, 2, 3, 4])
 
 
 # ---------------------------------------------------------------------- A1 --
-def test_burst_size_knee(benchmark):
+def test_burst_size_knee():
     """A1: larger DMA bursts amortise the command gap and raise the
     memory-path ceiling; the saturated throughput tracks burst size."""
 
@@ -28,7 +26,7 @@ def test_burst_size_knee(benchmark):
             ceilings[burst] = result.throughput_mb_s
         return ceilings
 
-    ceilings = run_once(benchmark, sweep)
+    ceilings = sweep()
     assert ceilings[256] < ceilings[512] < ceilings[1024] < ceilings[2048]
     # The deployed 1 KiB burst gives the paper's ~790 MB/s ceiling.
     assert ceilings[1024] == pytest.approx(790.14, rel=0.01)
@@ -37,7 +35,7 @@ def test_burst_size_knee(benchmark):
 
 
 # ---------------------------------------------------------------------- A2 --
-def test_crc_overhead(benchmark, system):
+def test_crc_overhead(system):
     """A2: the read-back scrubber detects corruption within one pass and
     costs the transfer nothing (it is gated on the ICAP being idle)."""
 
@@ -59,7 +57,7 @@ def test_crc_overhead(benchmark, system):
         system.scrubber.stop()
         return baseline, with_scrub, detection_us
 
-    baseline, with_scrub, detection_us = run_once(benchmark, run)
+    baseline, with_scrub, detection_us = run()
     assert with_scrub.latency_us == pytest.approx(baseline.latency_us, rel=0.01)
     # One pass over 1304 frames at 200 MHz is ~737 us; detection happens
     # within two passes.
@@ -68,7 +66,7 @@ def test_crc_overhead(benchmark, system):
 
 
 # ---------------------------------------------------------------------- A3 --
-def test_memory_path(benchmark):
+def test_memory_path():
     """A3: the saturation ceiling is set by the memory path — inflating
     the interconnect latency drags the post-knee throughput down while
     the pre-knee (stream-bound) region is untouched."""
@@ -83,7 +81,7 @@ def test_memory_path(benchmark):
             out[latency_ns] = (pre_knee.throughput_mb_s, post_knee.throughput_mb_s)
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     pre = [results[lat][0] for lat in (160.0, 400.0, 800.0)]
     post = [results[lat][1] for lat in (160.0, 400.0, 800.0)]
     # Stream-bound region is latency-insensitive (FIFO prefetch hides it).
@@ -93,7 +91,7 @@ def test_memory_path(benchmark):
 
 
 # ---------------------------------------------------------------------- A4 --
-def test_decompression_gain(benchmark):
+def test_decompression_gain():
     """A4: compression multiplies effective activation throughput up to
     the ICAP-clock wall."""
 
@@ -103,7 +101,7 @@ def test_decompression_gain(benchmark):
         packed = system.reconfigure("RP2", Aes128Asp([1, 2, 3, 4]), compress=True)
         return plain, packed
 
-    plain, packed = run_once(benchmark, run)
+    plain, packed = run()
     assert plain.crc_valid and packed.crc_valid
     gain = packed.throughput_mb_s / plain.throughput_mb_s
     assert gain > 1.3
@@ -113,7 +111,7 @@ def test_decompression_gain(benchmark):
 
 
 # ---------------------------------------------------------------------- A5 --
-def test_preload_hiding(benchmark):
+def test_preload_hiding():
     """A5: overlapping the next preload with the current ASP's compute
     phase hides the DRAM-bound staging almost entirely."""
 
@@ -159,7 +157,7 @@ def test_preload_hiding(benchmark):
     def run():
         return serial(), overlapped()
 
-    serial_us, overlapped_us = run_once(benchmark, run)
+    serial_us, overlapped_us = run()
     # Each hidden preload is ~506 us; with 3 of 4 hidden the makespan
     # shrinks accordingly.
     assert overlapped_us < serial_us - 3 * 400.0
@@ -168,7 +166,7 @@ def test_preload_hiding(benchmark):
 
 
 # ---------------------------------------------------------------------- A6 --
-def test_batch_sg_vs_individual(benchmark):
+def test_batch_sg_vs_individual():
     """A6: scatter-gather batch reconfiguration of several partitions
     sustains the single-transfer rate and saves the per-transfer software
     overhead (clock relock + driver setup)."""
@@ -191,7 +189,7 @@ def test_batch_sg_vs_individual(benchmark):
         batch = batch_system.reconfigure_batch(jobs, 200.0)
         return individual_us, batch
 
-    individual_us, batch = run_once(benchmark, run)
+    individual_us, batch = run()
     assert batch.all_valid
     assert len(batch.regions) == 4
     # The chain sustains per-transfer throughput within 1 %.

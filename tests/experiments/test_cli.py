@@ -133,12 +133,29 @@ def test_cli_metrics_out_chrome_trace_and_profile(tmp_path):
     assert "reconfigure" in out
 
 
-def test_cli_bench_requires_check():
-    buffer = io.StringIO()
-    with contextlib.redirect_stderr(buffer):
-        code = main(["bench"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fleet", "--boards", "1", "--duration-ms", "2", "--metrics-out"],
+        ["contention", "--metrics-out"],
+        ["report", "--metrics-out"],
+        ["table2", "--out"],
+        ["chaos", "--out"],
+        ["fuzz", "--out"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-1]}",
+)
+def test_cli_output_flag_the_command_ignores_exits_two_before_running(
+    tmp_path, capsys, argv
+):
+    path = tmp_path / "out.json"
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "--check" in buffer.getvalue()
+    assert captured.out == ""  # nothing ran
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"repro-pdr: error: {argv[-1]}: ")
+    assert not path.exists()
 
 
 def test_cli_report_subcommand_aggregates_campaign(tmp_path):

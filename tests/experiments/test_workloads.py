@@ -118,7 +118,11 @@ def test_frequency_comparison_shape():
     # Faster ICAP -> shorter makespan; 200 MHz -> cheapest swaps.
     assert results[280.0].makespan_ms < results[200.0].makespan_ms
     assert results[200.0].makespan_ms < results[100.0].makespan_ms
+    # Over-clocking to the knee roughly halves the makespan...
+    assert results[100.0].makespan_ms / results[200.0].makespan_ms > 1.7
     cheapest = min(results.values(), key=lambda r: r.energy_per_swap_mj)
     assert cheapest.icap_freq_mhz == 200.0
+    # ...and 200 MHz minimises the energy per swap (Table II, restated).
+    assert results[200.0].energy_per_swap_mj == pytest.approx(0.887, rel=0.05)
     text = format_report(results)
     assert "sweet spot" in text

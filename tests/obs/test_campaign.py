@@ -114,7 +114,7 @@ def test_all_none_field_degrades_to_skipped_rollup_with_reason():
         "no numeric values in 3/3 point(s): no completion interrupt"
     )
     assert report.results["availability"].count == 3
-    # Both serialisations carry the skip (bench --check convention).
+    # Both serialisations carry the skip.
     doc = json.loads(render_json(report))
     assert doc["skipped"]["latency_us"].startswith("no numeric values")
     text = render_markdown(report)

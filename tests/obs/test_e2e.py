@@ -47,6 +47,26 @@ def test_reconfigure_phase_breakdown_sums_to_latency(reconfigured_system):
     assert set(TIMED_PHASES) <= set(result.phase_us)
 
 
+def test_telemetry_off_leaves_latency_and_phases_identical():
+    """Telemetry only observes: compiling the probes out changes neither
+    the latency nor any firmware phase.  ``device_us`` and the critical
+    path are not compared: device attribution still reads FIFO
+    back-pressure from a telemetry counter."""
+    from repro.experiments.points import asp_descriptor, reconfigure_point
+    from repro.experiments.table1 import WORKLOAD_ASP
+
+    workload = asp_descriptor(WORKLOAD_ASP)
+    on = reconfigure_point("RP1", 200.0, 40.0, workload)
+    off = reconfigure_point(
+        "RP1", 200.0, 40.0, workload, config={"telemetry": False}
+    )
+    assert on.succeeded and off.succeeded
+    assert off.latency_us == on.latency_us
+    assert off.phase_us == on.phase_us
+    # The instrumented run carries the richer result fields regardless.
+    assert on.critical_path is not None
+
+
 def test_reconfigure_emits_span_trace_records(reconfigured_system):
     system, _ = reconfigured_system
     spans = system.trace.filter(source="fw", kind="span")
