@@ -14,6 +14,14 @@ accounting on both sides.
 For a single master this times identically to the previous serialising
 round-robin arbiter: one lane, FIFO order, forward latency then
 controller service.
+
+When a read is the only traffic on the memory path (one master
+registered here and at the controller, its lane and the multiplexer
+idle, no fault hook armed), :meth:`AxiInterconnect.forward_read` runs it
+without the daemons: the forward, DDR-service and port-streaming stages
+become kernel entries (:meth:`Simulator.call_later`) that call the same
+accounting helpers at the same instants, so every time and counter is
+the one the lane and server processes would produce.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
-from ..dram import BankDramController
+from ..dram import BankDramController, MemoryRequest
 from ..obs import MetricsRegistry
 from ..sim import Event, Simulator
 
@@ -42,11 +50,14 @@ class AxiSlaveError(RuntimeError):
 class _Lane:
     """One master's command lane: FIFO queue + wake event."""
 
-    __slots__ = ("queue", "wake")
+    __slots__ = ("queue", "wake", "holder")
 
     def __init__(self):
         self.queue: Deque[tuple] = deque()
         self.wake: Optional[Event] = None
+        #: ``(port, done)`` of the :meth:`AxiInterconnect.forward_read`
+        #: burst holding the lane; requests queue behind it unserved.
+        self.holder: Optional[tuple] = None
 
 
 class AxiInterconnect:
@@ -103,8 +114,56 @@ class AxiInterconnect:
         self._submit(master, ("w", addr, len(data), data, done, self.sim.now))
         return done
 
+    def forward_read(self, addr: int, size: int, port, done: Event) -> bool:
+        """Run ``port``'s read as kernel entries if it meets no other traffic.
+
+        Applies only when ``port.name`` is the one master registered here
+        and at the controller, its lane and the DDR multiplexer are idle
+        and no fault hook is armed; otherwise returns False and does
+        nothing.  The burst then holds the lane: the forward stage ends
+        in :meth:`BankDramController.accept`, the service end calls
+        :meth:`returned`, which hands the data to ``port.deliver``.
+        The crossbar's fault hooks are read only here, at issue:
+        :mod:`repro.chaos` arms and disarms them between runs.
+        """
+        master = port.name
+        lane = self._lanes.get(master)
+        if (
+            lane is None
+            or len(self._lanes) != 1
+            or lane.holder is not None
+            or lane.wake is None
+            or lane.wake.triggered
+            or self.fault_stall_ns is not None
+            or self.fault_error is not None
+            or not self.controller.uncontended(master)
+        ):
+            return False
+        lane.holder = (port, done)
+        self._admit(master)
+        self.sim.call_later(
+            self._start(master, size, self.sim.now),
+            self.controller.accept,
+            MemoryRequest(addr=addr, size=size, master=master),
+            self.returned,
+        )
+        return True
+
+    def returned(self, request: MemoryRequest) -> None:
+        """A :meth:`forward_read` burst has been served: close its crossbar
+        accounting, release the lane and hand the data to the port."""
+        master = request.master
+        lane = self._lanes[master]
+        port, done = lane.holder
+        lane.holder = None
+        self._finish(master, request.size)
+        if lane.queue:
+            lane.wake.succeed()
+        port.deliver(request.size, request.read_data, done)
+
     # -- internals ----------------------------------------------------------
-    def _submit(self, master: str, request: tuple) -> None:
+    def _admit(self, master: str) -> _Lane:
+        """Count one more request in flight from ``master``; its lane."""
         lane = self._lanes.get(master)
         if lane is None:
             lane = self._lanes[master] = _Lane()
@@ -122,10 +181,36 @@ class AxiInterconnect:
                 name=f"{self.name}.lane.{master}",
                 daemon=True,
             )
-        lane.queue.append(request)
         self._m_outstanding.add(1)
-        if lane.wake is not None and not lane.wake.triggered:
+        return lane
+
+    def _submit(self, master: str, request: tuple) -> None:
+        lane = self._admit(master)
+        lane.queue.append(request)
+        if lane.holder is None and lane.wake is not None and not lane.wake.triggered:
             lane.wake.succeed()
+
+    def _start(self, master: str, size: int, submitted_ns: float) -> float:
+        """Take a transaction off ``master``'s lane now: account its wait;
+        returns its forward-path delay (decode + arbitration + slices)."""
+        wait_ns = self.sim.now - submitted_ns
+        self.transactions += 1
+        self.per_master_transactions[master] += 1
+        self.per_master_wait_ns[master] += wait_ns
+        self._m_master_wait[master].inc(wait_ns)
+        self._m_transactions.inc()
+        self._m_bytes.inc(size)
+        self._m_queue_wait_us.observe(wait_ns / 1e3)
+        stall_ns = 0.0
+        if self.fault_stall_ns is not None:
+            stall_ns = max(0.0, self.fault_stall_ns())
+        return self.forward_latency_ns + stall_ns
+
+    def _finish(self, master: str, size: int) -> None:
+        """Close a served transaction's accounting."""
+        self.per_master_bytes[master] += size
+        self._m_master_bytes[master].inc(size)
+        self._m_outstanding.add(-1)
 
     def _lane_server(self, master: str, lane: _Lane):
         while True:
@@ -133,19 +218,7 @@ class AxiInterconnect:
                 lane.wake = self.sim.event(name=f"{self.name}.lane.{master}.wake")
                 yield lane.wake
             kind, addr, size, data, done, submitted_ns = lane.queue.popleft()
-            wait_ns = self.sim.now - submitted_ns
-            self.transactions += 1
-            self.per_master_transactions[master] += 1
-            self.per_master_wait_ns[master] += wait_ns
-            self._m_master_wait[master].inc(wait_ns)
-            self._m_transactions.inc()
-            self._m_bytes.inc(size)
-            self._m_queue_wait_us.observe(wait_ns / 1e3)
-            # Forward path: address decode + arbitration + register slices.
-            stall_ns = 0.0
-            if self.fault_stall_ns is not None:
-                stall_ns = max(0.0, self.fault_stall_ns())
-            yield self.sim.timeout(self.forward_latency_ns + stall_ns)
+            yield self.sim.timeout(self._start(master, size, submitted_ns))
             if self.fault_error is not None:
                 error = self.fault_error(kind, addr, size)
                 if error is not None:
@@ -159,6 +232,4 @@ class AxiInterconnect:
             else:
                 yield self.controller.write(addr, data, master=master)
                 done.succeed(None)
-            self.per_master_bytes[master] += size
-            self._m_master_bytes[master].inc(size)
-            self._m_outstanding.add(-1)
+            self._finish(master, size)

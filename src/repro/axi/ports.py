@@ -46,6 +46,11 @@ class AxiHpPort:
     def stream_ns(self, size: int) -> float:
         return size / self.raw_bandwidth_bytes_per_ns
 
+    def _stream_tail_ns(self, size: int) -> float:
+        """Port streaming time left once the DDR has transferred ``size``."""
+        ddr_transfer = self.interconnect.controller.device.transfer_ns(size)
+        return self.stream_ns(size) - ddr_transfer
+
     def read(self, addr: int, size: int) -> Event:
         """Read a burst through the port; value is the data bytes.
 
@@ -53,8 +58,15 @@ class AxiHpPort:
         DDR peak (~4.3 GB/s) exceeds the port rate (1.2 GB/s), the data
         phase is port-limited: total = interconnect+access latency +
         max(DDR transfer, port transfer).
+
+        A burst that meets no other traffic runs as kernel entries
+        (:meth:`AxiInterconnect.forward_read`); any other runs as a
+        transaction process behind the crossbar lane and DDR server
+        daemons.  Both give the same times and accounting.
         """
         done = self.sim.event(name=f"{self.name}.read")
+        if self.interconnect.forward_read(addr, size, self, done):
+            return done
 
         def transaction():
             # An error response on the bus must land on the *issuing*
@@ -64,22 +76,33 @@ class AxiHpPort:
             except Exception as exc:
                 done.fail(exc)
                 return
-            ddr_transfer = self.interconnect.controller.device.transfer_ns(size)
-            extra = self.stream_ns(size) - ddr_transfer
+            extra = self._stream_tail_ns(size)
             if extra > 0:
                 yield self.sim.timeout(extra)
-            self.bytes_transferred += size
-            done.succeed(data)
+            self.streamed(done, size, data)
 
         self.sim.process(transaction(), name=f"{self.name}.read@{addr:#x}")
         return done
+
+    def deliver(self, size: int, data: bytes, done: Event) -> None:
+        """Stream a served :meth:`AxiInterconnect.forward_read` burst out of
+        the port; :meth:`streamed` completes it when the port is done."""
+        extra = self._stream_tail_ns(size)
+        if extra > 0:
+            self.sim.call_later(extra, self.streamed, done, size, data)
+        else:
+            self.streamed(done, size, data)
+
+    def streamed(self, done: Event, size: int, data: bytes) -> None:
+        """A read burst has left the port: count it and complete ``done``."""
+        self.bytes_transferred += size
+        done.succeed(data)
 
     def write(self, addr: int, data: bytes) -> Event:
         done = self.sim.event(name=f"{self.name}.write")
 
         def transaction():
-            ddr_transfer = self.interconnect.controller.device.transfer_ns(len(data))
-            extra = self.stream_ns(len(data)) - ddr_transfer
+            extra = self._stream_tail_ns(len(data))
             if extra > 0:
                 yield self.sim.timeout(extra)
             try:

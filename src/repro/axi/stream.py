@@ -67,6 +67,9 @@ class AxiStream:
         self.stat_released_words = 0
         self.stat_queued_words = 0
         self.stat_consumed_words = 0
+        #: Total sim time (ns) producers spent stalled on a full FIFO.
+        #: Model accounting: results read it, the counter only mirrors it.
+        self.stat_stall_ns = 0.0
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
         self._m_occupancy = self.metrics.gauge(f"{name}.occupancy_words")
         self._m_depth = self.metrics.histogram(f"{name}.fifo_depth_words")
@@ -153,7 +156,9 @@ class AxiStream:
             self._space_waiters.popleft()
             self._free_words -= need
             self.stat_granted_words += need
-            self._m_stall_ns.inc(self.sim.now - waited_since_ns)
+            stall_ns = self.sim.now - waited_since_ns
+            self.stat_stall_ns += stall_ns
+            self._m_stall_ns.inc(stall_ns)
             event.succeed()
         self._m_occupancy.set(self.fifo_words - self._free_words)
         if self.monitor is not None:
@@ -164,11 +169,11 @@ class AxiStream:
     def backpressure_ns(self) -> float:
         """Total sim time producers spent stalled on a full FIFO.
 
-        Reads the ``<name>.backpressure_ns`` counter (0.0 under a
-        compiled-out registry); the critical-path extractor diffs this
-        around the DMA transfer window to attribute consumer-bound time.
+        Reads :attr:`stat_stall_ns`, so it does not depend on telemetry;
+        the critical-path extractor diffs this around the DMA transfer
+        window to attribute consumer-bound time.
         """
-        return self._m_stall_ns.value
+        return self.stat_stall_ns
 
     @property
     def queued_bursts(self) -> int:

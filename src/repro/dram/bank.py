@@ -165,6 +165,11 @@ class BankDramController:
         self._rr_index = 0
         self._pending = 0
         self._wakeup: Event = sim.event(name=f"{name}.wake")
+        #: True while an :meth:`accept`-ed burst holds the bus; the server
+        #: is parked and submissions queue without waking it.
+        self._held = False
+        #: When the burst on the bus started service (one at a time).
+        self._service_start_ns = 0.0
         self.requests_served = 0
         self.bytes_read = 0
         self.bytes_written = 0
@@ -200,8 +205,9 @@ class BankDramController:
         #: ``fault_latency_ns(request)`` adds service latency to one
         #: request (a latency spike); ``fault_read_tamper(request, data)``
         #: may return altered read data (an in-flight bit flip).  Both are
-        #: consulted on the server path only — the backing store itself is
-        #: never modified, matching transient DRAM/link faults.
+        #: consulted when a burst's service starts and ends — the backing
+        #: store itself is never modified, matching transient DRAM/link
+        #: faults.
         self.fault_latency_ns: Optional[Callable[[MemoryRequest], float]] = None
         self.fault_read_tamper: Optional[
             Callable[[MemoryRequest, bytes], bytes]
@@ -241,6 +247,55 @@ class BankDramController:
     def queue_depth(self) -> int:
         return self._pending
 
+    def uncontended(self, master: str) -> bool:
+        """True when a burst from ``master`` would meet no other traffic.
+
+        ``master`` must be the only master registered here, the
+        multiplexer idle (server parked, nothing queued, no
+        :meth:`accept`-ed burst on the bus) and no fault hook armed.
+        """
+        return (
+            not self._held
+            and not self._wakeup.triggered
+            and self._rr_order == [master]
+            and self.fault_latency_ns is None
+            and self.fault_read_tamper is None
+        )
+
+    def accept(
+        self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
+    ) -> None:
+        """Take ``request`` as it reaches the multiplexer; ``then(request)``
+        runs when it has been served.
+
+        On an idle multiplexer the burst starts service at once and holds
+        the bus until :meth:`served`, one kernel entry later: requests
+        submitted meanwhile queue behind it exactly as behind the server.
+        On a busy multiplexer it queues for the server like any other
+        request.  Either way its timing and accounting are the server's.
+        """
+        request.submitted_ns = self.sim.now
+        if self._held or self._wakeup.triggered:
+            request.done = self.sim.event()
+            request.done.callbacks.append(lambda _event: then(request))
+            self._submit(request)
+            return
+        self._held = True
+        self._submit(request)
+        delay = self._start_service(self._next_request())
+        self.sim.call_later(delay, self.served, request, then)
+
+    def served(
+        self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
+    ) -> None:
+        """Kernel entry at the end of an :meth:`accept`-ed burst's service:
+        complete it, release the bus to any queued request, run ``then``."""
+        self._finish_service(request)
+        self._held = False
+        if self._pending:
+            self._wakeup.succeed()
+        then(request)
+
     # -- command multiplexer -------------------------------------------------
     def _submit(self, request: MemoryRequest) -> None:
         master = request.master
@@ -257,7 +312,7 @@ class BankDramController:
         self._queues[master].append(request)
         self._pending += 1
         self._m_queue_depth.set(self._pending)
-        if not self._wakeup.triggered:
+        if not self._wakeup.triggered and not self._held:
             self._wakeup.succeed()
 
     def _next_request(self) -> MemoryRequest:
@@ -321,67 +376,78 @@ class BankDramController:
 
     # -- server ----------------------------------------------------------------
     def _serve(self):
-        timing = self.timing
-        device = self.device
         while True:
             if self._pending == 0:
                 self._wakeup = self.sim.event(name=f"{self.name}.wake")
                 yield self._wakeup
             request = self._next_request()
-            self._pending -= 1
-            started = self.sim.now
-            self._m_queue_depth.set(self._pending)
-            wait_ns = started - request.submitted_ns
-            self.queue_wait_ns += wait_ns
-            self._m_queue_wait_ns.inc(wait_ns)
-            self._m_queue_wait_us.observe(wait_ns / 1e3)
-            ledger = self.masters[request.master]
-            ledger.requests += 1
-            ledger.wait_ns += wait_ns
-            self._m_master_wait[request.master].inc(wait_ns)
-
-            stall_ns = self._refresh_stall(started)
-            if stall_ns:
-                self.refresh_stall_ns += stall_ns
-                self._m_refresh_stall.inc(stall_ns)
-            outcome, bank, row, open_before = device.bank_access(
-                request.addr, request.size, self.page_policy
-            )
-            if outcome == "hit":
-                self._m_row_hits.inc()
-            elif outcome == "miss":
-                self._m_row_misses.inc()
-            else:
-                self._m_row_conflicts.inc()
-            if self.monitor is not None:
-                self.monitor.on_dram_access(
-                    self, request, bank, row, outcome, open_before, stall_ns
-                )
-            access = timing.access_ns(outcome)
-            transfer = device.transfer_ns(request.size)
-            fault_ns = 0.0
-            if self.fault_latency_ns is not None:
-                fault_ns = max(0.0, self.fault_latency_ns(request))
-            yield self.sim.timeout(stall_ns + access + transfer + fault_ns)
-
-            if request.is_write:
-                assert request.data is not None
-                device.store(request.addr, request.data)
-                self.bytes_written += request.size
-                self._m_bytes_written.inc(request.size)
-            else:
-                request.read_data = device.load(request.addr, request.size)
-                if self.fault_read_tamper is not None:
-                    request.read_data = self.fault_read_tamper(
-                        request, request.read_data
-                    )
-                self.bytes_read += request.size
-                self._m_bytes_read.inc(request.size)
-            ledger.bytes += request.size
-            self._m_master_bytes[request.master].inc(request.size)
-            self.requests_served += 1
-            self._m_requests.inc()
-            self.busy_ns += self.sim.now - started
-            self._m_service_us.observe((self.sim.now - started) / 1e3)
-            self._service_end_ns = self.sim.now
+            yield self.sim.timeout(self._start_service(request))
+            self._finish_service(request)
             request.done.succeed(request.read_data)
+
+    def _start_service(self, request: MemoryRequest) -> float:
+        """Put the picked ``request`` on the bus now: account its queue
+        wait, charge refresh, classify the bank access.  Returns how long
+        the burst occupies the bus (ns)."""
+        device = self.device
+        self._pending -= 1
+        started = self._service_start_ns = self.sim.now
+        self._m_queue_depth.set(self._pending)
+        wait_ns = started - request.submitted_ns
+        self.queue_wait_ns += wait_ns
+        self._m_queue_wait_ns.inc(wait_ns)
+        self._m_queue_wait_us.observe(wait_ns / 1e3)
+        ledger = self.masters[request.master]
+        ledger.requests += 1
+        ledger.wait_ns += wait_ns
+        self._m_master_wait[request.master].inc(wait_ns)
+
+        stall_ns = self._refresh_stall(started)
+        if stall_ns:
+            self.refresh_stall_ns += stall_ns
+            self._m_refresh_stall.inc(stall_ns)
+        outcome, bank, row, open_before = device.bank_access(
+            request.addr, request.size, self.page_policy
+        )
+        if outcome == "hit":
+            self._m_row_hits.inc()
+        elif outcome == "miss":
+            self._m_row_misses.inc()
+        else:
+            self._m_row_conflicts.inc()
+        if self.monitor is not None:
+            self.monitor.on_dram_access(
+                self, request, bank, row, outcome, open_before, stall_ns
+            )
+        access = self.timing.access_ns(outcome)
+        transfer = device.transfer_ns(request.size)
+        fault_ns = 0.0
+        if self.fault_latency_ns is not None:
+            fault_ns = max(0.0, self.fault_latency_ns(request))
+        return stall_ns + access + transfer + fault_ns
+
+    def _finish_service(self, request: MemoryRequest) -> None:
+        """Complete the burst on the bus now: move its data and close its
+        accounting (``request.read_data`` holds a read's bytes)."""
+        device = self.device
+        if request.is_write:
+            assert request.data is not None
+            device.store(request.addr, request.data)
+            self.bytes_written += request.size
+            self._m_bytes_written.inc(request.size)
+        else:
+            request.read_data = device.load(request.addr, request.size)
+            if self.fault_read_tamper is not None:
+                request.read_data = self.fault_read_tamper(
+                    request, request.read_data
+                )
+            self.bytes_read += request.size
+            self._m_bytes_read.inc(request.size)
+        self.masters[request.master].bytes += request.size
+        self._m_master_bytes[request.master].inc(request.size)
+        self.requests_served += 1
+        self._m_requests.inc()
+        now = self.sim.now
+        self.busy_ns += now - self._service_start_ns
+        self._m_service_us.observe((now - self._service_start_ns) / 1e3)
+        self._service_end_ns = now

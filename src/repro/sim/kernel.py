@@ -196,6 +196,27 @@ class _Resume:
         return f"<resume:{self.process.name}>"
 
 
+class _Call:
+    """Lightweight heap entry: call ``fn(*args)`` when its time comes.
+
+    Device models chain the stages of an uncontended transaction through
+    these (:meth:`Simulator.call_later`) instead of spawning a process:
+    no :class:`Event` is allocated and no generator is resumed.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., None], args: tuple):
+        self.fn = fn
+        self.args = args
+
+    def _process(self) -> None:
+        self.fn(*self.args)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<call:{getattr(self.fn, '__qualname__', self.fn)!s}>"
+
+
 class Process(Event):
     """A running coroutine.  Also an event that fires when the coroutine ends.
 
@@ -410,8 +431,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        # Heap entries hold Events or lightweight _Resume records; the
-        # sequence number breaks ties so entries are never compared.
+        # Heap entries hold Events or lightweight _Resume/_Call records;
+        # the sequence number breaks ties so entries are never compared.
         self._heap: List[Tuple[float, int, Any]] = []
         self._sequence = 0
         self._live_processes = 0
@@ -468,6 +489,19 @@ class Simulator:
         waiting for requests): it is excluded from deadlock detection.
         """
         return Process(self, generator, name=name, daemon=daemon)
+
+    def call_later(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> None:
+        """Call ``fn(*args)`` ``delay`` ns from now, as one heap entry.
+
+        The entry orders with events exactly like a :class:`Timeout`
+        created at this point (same time, FIFO among equal times), is
+        counted in ``events_processed`` and is seen by an attached
+        monitor.  Nothing can wait on it; an exception raised by ``fn``
+        propagates out of :meth:`run`/:meth:`step`.
+        """
+        self._enqueue(delay, _Call(fn, args))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing when every one of ``events`` has fired."""

@@ -49,9 +49,8 @@ def test_reconfigure_phase_breakdown_sums_to_latency(reconfigured_system):
 
 def test_telemetry_off_leaves_latency_and_phases_identical():
     """Telemetry only observes: compiling the probes out changes neither
-    the latency nor any firmware phase.  ``device_us`` and the critical
-    path are not compared: device attribution still reads FIFO
-    back-pressure from a telemetry counter."""
+    the latency, any firmware phase, the device attribution nor the
+    critical path (FIFO back-pressure is model accounting, not a probe)."""
     from repro.experiments.points import asp_descriptor, reconfigure_point
     from repro.experiments.table1 import WORKLOAD_ASP
 
@@ -63,8 +62,10 @@ def test_telemetry_off_leaves_latency_and_phases_identical():
     assert on.succeeded and off.succeeded
     assert off.latency_us == on.latency_us
     assert off.phase_us == on.phase_us
-    # The instrumented run carries the richer result fields regardless.
+    assert off.device_us == on.device_us
+    assert off.critical_path == on.critical_path
     assert on.critical_path is not None
+    assert off == on  # every other ReconfigResult field too
 
 
 def test_reconfigure_emits_span_trace_records(reconfigured_system):

@@ -1,9 +1,10 @@
 """Edge cases of the kernel fast path: already-processed resume,
-run_until after Deadlock, event accounting, interrupt-vs-resume races."""
+run_until after Deadlock, event accounting, interrupt-vs-resume races,
+callback entries."""
 
 import pytest
 
-from repro.sim import Deadlock, Interrupt, SimulationError, Simulator
+from repro.sim import Deadlock, Interrupt, SchedulingError, SimulationError, Simulator
 
 
 def test_resume_on_already_processed_event_delivers_value():
@@ -226,3 +227,53 @@ def test_yield_non_event_still_rejected():
     sim.process(bad(sim))
     with pytest.raises(SimulationError):
         sim.run()
+
+
+class _RecordingMonitor:
+    """Stands in for an InvariantMonitor: records every popped entry."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_kernel_event(self, sim, when, event):
+        self.seen.append((when, type(event).__name__))
+
+
+def test_call_later_entries_count_fire_fifo_and_pass_the_monitor():
+    sim = Simulator()
+    monitor = sim.monitor = _RecordingMonitor()
+    calls = []
+
+    def record(tag):
+        calls.append((sim.now, tag))
+
+    sim.call_later(5.0, record, "a")
+    timeout = sim.timeout(5.0)
+    timeout.callbacks.append(lambda _event: calls.append((sim.now, "timeout")))
+    sim.call_later(5.0, record, "b")
+    sim.call_later(1.0, record, "early")
+    while sim.peek() != float("inf"):
+        sim.step()
+    # Equal times fire in scheduling order, timeouts included.
+    assert calls == [(1.0, "early"), (5.0, "a"), (5.0, "timeout"), (5.0, "b")]
+    assert sim.events_processed == 4
+    assert [when for when, _ in monitor.seen] == [1.0, 5.0, 5.0, 5.0]
+    assert [kind for _, kind in monitor.seen].count("_Call") == 3
+
+
+def test_call_later_chains_without_processes_and_rejects_negative_delay():
+    sim = Simulator()
+    done = sim.event()
+
+    def stage(left):
+        if left:
+            sim.call_later(10.0, stage, left - 1)
+        else:
+            done.succeed(sim.now)
+
+    sim.call_later(10.0, stage, 2)
+    assert sim.run_until(done) == 30.0
+    assert sim.processes_spawned == 0
+    assert sim.events_processed == 3  # run_until stops once done triggers
+    with pytest.raises(SchedulingError):
+        sim.call_later(-1.0, stage, 0)
