@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from ..analysis.stats import nearest_rank
 from ..core import PdrSystem, PdrSystemConfig
 from ..exec import SweepRunner
-from ..obs.campaign import CampaignReport, aggregate_campaign
 from ..resilience import ResilientReconfigurator
 from ..snapshot import fork_system
 from ..verify.fuzz import ASP_KINDS, REGIONS, _make_asp
@@ -403,9 +402,6 @@ class SoakReport:
     #: ``(case index, process name)`` for every process that died with an
     #: unhandled exception during a case (also folded into findings).
     unhandled: List[Tuple[int, str]] = field(default_factory=list)
-    #: Telemetry rollup of the per-case records (metric p50/p99, modal
-    #: critical paths) — what ``repro-pdr report --from-chaos`` renders.
-    campaign: Optional[CampaignReport] = None
 
     @property
     def ok(self) -> bool:
@@ -415,16 +411,13 @@ class SoakReport:
 def run_soak(
     seed: int = 1,
     cases: int = 10,
-    jobs: int = 1,
     slos: Optional[SoakSlos] = None,
     runner: Optional[SweepRunner] = None,
 ) -> SoakReport:
     """Run ``cases`` seeded soak episodes and grade them against ``slos``."""
     generator = SoakCaseGenerator(seed)
     soak_cases = [generator.generate(index) for index in range(cases)]
-    if runner is None:
-        runner = SweepRunner(jobs=jobs)
-    records = runner.map(
+    records = (runner or SweepRunner()).map(
         "chaos_soak",
         soak_case,
         [case.to_mapping() for case in soak_cases],
@@ -432,7 +425,6 @@ def run_soak(
     )
 
     report = SoakReport(seed=seed, cases=cases, slos=slos or SoakSlos())
-    report.campaign = aggregate_campaign(f"chaos-soak-seed{seed}", records)
     availabilities: List[float] = []
     mttr_samples: List[float] = []
     for case, record in zip(soak_cases, records):

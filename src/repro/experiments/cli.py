@@ -9,35 +9,31 @@ Usage::
     repro-pdr table1 --metrics-out metrics.json --trace-dump 20
     python -m repro.experiments.cli fig5
 
-Sweep-shaped experiments run through the :mod:`repro.exec` engine:
-``--jobs N`` fans independent simulation points over N worker processes
-(0 = one per CPU); results merge in point order, so the report is
-byte-identical to a serial run.  ``--cache [DIR]`` additionally reuses
-results across invocations (content-addressed by code + parameters).
-Cached or parallel points run outside this process, so per-system
-telemetry (``--metrics-out`` / ``--trace-dump``) only covers systems
-built in-process — run serially without ``--cache`` for full telemetry.
+Every command is one run function plus the flags it reads: the paper
+artifacts of :data:`EXPERIMENTS` (combinable on one command line) and
+the campaigns of :data:`COMMANDS` (each runs alone).  :func:`main` owns
+the rest, once for every command: one :class:`~repro.exec.SweepRunner`
+(``--jobs N`` fans points over N processes, 0 = one per CPU, and merges
+them in point order, so output is byte-identical to a serial run;
+``--cache [DIR]`` reuses results across invocations); telemetry capture
+and export (``--metrics-out`` in the ``--format`` of choice,
+``--trace-dump [N]``, ``--profile``; it covers systems built in this
+process, so run serially without ``--cache`` for all of them); ``--out``;
+the stderr lines that fail a run; and the exit code.
 
-``--metrics-out PATH`` exports the metrics registry of every system the
-selected experiments constructed (``--format`` selects JSON, OpenMetrics
-text or Perfetto-loadable Chrome trace JSON); ``--trace-dump [N]``
-prints the last N (default 50) trace records of each system;
-``--profile`` prints a per-system sim-time flame table.
-
-``repro-pdr report`` runs a 56-point reconfiguration campaign and
-emits the deterministic telemetry rollup (markdown to stdout, canonical
-JSON via ``--out``) — byte-identical for any ``--jobs N``.  ``report``,
-``fleet`` and ``contention`` write ``--out`` and no telemetry; every
-other command writes ``--metrics-out`` and no ``--out``.  A flag the
-selected command would not write is rejected before anything runs.
+A flag the selected command does not read, set away from its default,
+is rejected before anything runs: one ``repro-pdr: error:`` line and
+exit status 2.  So are an unwritable output path and an invalid fleet.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import os
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ..exec import ResultCache, SweepRunner, default_cache_dir
 from ..obs import TELEMETRY_BOOK
@@ -59,190 +55,111 @@ from . import (
 __all__ = ["main"]
 
 
-def _run_table1(runner: SweepRunner) -> str:
-    return table1.format_report(table1.run_table1(runner=runner))
-
-
-def _run_fig5(runner: SweepRunner) -> str:
-    return fig5.format_report(fig5.run_fig5(runner=runner))
-
-
-def _run_fig6(runner: SweepRunner) -> str:
-    return fig6.format_report(fig6.run_fig6(runner=runner))
-
-
-def _run_table2(runner: SweepRunner) -> str:
-    return table2.format_report(table2.run_table2(runner=runner))
-
-
-def _run_temp_stress(runner: SweepRunner) -> str:
-    return temp_stress.format_report(temp_stress.run_temp_stress(runner=runner))
-
-
-def _run_table3(runner: SweepRunner) -> str:
-    rows, sweeps = table3.run_table3_sweep(runner=runner)
-    return table3.format_report(rows, sweeps)
-
-
-def _run_proposed(runner: SweepRunner) -> str:
-    return proposed.format_report(proposed.run_proposed())
-
-
-def _run_methodology(runner: SweepRunner) -> str:
-    return methodology.format_report(methodology.characterize_pdr_system())
-
-
-def _run_campaign(runner: SweepRunner) -> str:
-    return workloads.format_report(workloads.compare_icap_frequencies(runner=runner))
-
-
-def _run_sensitivity(runner: SweepRunner) -> str:
-    return sensitivity.format_report(sensitivity.run_sensitivity(runner=runner))
-
-
-def _run_recovery(runner: SweepRunner) -> str:
-    return recovery.format_report(recovery.run_recovery(runner=runner))
-
-
+#: Paper artifacts: name -> the report it prints, given the shared runner.
 EXPERIMENTS: Dict[str, Callable[[SweepRunner], str]] = {
-    "table1": _run_table1,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "table2": _run_table2,
-    "temp-stress": _run_temp_stress,
-    "table3": _run_table3,
-    "proposed": _run_proposed,
-    "methodology": _run_methodology,
-    "campaign": _run_campaign,
-    "sensitivity": _run_sensitivity,
-    "recovery": _run_recovery,
+    "table1": lambda runner: table1.format_report(table1.run_table1(runner=runner)),
+    "fig5": lambda runner: fig5.format_report(fig5.run_fig5(runner=runner)),
+    "fig6": lambda runner: fig6.format_report(fig6.run_fig6(runner=runner)),
+    "table2": lambda runner: table2.format_report(table2.run_table2(runner=runner)),
+    "temp-stress": lambda runner: temp_stress.format_report(
+        temp_stress.run_temp_stress(runner=runner)
+    ),
+    "table3": lambda runner: table3.format_report(
+        *table3.run_table3_sweep(runner=runner)
+    ),
+    "proposed": lambda runner: proposed.format_report(proposed.run_proposed()),
+    "methodology": lambda runner: methodology.format_report(
+        methodology.characterize_pdr_system()
+    ),
+    "campaign": lambda runner: workloads.format_report(
+        workloads.compare_icap_frequencies(runner=runner)
+    ),
+    "sensitivity": lambda runner: sensitivity.format_report(
+        sensitivity.run_sensitivity(runner=runner)
+    ),
+    "recovery": lambda runner: recovery.format_report(
+        recovery.run_recovery(runner=runner)
+    ),
 }
 
 
-def _report_unhandled(prefix: str, unhandled, noun: str = "case") -> None:
-    """Surface processes that died with unhandled exceptions."""
-    print(
-        f"[{prefix}] {len(unhandled)} simulation process(es) died with "
-        f"unhandled exceptions:",
-        file=sys.stderr,
+class _Outcome(NamedTuple):
+    """What a command hands to :func:`main`'s shared tail."""
+
+    #: ``(canonical JSON, what it is)`` for ``--out``, or None.
+    out: Optional[Tuple[str, str]] = None
+    #: stderr lines that fail the run (SLO breaches, invariant violations).
+    errors: Sequence[str] = ()
+    failed: bool = False
+    #: ``"case 3: <process>"`` for every process that died unhandled.
+    unhandled: Sequence[str] = ()
+
+
+def _run_artifacts(args, runner: SweepRunner) -> _Outcome:
+    """Paper artifacts: print each selected report in turn."""
+    for name in args.experiments:
+        print(EXPERIMENTS[name](runner))
+    return _Outcome()
+
+
+def _replayed(index: int, record: dict) -> _Outcome:
+    """Print one replayed case's full plain-data record."""
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return _Outcome(
+        failed=bool(record["violations"]),
+        unhandled=[f"case {index}: {name}" for name in record["unhandled_failures"]],
     )
-    for index, name in unhandled:
-        print(f"[{prefix}]   {noun} {index}: {name}", file=sys.stderr)
 
 
-def _run_fuzz_command(args) -> int:
-    """``repro-pdr fuzz``: scenario fuzzing under the invariant monitor.
-
-    Exit status 1 when any invariant violation (or oracle mismatch)
-    survives — CI treats a finding as a failure.  With
-    ``--fail-on-unhandled`` (the default) a simulation process that died
-    with an unhandled exception also fails the run, even when no
-    invariant tripped.
-    """
-    import json
-
+def _run_fuzz(args, runner: SweepRunner) -> _Outcome:
+    """``fuzz``: seeded scenarios under the invariant monitor; fails on
+    any invariant violation or oracle mismatch."""
     from ..verify import Scenario, format_report, run_fuzz, run_scenario
 
-    with TELEMETRY_BOOK.capture() as book:
-        if args.replay is not None:
-            scenario = Scenario.from_mapping(json.loads(args.replay))
-            record = run_scenario(scenario.to_mapping())
-            print(json.dumps(record, indent=2, sort_keys=True))
-            violations = record["violations"]
-            unhandled = [
-                (scenario.index, name)
-                for name in record["unhandled_failures"]
-            ]
-        else:
-            report = run_fuzz(
-                seed=args.seed,
-                cases=args.cases,
-                shrink=not args.no_shrink,
-                oracle=args.oracle,
-                progress=lambda line: print(f"[fuzz] {line}", file=sys.stderr),
-            )
-            print(format_report(report))
-            violations = report.findings
-            unhandled = report.unhandled_failures
-    if args.trace_dump is not None:
-        for line in book.tail_traces(args.trace_dump):
-            print(line)
-    if args.profile:
-        for table in book.flame_tables():
-            print(table)
-    if args.metrics_out:
-        book.dump(args.metrics_out, format=args.metrics_format, experiments=["fuzz"])
-        print(
-            f"wrote metrics for {len(book.registries)} system(s) "
-            f"to {args.metrics_out}"
-        )
-    if violations:
-        return 1
-    if unhandled and args.fail_on_unhandled:
-        _report_unhandled("fuzz", unhandled)
-        return 1
-    return 0
+    if args.replay is not None:
+        scenario = Scenario.from_mapping(json.loads(args.replay))
+        return _replayed(scenario.index, run_scenario(scenario.to_mapping()))
+    report = run_fuzz(
+        seed=args.seed,
+        cases=args.cases or 50,
+        shrink=not args.no_shrink,
+        oracle=args.oracle,
+        progress=lambda line: print(f"[fuzz] {line}", file=sys.stderr),
+    )
+    print(format_report(report))
+    return _Outcome(
+        failed=bool(report.findings),
+        unhandled=[
+            f"case {index}: {name}" for index, name in report.unhandled_failures
+        ],
+    )
 
 
-def _run_chaos_command(args) -> int:
-    """``repro-pdr chaos``: seeded soak campaign graded against SLOs.
-
-    Exit status 1 on any SLO breach, invariant violation or (by default)
-    unhandled process failure.  ``--replay`` re-runs exactly one episode
-    from its JSON case mapping and prints the full plain-data record —
-    byte-identical on every invocation of the same mapping.
-    """
-    import json
-
+def _run_chaos(args, runner: SweepRunner) -> _Outcome:
+    """``chaos``: seeded soak episodes graded against availability SLOs;
+    fails on any SLO breach or invariant violation."""
     from ..chaos import SoakCase, SoakSlos, format_report, run_soak, soak_case
 
-    with TELEMETRY_BOOK.capture() as book:
-        if args.replay is not None:
-            case = SoakCase.from_mapping(json.loads(args.replay))
-            record = soak_case(**case.to_mapping())
-            print(json.dumps(record, indent=2, sort_keys=True))
-            failed = bool(record["violations"])
-            unhandled = [
-                (case.index, name) for name in record["unhandled_failures"]
-            ]
-        else:
-            slos = SoakSlos(
-                min_availability=args.min_availability,
-                min_recovery_rate=args.min_recovery,
-                max_mttr_p99_us=args.max_mttr_p99_us,
-            )
-            report = run_soak(
-                seed=args.seed, cases=args.cases, jobs=args.jobs, slos=slos
-            )
-            print(format_report(report))
-            unhandled = report.unhandled
-            unhandled_reasons = {
-                f"unhandled failure in process {name!r}"
-                for _, name in unhandled
-            }
-            failed = bool(report.breaches) or any(
-                reason not in unhandled_reasons
-                for finding in report.findings
-                for reason in finding["reasons"]
-            )
-    if args.trace_dump is not None:
-        for line in book.tail_traces(args.trace_dump):
-            print(line)
-    if args.profile:
-        for table in book.flame_tables():
-            print(table)
-    if args.metrics_out:
-        book.dump(args.metrics_out, format=args.metrics_format, experiments=["chaos"])
-        print(
-            f"wrote metrics for {len(book.registries)} system(s) "
-            f"to {args.metrics_out}"
-        )
-    if failed:
-        return 1
-    if unhandled and args.fail_on_unhandled:
-        _report_unhandled("chaos", unhandled)
-        return 1
-    return 0
+    if args.replay is not None:
+        case = SoakCase.from_mapping(json.loads(args.replay))
+        return _replayed(case.index, soak_case(**case.to_mapping()))
+    slos = SoakSlos(
+        min_availability=args.min_availability,
+        min_recovery_rate=args.min_recovery,
+        max_mttr_p99_us=args.max_mttr_p99_us,
+    )
+    report = run_soak(seed=args.seed, cases=args.cases or 10, slos=slos, runner=runner)
+    print(format_report(report))
+    # A dead process is a finding too, but --fail-on-unhandled judges it.
+    dead = {f"unhandled failure in process {name!r}" for _, name in report.unhandled}
+    return _Outcome(
+        failed=bool(report.breaches) or any(
+            reason not in dead
+            for finding in report.findings
+            for reason in finding["reasons"]
+        ),
+        unhandled=[f"case {index}: {name}" for index, name in report.unhandled],
+    )
 
 
 #: ``repro-pdr report`` campaign grid: 14 frequencies x 4 temperatures =
@@ -253,158 +170,127 @@ REPORT_FREQS_MHZ = [100.0 + 20.0 * step for step in range(14)]  # 100..360
 REPORT_TEMPS_C = [40.0, 60.0, 80.0, 100.0]
 
 
-def _run_report_command(args, runner: SweepRunner) -> int:
-    """``repro-pdr report``: campaign rollup (markdown stdout, JSON --out)."""
+def _run_report(args, runner: SweepRunner) -> _Outcome:
+    """``report``: 56-point campaign rollup (markdown, JSON for --out)."""
     from ..obs.campaign import aggregate_campaign, render_json, render_markdown
     from .points import asp_descriptor, campaign_point
     from .table1 import WORKLOAD_ASP
 
     workload = asp_descriptor(WORKLOAD_ASP)
-    params = []
-    labels = []
-    for temp_c in REPORT_TEMPS_C:
-        for freq in REPORT_FREQS_MHZ:
-            params.append(
-                dict(
-                    region="RP1", freq_mhz=freq, temp_c=temp_c,
-                    workload=workload,
-                )
-            )
-            labels.append(f"RP1@{freq:g}MHz/{temp_c:g}C")
-    records = runner.map("campaign_report", campaign_point, params, labels=labels)
+    grid = [(freq, temp) for temp in REPORT_TEMPS_C for freq in REPORT_FREQS_MHZ]
+    records = runner.map(
+        "campaign_report",
+        campaign_point,
+        [dict(region="RP1", freq_mhz=f, temp_c=t, workload=workload) for f, t in grid],
+        labels=[f"RP1@{f:g}MHz/{t:g}C" for f, t in grid],
+    )
     report = aggregate_campaign("pdr-campaign", records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(render_json(report))
-        print(
-            f"wrote campaign report ({report.points} points) to {args.out}",
-            file=sys.stderr,
-        )
     print(render_markdown(report))
-    return 0
+    return _Outcome(
+        out=(render_json(report), f"campaign report ({report.points} points)")
+    )
 
 
-def _run_fleet_command(args, runner: SweepRunner) -> int:
-    """``repro-pdr fleet``: fleet-scale PDR service under live traffic.
+def _fleet_spec(args):
+    """The fleet options as a ``FleetSpec`` (``ValueError`` if invalid)."""
+    from ..fleet import FleetSpec
 
-    Builds the seed-deterministic open-loop workload, schedules it over
-    ``--boards`` snapshot-forked boards (admission control, bounded
-    queues, same-bitstream batching), executes every board through the
-    sweep engine (serial ≡ ``--jobs N`` byte-identical) and prints the
-    request-level SLO report.  ``--out`` writes the canonical JSON form;
-    exit status 1 when a ``--max-*`` SLO target is breached.
+    return FleetSpec(
+        boards=args.boards,
+        seed=args.seed,
+        duration_ms=args.duration_ms,
+        arrival=args.arrival,
+        rate_per_ms=args.rate,
+        queue_depth=args.queue_depth,
+        batching=not args.no_batching,
+        chaos=args.chaos,
+        chaos_intensity=args.chaos_intensity,
+        kill_boards=args.kill_boards,
+        verify=args.verify,
+    )
 
-    ``--chaos`` arms a per-board fault storm (``--chaos-intensity``,
-    ``--kill-boards``, same ``--seed`` discipline) under the
-    health/failover control plane every campaign runs through;
-    availability is then graded against ``--min-availability``.  An
-    invalid option combination is one ``repro-pdr: error:`` line and
-    exit status 2, before anything runs.  ``--verify`` attaches the
-    invariant monitor to every board; any violation fails the run, as
-    does (by default) an unhandled dead simulation process.
+
+def _run_fleet(args, runner: SweepRunner) -> _Outcome:
+    """``fleet``: seeded open-loop traffic over ``--boards`` boards.
+
+    ``--chaos`` arms a per-board fault storm under the health/failover
+    control plane and grades availability against ``--min-availability``.
+    Fails on a breached ``--max-*`` SLO or, under ``--verify``, any
+    invariant violation.
     """
-    from ..fleet import FleetSpec, format_report, render_json, run_fleet
+    from ..fleet import format_report, render_json, run_fleet
 
-    try:
-        spec = FleetSpec(
-            boards=args.boards,
-            seed=args.seed,
-            duration_ms=args.duration_ms,
-            arrival=args.arrival,
-            rate_per_ms=args.rate,
-            queue_depth=args.queue_depth,
-            batching=not args.no_batching,
-            chaos=args.chaos,
-            chaos_intensity=args.chaos_intensity,
-            kill_boards=args.kill_boards,
-            verify=args.verify,
-        )
-    except ValueError as exc:
-        print(f"repro-pdr: error: {exc}", file=sys.stderr)
-        return 2
-    report = run_fleet(spec, runner=runner)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(render_json(report))
-        print(
-            f"wrote fleet report ({report.offered} requests) to {args.out}",
-            file=sys.stderr,
-        )
+    report = run_fleet(_fleet_spec(args), runner=runner)
     print(format_report(report))
     breaches = report.slos.breaches(
         p99_target_us=args.max_p99_latency_us,
         reject_target=args.max_rejected_rate,
         availability_target=args.min_availability if args.chaos else None,
     )
-    for breach in breaches:
-        print(f"SLO breach: {breach}", file=sys.stderr)
-    failed = bool(breaches)
-    if report.verify is not None and report.verify["violations"]:
-        for violation in report.verify["violations"]:
-            print(f"invariant violation: {violation}", file=sys.stderr)
-        failed = True
-    if report.unhandled and args.fail_on_unhandled:
-        _report_unhandled(
-            "fleet",
-            [
-                (entry["board"], name)
-                for entry in report.unhandled
-                for name in entry["processes"]
-            ],
-            noun="board",
-        )
-        failed = True
-    return 1 if failed else 0
+    violations = report.verify["violations"] if report.verify is not None else []
+    return _Outcome(
+        out=(render_json(report), f"fleet report ({report.offered} requests)"),
+        errors=[f"SLO breach: {breach}" for breach in breaches]
+        + [f"invariant violation: {violation}" for violation in violations],
+        unhandled=[
+            f"board {entry['board']}: {name}"
+            for entry in report.unhandled
+            for name in entry["processes"]
+        ],
+    )
 
 
-def _run_contention_command(args, runner: SweepRunner) -> int:
-    """``repro-pdr contention``: tenant-load × page-policy campaign.
-
-    Runs the E15 grid — second-tenant offered bandwidth × DRAM page
-    policy on the bank-aware memory system — and prints the markdown
-    rollup.  ``--out`` writes the canonical JSON records (byte-identical
-    serial and ``--jobs N``).
-    """
+def _run_contention(args, runner: SweepRunner) -> _Outcome:
+    """``contention``: the E15 tenant-load x DRAM page-policy grid on the
+    bank-aware memory system (markdown rollup, JSON records for --out)."""
     from .contention import format_report, render_json, run_contention
 
     records = run_contention(runner=runner)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(render_json(records))
-        print(
-            f"wrote contention campaign ({len(records)} points) to {args.out}",
-            file=sys.stderr,
-        )
     print(format_report(records))
-    return 0
+    return _Outcome(
+        out=(render_json(records), f"contention campaign ({len(records)} points)")
+    )
 
 
-#: Commands that write ``--out`` (their canonical JSON report); every
-#: other command writes ``--metrics-out`` (telemetry) instead.
-_OUT_COMMANDS = ("contention", "fleet", "report")
+#: Campaign commands, each run alone: run function and the flags it reads.
+COMMANDS: Dict[str, Tuple[Callable[..., _Outcome], str]] = {
+    "chaos": (
+        _run_chaos,
+        "--seed --cases --replay --min-availability --min-recovery "
+        "--max-mttr-p99-us --fail-on-unhandled --jobs --cache",
+    ),
+    "contention": (_run_contention, "--jobs --cache --out"),
+    "fleet": (
+        _run_fleet,
+        "--seed --boards --duration-ms --arrival --rate --queue-depth "
+        "--no-batching --max-p99-latency-us --max-rejected-rate "
+        "--min-availability --chaos --chaos-intensity --kill-boards "
+        "--verify --fail-on-unhandled --jobs --cache --out",
+    ),
+    "fuzz": (
+        _run_fuzz,
+        "--seed --cases --no-shrink --oracle --replay --fail-on-unhandled",
+    ),
+    "report": (_run_report, "--jobs --cache --out"),
+}
+#: The paper artifacts (combinable on one command line).
+_ARTIFACTS = (_run_artifacts, "--jobs --cache")
+#: Flags of the shared telemetry tail, read by every command.
+_TELEMETRY = "--metrics-out --format --profile --trace-dump"
 
 
-def _ignored_output(args) -> Optional[str]:
-    """Why an output flag would be silently ignored by the selected
-    command, checked before any run so the caller never gets exit 0 and
-    no file."""
-    writers = [name for name in args.experiments if name in _OUT_COMMANDS]
-    if args.metrics_out and writers:
-        return (
-            f"--metrics-out: '{writers[0]}' exports no telemetry "
-            f"(use --out for its report)"
-        )
-    if args.out and not writers:
-        return (
-            f"--out: '{args.experiments[0]}' writes no report file "
-            f"(only {'/'.join(_OUT_COMMANDS)} do)"
-        )
-    return None
-
-
-def _unwritable_output(args) -> Optional[str]:
-    """Why an output-path flag cannot be written, checked before any run
-    so a bad path fails fast instead of after minutes of simulation."""
+def _problem(parser, args, name: str, reads: str) -> Optional[str]:
+    """Why this invocation cannot run: a flag the command does not read,
+    an unwritable output path or an invalid fleet."""
+    accepted = (reads + " " + _TELEMETRY).split()
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest != "experiments" and value != parser.get_default(dest)
+    ]
+    unread = [flag for flag in given if flag not in accepted]
+    if unread:
+        return f"{', '.join(unread)}: not read by '{name}'"
     for flag, path in (("--metrics-out", args.metrics_out), ("--out", args.out)):
         if not path:
             continue
@@ -415,6 +301,11 @@ def _unwritable_output(args) -> Optional[str]:
             return f"{flag} {path}: is a directory"
         if not os.access(directory, os.W_OK):
             return f"{flag} {path}: directory {directory} is not writable"
+    if name == "fleet":
+        try:
+            _fleet_spec(args)
+        except ValueError as exc:
+            return str(exc)
     return None
 
 
@@ -431,8 +322,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "chaos", "contention", "fleet", "fuzz", "report"],
+        choices=sorted(EXPERIMENTS) + ["all"] + sorted(COMMANDS),
         help=(
             "which paper artifacts to regenerate; 'fuzz' instead runs the "
             "deterministic scenario fuzzer under the invariant monitor; "
@@ -449,10 +339,7 @@ def main(argv=None) -> int:
         "--seed",
         type=int,
         default=1,
-        help=(
-            "fuzz/chaos: base RNG seed (same seed => byte-identical "
-            "campaign)"
-        ),
+        help="fuzz/chaos/fleet: base RNG seed (same seed => same bytes)",
     )
     parser.add_argument(
         "--cases",
@@ -493,7 +380,7 @@ def main(argv=None) -> int:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "fuzz/chaos: exit 1 (naming the dead processes) when any "
+            "fuzz/chaos/fleet: exit 1 (naming the dead processes) when any "
             "simulation process died with an unhandled exception "
             "(default: on)"
         ),
@@ -626,7 +513,8 @@ def main(argv=None) -> int:
         metavar="N",
         help=(
             "worker processes for sweep execution (default 1 = serial, "
-            "0 = one per CPU); reports are identical regardless of N"
+            "0 = one per CPU; not fuzz); reports are identical "
+            "regardless of N"
         ),
     )
     parser.add_argument(
@@ -638,23 +526,19 @@ def main(argv=None) -> int:
         help=(
             "reuse sweep-point results across runs (content-addressed "
             "on-disk cache; default location "
-            "~/.cache/repro-pdr/sweeps or $REPRO_SWEEP_CACHE)"
+            "~/.cache/repro-pdr/sweeps or $REPRO_SWEEP_CACHE; not fuzz)"
         ),
     )
     parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help=(
-            "write the telemetry of every simulated system to PATH "
-            "(see --format; not with report, fleet or contention)"
-        ),
+        help="write the telemetry of every simulated system to PATH (see --format)",
     )
     parser.add_argument(
         "--format",
         choices=["json", "openmetrics", "chrome-trace"],
         default="json",
-        dest="metrics_format",
         help=(
             "--metrics-out serialisation: merged JSON document (default), "
             "OpenMetrics text exposition, or Chrome trace-event JSON "
@@ -692,54 +576,34 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 0 (0 = one worker per CPU)")
     if args.cases is not None and args.cases < 1:
         parser.error("--cases must be >= 1")
-    problem = _ignored_output(args) or _unwritable_output(args)
+    campaigns = [name for name in args.experiments if name in COMMANDS]
+    if campaigns and len(args.experiments) != 1:
+        parser.error(f"'{campaigns[0]}' cannot be combined with other experiments")
+    if "all" in args.experiments:
+        args.experiments = sorted(EXPERIMENTS)
+    name = args.experiments[0]
+    run, reads = COMMANDS.get(name, _ARTIFACTS)
+    problem = _problem(parser, args, name, reads)
     if problem:
         print(f"repro-pdr: error: {problem}", file=sys.stderr)
         return 2
-
-    if "fuzz" in args.experiments:
-        if len(args.experiments) != 1:
-            parser.error("'fuzz' cannot be combined with other experiments")
-        if args.cases is None:
-            args.cases = 50
-        return _run_fuzz_command(args)
-
-    if "chaos" in args.experiments:
-        if len(args.experiments) != 1:
-            parser.error("'chaos' cannot be combined with other experiments")
-        if args.cases is None:
-            args.cases = 10
-        return _run_chaos_command(args)
 
     cache = None
     if args.cache is not None:
         cache = ResultCache(args.cache or default_cache_dir())
     runner = SweepRunner(jobs=args.jobs, cache=cache)
-
-    if "fleet" in args.experiments:
-        if len(args.experiments) != 1:
-            parser.error("'fleet' cannot be combined with other experiments")
-        return _run_fleet_command(args, runner)
-
-    if "report" in args.experiments:
-        if len(args.experiments) != 1:
-            parser.error("'report' cannot be combined with other experiments")
-        return _run_report_command(args, runner)
-
-    if "contention" in args.experiments:
-        if len(args.experiments) != 1:
-            parser.error(
-                "'contention' cannot be combined with other experiments"
-            )
-        return _run_contention_command(args, runner)
-
-    names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    with TELEMETRY_BOOK.capture() as book:
-        for name in names:
-            print(EXPERIMENTS[name](runner))
-    simulated = sum(result.simulated for result in runner.history)
+    # A capture keeps every system alive until exit: only capture on request.
+    telemetry = args.metrics_out or args.profile or args.trace_dump is not None
+    with TELEMETRY_BOOK.capture() if telemetry else contextlib.nullcontext() as book:
+        outcome = run(args, runner)
+    if args.out:
+        text, what = outcome.out
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {what} to {args.out}", file=sys.stderr)
     hits = sum(result.cache_hits for result in runner.history)
     if hits:
+        simulated = sum(result.simulated for result in runner.history)
         print(
             f"[sweeps] {simulated} point(s) simulated, "
             f"{hits} served from cache ({runner.cache.root})",
@@ -752,12 +616,24 @@ def main(argv=None) -> int:
         for table in book.flame_tables():
             print(table)
     if args.metrics_out:
-        book.dump(args.metrics_out, format=args.metrics_format, experiments=names)
+        book.dump(args.metrics_out, format=args.format, experiments=args.experiments)
         print(
             f"wrote metrics for {len(book.registries)} system(s) "
             f"to {args.metrics_out}"
         )
-    return 0
+    for line in outcome.errors:
+        print(line, file=sys.stderr)
+    failed = outcome.failed or bool(outcome.errors)
+    if outcome.unhandled and args.fail_on_unhandled:
+        print(
+            f"[{name}] {len(outcome.unhandled)} simulation process(es) died "
+            f"with unhandled exceptions:",
+            file=sys.stderr,
+        )
+        for entry in outcome.unhandled:
+            print(f"[{name}]   {entry}", file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

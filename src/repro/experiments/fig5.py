@@ -4,7 +4,7 @@ A denser frequency sweep than Table I, plotted as ASCII, with the knee
 located by a two-segment change-point fit.  The paper: "the throughput
 increases linearly until about 200 MHz when the curve flattens".
 
-Regenerate with ``python -m repro.experiments.fig5``.
+Regenerate with ``repro-pdr fig5``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .points import asp_descriptor, reconfigure_point
 from .report import ExperimentReport
 from .table1 import WORKLOAD_ASP
 
-__all__ = ["Fig5Data", "run_fig5", "format_report", "main"]
+__all__ = ["Fig5Data", "run_fig5", "format_report"]
 
 #: Default sweep: 20 MHz steps through the working range.
 DEFAULT_SWEEP = [100.0 + 20.0 * i for i in range(11)]  # 100..300
@@ -97,12 +97,3 @@ def format_report(data: Fig5Data) -> str:
     )
     report.add("CSV (simulated):\n" + data.measured.to_csv("freq_mhz", "mb_per_s"))
     return report.render()
-
-
-def main() -> None:
-    """Regenerate Fig. 5 and print the report."""
-    print(format_report(run_fig5()))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,7 +6,7 @@ clarity, as in the figure), and checks the figure's two structural
 observations: the dynamic slope is temperature-independent, and the
 static offset grows super-linearly with temperature.
 
-Regenerate with ``python -m repro.experiments.fig6``.
+Regenerate with ``repro-pdr fig6``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .points import asp_descriptor, reconfigure_point
 from .report import ExperimentReport, format_table
 from .table1 import WORKLOAD_ASP
 
-__all__ = ["Fig6Data", "run_fig6", "format_report", "main"]
+__all__ = ["Fig6Data", "run_fig6", "format_report"]
 
 PLOT_TEMPS_C = [40.0, 60.0, 80.0, 100.0]
 PLOT_FREQS_MHZ = [100.0, 140.0, 180.0, 200.0, 240.0, 280.0, 310.0]
@@ -121,12 +121,3 @@ def format_report(data: Fig6Data) -> str:
         f"(paper: 'more than linear increase of power with temperature')"
     )
     return report.render()
-
-
-def main() -> None:
-    """Regenerate Fig. 6 and print the report."""
-    print(format_report(run_fig6()))
-
-
-if __name__ == "__main__":
-    main()

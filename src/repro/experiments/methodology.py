@@ -36,7 +36,6 @@ __all__ = [
     "characterize_block",
     "characterize_pdr_system",
     "format_report",
-    "main",
 ]
 
 
@@ -175,12 +174,3 @@ def format_report(characterization: Characterization) -> str:
         f"(<2% throughput gain)"
     )
     return report.render()
-
-
-def main() -> None:
-    """Characterise the PDR block and print the report."""
-    print(format_report(characterize_pdr_system()))
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,7 @@ mechanisms the proposal adds beyond raw bandwidth:
 * bitstream decompression (effective throughput beyond the SRAM rate),
 * PS-scheduler preloading (staging hidden behind useful work).
 
-Regenerate with ``python -m repro.experiments.proposed``.
+Regenerate with ``repro-pdr proposed``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..sram_pr import SramPrSystem, THEORETICAL_THROUGHPUT_MB_S
 from .report import ExperimentReport, fmt, format_table
 from .table1 import WORKLOAD_ASP
 
-__all__ = ["ProposedData", "run_proposed", "format_report", "main"]
+__all__ = ["ProposedData", "run_proposed", "format_report"]
 
 
 @dataclass
@@ -111,12 +111,3 @@ def format_report(data: ProposedData) -> str:
         f"rate to {data.compressed_throughput_mb_s:.1f} MB/s (ICAP-clock bound)"
     )
     return report.render()
-
-
-def main() -> None:
-    """Regenerate the SectionVI numbers and print the report."""
-    print(format_report(run_proposed()))
-
-
-if __name__ == "__main__":
-    main()

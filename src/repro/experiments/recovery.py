@@ -14,7 +14,7 @@ Reported per grid cell: first-try success, recovery after N attempts
 numbers are the success-after-retry rate over all injected failures
 (acceptance floor: 95 %) and the recovery-latency distribution.
 
-Regenerate with ``python -m repro.experiments.recovery``.
+Regenerate with ``repro-pdr recovery``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "CAMPAIGN_TEMPS_C",
     "RecoveryCampaign",
     "format_report",
-    "main",
     "recovery_point",
     "run_recovery",
 ]
@@ -204,12 +203,3 @@ def format_report(campaign: RecoveryCampaign) -> str:
     else:
         report.add("no failures injected — grid never crossed the frontier")
     return report.render()
-
-
-def main() -> None:
-    """Regenerate the recovery campaign and print the report."""
-    print(format_report(run_recovery()))
-
-
-if __name__ == "__main__":
-    main()

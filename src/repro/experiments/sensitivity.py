@@ -13,7 +13,7 @@ moves with memory-path bandwidth (as the bottleneck analysis predicts)
 but a knee-then-plateau *shape* and the 200 MHz efficiency sweet spot
 survive every perturbation.
 
-Regenerate with ``python -m repro.experiments.sensitivity``.
+Regenerate with ``repro-pdr sensitivity``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "sensitivity_point",
     "run_sensitivity",
     "format_report",
-    "main",
 ]
 
 WORKLOAD = FirFilterAsp([2, 4, 2])
@@ -177,12 +176,3 @@ def format_report(result: SensitivityResult) -> str:
         f"{result.efficiency_peak_is_stable()}"
     )
     return report.render()
-
-
-def main() -> None:
-    """Run the sensitivity sweep and print the report."""
-    print(format_report(run_sensitivity()))
-
-
-if __name__ == "__main__":
-    main()

@@ -4,7 +4,7 @@ Runs the full DES system at the paper's nine test frequencies (at 40 °C)
 and reports configuration latency, throughput and the read-back CRC
 verdict next to the published rows.
 
-Regenerate with ``python -m repro.experiments.table1``.
+Regenerate with ``repro-pdr table1``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .calibration import PAPER_TABLE1
 from .points import asp_descriptor, reconfigure_point
 from .report import ExperimentReport, fmt, fmt_err, format_phase_table, format_table
 
-__all__ = ["Table1Row", "run_table1", "format_report", "main"]
+__all__ = ["Table1Row", "run_table1", "format_report"]
 
 #: The workload ASP (any ASP gives the same transfer size; the paper uses
 #: two application bitstreams of identical size).
@@ -141,12 +141,3 @@ def format_report(rows: List[Table1Row]) -> str:
         )
     )
     return report.render()
-
-
-def main() -> None:
-    """Regenerate Table I and print the report."""
-    print(format_report(run_table1()))
-
-
-if __name__ == "__main__":
-    main()

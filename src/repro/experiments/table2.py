@@ -4,7 +4,7 @@ PpW = throughput / P_PDR [MB/J].  The paper's takeaway: throughput
 plateaus at 200 MHz while power keeps rising, so 200 MHz is the most
 power-efficient operating point (~600 MB/J).
 
-Regenerate with ``python -m repro.experiments.table2``.
+Regenerate with ``repro-pdr table2``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .points import asp_descriptor, reconfigure_point
 from .report import ExperimentReport, fmt, fmt_err, format_table
 from .table1 import WORKLOAD_ASP
 
-__all__ = ["Table2Row", "run_table2", "format_report", "best_operating_point", "main"]
+__all__ = ["Table2Row", "run_table2", "format_report", "best_operating_point"]
 
 
 @dataclass
@@ -120,12 +120,3 @@ def format_report(rows: List[Table2Row]) -> str:
         f"(paper: 200 MHz at ~599 MB/J)"
     )
     return report.render()
-
-
-def main() -> None:
-    """Regenerate Table II and print the report."""
-    print(format_report(run_table2()))
-
-
-if __name__ == "__main__":
-    main()

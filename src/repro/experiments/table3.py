@@ -6,7 +6,7 @@ frequency-scaling narrative (E8): how each design behaves as the clock
 rises, including VF-2012's fail/freeze thresholds and HP-2011's
 active-feedback clamp.
 
-Regenerate with ``python -m repro.experiments.table3``.
+Regenerate with ``repro-pdr table3``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ..baselines import (
     Hkt2011Controller,
     Hp2011Controller,
     PcapBaselineController,
-    ReconfigController,
     ThisWorkController,
     TransferOutcome,
     Vf2012Controller,
@@ -32,13 +31,9 @@ from .report import ExperimentReport, fmt, fmt_err, format_table
 
 __all__ = [
     "Table3Row",
-    "default_controllers",
-    "run_table3",
     "run_table3_sweep",
-    "run_scaling_sweep",
     "table3_point",
     "format_report",
-    "main",
 ]
 
 #: HKT-2011 is quoted for FIFO-resident bitstreams ("up to 50 KB").
@@ -58,50 +53,11 @@ DESIGN_FACTORIES = {
 
 @dataclass
 class Table3Row:
-    controller: ReconfigController
+    controller: ControllerInfo
     result: BaselineResult
     paper_platform: str
     paper_freq_mhz: float
     paper_throughput_mb_s: float
-
-
-def default_controllers(
-    this_work: Optional[ThisWorkController] = None,
-) -> List[ReconfigController]:
-    """The four Table III comparison controllers."""
-    return [
-        Vf2012Controller(),
-        Hp2011Controller(),
-        Hkt2011Controller(),
-        this_work or ThisWorkController(),
-    ]
-
-
-def run_table3(
-    controllers: Optional[List[ReconfigController]] = None,
-) -> List[Table3Row]:
-    """Run every controller at its published operating point."""
-    rows = []
-    for controller in controllers or default_controllers():
-        size = (
-            HKT_BITSTREAM_BYTES
-            if isinstance(controller, Hkt2011Controller)
-            else TABLE1_BITSTREAM_BYTES
-        )
-        result = controller.transfer(size, controller.table3_operating_point())
-        paper = PAPER_TABLE3.get(controller.design)
-        if paper is None:
-            paper = (controller.platform, controller.table3_operating_point(), 0.0)
-        rows.append(
-            Table3Row(
-                controller=controller,
-                result=result,
-                paper_platform=paper[0],
-                paper_freq_mhz=paper[1],
-                paper_throughput_mb_s=paper[2],
-            )
-        )
-    return rows
 
 
 @dataclass
@@ -154,8 +110,9 @@ def run_table3_sweep(
 ):
     """Table III rows + §V scaling sweeps through the sweep runner.
 
-    Returns ``(rows, sweeps)`` matching :func:`run_table3` /
-    :func:`run_scaling_sweep`, with each design an independent point.
+    Returns ``(rows, sweeps)``: one :class:`Table3Row` per design at its
+    published operating point, and each design's scaling sweep.  Every
+    design is an independent point.
     """
     freqs = [float(f) for f in frequencies or DEFAULT_SCALING_FREQS]
     designs = list(DESIGN_FACTORIES)
@@ -188,20 +145,6 @@ def run_table3_sweep(
         )
         sweeps[info.design] = payload["sweep"]
     return rows, sweeps
-
-
-def run_scaling_sweep(
-    controllers: Optional[List[ReconfigController]] = None,
-    frequencies: Optional[List[float]] = None,
-) -> Dict[str, List[BaselineResult]]:
-    """E8: per-design frequency sweep (the §V scaling narrative)."""
-    sweeps: Dict[str, List[BaselineResult]] = {}
-    for controller in controllers or default_controllers():
-        results = []
-        for freq in frequencies or [100, 150, 210, 250, 280, 310, 350, 550]:
-            results.append(controller.transfer(TABLE1_BITSTREAM_BYTES, freq))
-        sweeps[controller.design] = results
-    return sweeps
 
 
 def format_report(
@@ -257,17 +200,3 @@ def format_report(
             lines.append(f"{design:>10}: " + "  ".join(cells))
         report.add("frequency scaling (MHz:outcome):\n" + "\n".join(lines))
     return report.render()
-
-
-def main() -> None:
-    """Regenerate Table III and print the report."""
-    rows = run_table3()
-    sweeps = run_scaling_sweep(
-        # Reuse the (already-built) DES system from the table run.
-        controllers=[row.controller for row in rows]
-    )
-    print(format_report(rows, sweeps))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,7 @@ Success criterion, as in the paper, is the read-back CRC: the 310 MHz
 column never delivers a completion interrupt (control path), but the
 bitstream still loads correctly below 100 °C.
 
-Regenerate with ``python -m repro.experiments.temp_stress``.
+Regenerate with ``repro-pdr temp-stress``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .points import asp_descriptor, reconfigure_point
 from .report import ExperimentReport, format_table
 from .table1 import WORKLOAD_ASP
 
-__all__ = ["StressMatrix", "run_temp_stress", "format_report", "main"]
+__all__ = ["StressMatrix", "run_temp_stress", "format_report"]
 
 
 @dataclass
@@ -99,12 +99,3 @@ def format_report(matrix: StressMatrix) -> str:
         f"matches paper frontier: {'PASS' if matrix.matches_paper() else 'FAIL'}"
     )
     return report.render()
-
-
-def main() -> None:
-    """Regenerate the stress matrix and print the report."""
-    print(format_report(run_temp_stress()))
-
-
-if __name__ == "__main__":
-    main()

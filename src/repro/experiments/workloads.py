@@ -13,7 +13,7 @@ configured on demand".  This module quantifies that story end to end:
   the power-efficiency sweet spot) carries through to application level:
   200 MHz minimises both the makespan *and* the energy spent per swap.
 
-Regenerate with ``python -m repro.experiments.workloads``.
+Regenerate with ``repro-pdr campaign``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "campaign_point",
     "compare_icap_frequencies",
     "format_report",
-    "main",
 ]
 
 
@@ -262,12 +261,3 @@ def format_report(results: Dict[float, CampaignResult]) -> str:
         f"sweet spot, restated at application level"
     )
     return report.render()
-
-
-def main() -> None:
-    """Run the frequency comparison campaign and print the report."""
-    print(format_report(compare_icap_frequencies()))
-
-
-if __name__ == "__main__":
-    main()

@@ -339,7 +339,6 @@ def _kill_schedule(
 
 def run_fleet(
     spec: FleetSpec,
-    jobs: int = 1,
     runner: Optional[SweepRunner] = None,
 ) -> FleetReport:
     """Run one fleet campaign end to end; pure function of ``spec``.
@@ -371,7 +370,7 @@ def run_fleet(
         spec.seed, spec.boards, spec.kill_boards, duration_us
     )
     tracker = FleetHealthTracker(policy, spec.boards)
-    runner = runner or SweepRunner(jobs=jobs)
+    runner = runner or SweepRunner()
 
     arrivals_us = {request.index: request.arrival_us for request in requests}
     #: request index -> service attempts consumed so far.

@@ -136,26 +136,67 @@ def test_cli_metrics_out_chrome_trace_and_profile(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fleet", "--boards", "1", "--duration-ms", "2", "--metrics-out"],
-        ["contention", "--metrics-out"],
-        ["report", "--metrics-out"],
-        ["table2", "--out"],
-        ["chaos", "--out"],
-        ["fuzz", "--out"],
+        ["table2", "--out", "PATH"],
+        ["chaos", "--out", "PATH"],
+        ["fuzz", "--out", "PATH"],
+        ["fuzz", "--jobs", "2"],
+        ["table2", "--boards", "3", "--seed", "9", "--no-batching"],
+        ["report", "--cases", "3", "--chaos"],
+        ["chaos", "--boards", "2"],
+        ["fleet", "--oracle", "1"],
     ],
-    ids=lambda argv: f"{argv[0]}{argv[-1]}",
+    ids=lambda argv: f"{argv[0]}{argv[1]}",
 )
 def test_cli_output_flag_the_command_ignores_exits_two_before_running(
     tmp_path, capsys, argv
 ):
+    """A flag the command does not read is never silently dropped."""
     path = tmp_path / "out.json"
-    code = main(argv + [str(path)])
+    code = main([str(path) if arg == "PATH" else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""  # nothing ran
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"repro-pdr: error: {argv[-1]}: ")
+    named, _, reason = captured.err.partition(": not read by ")
+    assert named.startswith("repro-pdr: error: ")
+    assert sorted(named[len("repro-pdr: error: "):].split(", ")) == sorted(
+        arg for arg in argv if arg.startswith("--")
+    )
+    assert reason == f"'{argv[0]}'\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fleet", "--boards", "1", "--duration-ms", "2"],
+        ["contention"],
+        ["report"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_metrics_out_exports_campaign_telemetry(tmp_path, capsys, argv):
+    import json
+
+    path = tmp_path / "metrics.json"
+    assert main(argv + ["--metrics-out", str(path)]) == 0
+    assert f"to {path}" in capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "repro.obs/v1"
+    assert doc["experiments"] == argv[:1]
+    assert doc["registries"], "at least one system registry captured"
+
+
+def test_cli_chaos_cache_serves_the_rerun(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["chaos", "--seed", "1", "--cases", "1", "--cache", str(cache)]
+    assert main(argv) == 0
+    assert cache.is_dir()
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert "1 served from cache" in captured.err
 
 
 def test_cli_report_subcommand_aggregates_campaign(tmp_path):

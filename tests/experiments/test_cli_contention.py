@@ -64,15 +64,6 @@ def test_contention_throughput_degrades_monotonically_with_tenant_load(tmp_path)
         assert open_row["row_hit_rate"] > closed_row["row_hit_rate"]
 
 
-def test_contention_serial_vs_jobs2_byte_identical(tmp_path):
-    serial = tmp_path / "serial.json"
-    jobs2 = tmp_path / "jobs2.json"
-    code_a, _ = run_cli(["contention", "--out", str(serial)])
-    code_b, _ = run_cli(["contention", "--jobs", "2", "--out", str(jobs2)])
-    assert code_a == code_b == 0
-    assert serial.read_bytes() == jobs2.read_bytes()
-
-
 def test_contention_cannot_combine_with_other_experiments():
     with pytest.raises(SystemExit):
         main(["contention", "table1"])

@@ -19,13 +19,17 @@ def run_cli(argv):
 ARGS = ["fleet", "--boards", "2", "--seed", "1", "--duration-ms", "8"]
 
 
-def test_fleet_reports_slos_and_exits_zero():
-    code, out = run_cli(ARGS)
+def test_fleet_reports_slos_and_exits_zero(tmp_path):
+    path = tmp_path / "fleet.json"
+    code, out = run_cli(ARGS + ["--out", str(path)])
     assert code == 0
     assert "Fleet report" in out
     assert "latency_us: p50" in out and "p99" in out
     assert "rejected" in out
     assert "utilisation" in out
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "repro.fleet/v1"
+    assert doc["slos"]["p99_latency_us"] is not None
 
 
 def test_fleet_json_out_is_byte_identical_serial_vs_jobs2(tmp_path):
@@ -35,9 +39,14 @@ def test_fleet_json_out_is_byte_identical_serial_vs_jobs2(tmp_path):
     code_b, _ = run_cli(ARGS + ["--jobs", "2", "--out", str(second)])
     assert code_a == code_b == 0
     assert first.read_bytes() == second.read_bytes()
-    doc = json.loads(first.read_text())
-    assert doc["schema"] == "repro.fleet/v1"
-    assert doc["slos"]["p99_latency_us"] is not None
+
+
+def test_fleet_without_batching_exits_zero(tmp_path):
+    path = tmp_path / "fleet.json"
+    code, out = run_cli(ARGS + ["--no-batching", "--out", str(path)])
+    assert code == 0
+    assert "Fleet report" in out
+    assert json.loads(path.read_text())["spec"]["batching"] is False
 
 
 def test_fleet_slo_breach_exits_one(capsys):
@@ -54,12 +63,17 @@ def test_fleet_cannot_combine_with_other_experiments():
 CHAOS_ARGS = ARGS + ["--chaos", "--kill-boards", "1", "--chaos-intensity", "3"]
 
 
-def test_fleet_chaos_reports_health_and_exits_zero():
-    code, out = run_cli(CHAOS_ARGS)
+def test_fleet_chaos_reports_health_and_exits_zero(tmp_path):
+    path = tmp_path / "fleet.json"
+    code, out = run_cli(CHAOS_ARGS + ["--out", str(path)])
     assert code == 0
     assert "availability" in out
     assert "| board |" in out  # the per-board health timeline table
     assert "dead" in out  # the scheduled kill shows up
+    doc = json.loads(path.read_text())
+    assert doc["spec"]["chaos"] is True
+    assert doc["health"]  # timelines serialised
+    assert doc["slos"]["availability"] is not None
 
 
 def test_fleet_chaos_json_byte_identical_serial_vs_jobs2(tmp_path):
@@ -69,10 +83,6 @@ def test_fleet_chaos_json_byte_identical_serial_vs_jobs2(tmp_path):
     code_b, _ = run_cli(CHAOS_ARGS + ["--jobs", "2", "--out", str(second)])
     assert code_a == code_b == 0
     assert first.read_bytes() == second.read_bytes()
-    doc = json.loads(first.read_text())
-    assert doc["spec"]["chaos"] is True
-    assert doc["health"]  # timelines serialised
-    assert doc["slos"]["availability"] is not None
 
 
 def test_fleet_verify_reports_invariant_checks():

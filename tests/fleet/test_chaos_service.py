@@ -11,6 +11,7 @@ chaos campaign costs seconds, not milliseconds.
 
 import functools
 
+from repro.exec import SweepRunner
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.health import DEAD, QUARANTINED
 from repro.fleet.report import TERMINAL_SERVED, render_json
@@ -39,8 +40,8 @@ def cached_report(spec):
 
 
 def test_chaos_serial_vs_jobs2_and_rerun_byte_identity():
-    serial = render_json(run_fleet(REJOIN_SPEC, jobs=1))
-    parallel = render_json(run_fleet(REJOIN_SPEC, jobs=2))
+    serial = render_json(run_fleet(REJOIN_SPEC, runner=SweepRunner(jobs=1)))
+    parallel = render_json(run_fleet(REJOIN_SPEC, runner=SweepRunner(jobs=2)))
     assert serial == parallel
     assert serial == render_json(cached_report(REJOIN_SPEC))
 

@@ -56,15 +56,6 @@ def test_benign_scenario_is_clean():
     assert record["checks"] > 10_000
 
 
-def test_scenario_run_is_replayable_byte_identically():
-    from repro.exec import canonical_json
-
-    mapping = ScenarioGenerator(11).generate(0).to_mapping()
-    assert canonical_json(run_scenario(mapping)) == canonical_json(
-        run_scenario(mapping)
-    )
-
-
 # -------------------------------------------------------------- shrinking --
 def test_shrink_binary_search_toward_benign():
     """Pure-predicate shrink: failing iff freq >= 317.3 with the deep FIFO.
