@@ -14,9 +14,10 @@ the §VI decompressor integrity checks.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 try:  # vectorised cold-path folds; every result is bit-identical to the
     import numpy as _np  # scalar tables, so the fallback is purely a speed loss
@@ -29,7 +30,7 @@ __all__ = ["ConfigCrc", "crc32c_bytes", "crc32c_words", "crc32c_packed"]
 _POLY = 0x82F63B78
 
 
-def _build_tables(count: int = 4) -> List[List[int]]:
+def _build_tables(count: int) -> List[List[int]]:
     """Slicing-by-``count`` lookup tables.
 
     ``tables[0]`` is the classic byte-at-a-time table; ``tables[k]``
@@ -52,29 +53,80 @@ def _build_tables(count: int = 4) -> List[List[int]]:
     return tables
 
 
-_TABLES = _build_tables()
+# Twenty tables cover four configuration writes (4 x 5 bytes), so the
+# scalar fold advances four writes per iteration; plain words use the
+# first sixteen.
+_TABLES = _build_tables(20)
 _TABLE = _TABLES[0]
 
-# Ten tables cover one 10-byte block of the FDRI run layout — two data
-# words with their interleaved register-address bytes — so the bulk fold
-# advances two (word, addr) writes per loop iteration.  Twenty tables
-# double that to four writes per iteration for the main run loop.
-_TABLES10 = _build_tables(10)
-_TABLES20 = _build_tables(20)
-
-#: _TABLES10 as uint32 ndarrays (built lazily, only if numpy is present).
-_NP_TABLES10: Optional[list] = None
+#: Per stride, the sixteen tables one four-write iteration reads for its
+#: word bytes in stream order: all of them for stride 4, all but the
+#: address bytes' (0, 5, 10, 15) for stride 5.
+_QUAD_TABLES = {
+    4: _TABLES[15::-1],
+    5: [table for k, table in enumerate(_TABLES) if k % 5][::-1],
+}
 
 
-def _np_tables10():
-    global _NP_TABLES10
-    if _NP_TABLES10 is None:
-        _NP_TABLES10 = [_np.array(t, dtype=_np.uint32) for t in _TABLES10]
-    return _NP_TABLES10
+def _fold_raw(raw: int, words: Sequence[int], addr: Optional[int] = None) -> int:
+    """Advance a raw (pre-inverted) CRC state over 32-bit words.
+
+    With ``addr``, every word is a configuration write to that register:
+    its four little-endian bytes are followed by the address byte, the
+    order :meth:`ConfigCrc.update` folds them in.  Four writes fold per
+    iteration, with the fixed address bytes precombined.
+    """
+    stride = 4 if addr is None else 5
+    count = len(words)
+    quads = count & ~3
+    if quads:
+        (
+            a0, a1, a2, a3, b0, b1, b2, b3,
+            c0, c1, c2, c3, d0, d1, d2, d3,
+        ) = _QUAD_TABLES[stride]
+        addr_quad = 0 if addr is None else (
+            _TABLES[15][addr] ^ _TABLES[10][addr] ^ _TABLES[5][addr] ^ _TABLE[addr]
+        )
+        it = iter(words)  # zip stops at the last full quad; the tail follows
+        for w0, w1, w2, w3 in zip(it, it, it, it):
+            x = raw ^ w0
+            raw = (
+                a0[x & 0xFF]
+                ^ a1[(x >> 8) & 0xFF]
+                ^ a2[(x >> 16) & 0xFF]
+                ^ a3[x >> 24]
+                ^ b0[w1 & 0xFF]
+                ^ b1[(w1 >> 8) & 0xFF]
+                ^ b2[(w1 >> 16) & 0xFF]
+                ^ b3[w1 >> 24]
+                ^ c0[w2 & 0xFF]
+                ^ c1[(w2 >> 8) & 0xFF]
+                ^ c2[(w2 >> 16) & 0xFF]
+                ^ c3[w2 >> 24]
+                ^ d0[w3 & 0xFF]
+                ^ d1[(w3 >> 8) & 0xFF]
+                ^ d2[(w3 >> 16) & 0xFF]
+                ^ d3[w3 >> 24]
+                ^ addr_quad
+            )
+    if quads < count:
+        # One write: the last four tables of the four-write set.
+        u0, u1, u2, u3 = _QUAD_TABLES[stride][12:]
+        addr_one = 0 if addr is None else _TABLE[addr]
+        for word in words[quads:]:
+            x = raw ^ word
+            raw = (
+                u0[x & 0xFF]
+                ^ u1[(x >> 8) & 0xFF]
+                ^ u2[(x >> 16) & 0xFF]
+                ^ u3[x >> 24]
+                ^ addr_one
+            )
+    return raw
 
 
 # --------------------------------------------------------------------------
-# Linear-operator fast path
+# GF(2) linear operators on 32-bit words
 #
 # The byte step ``raw' = T[(raw ^ b) & 0xFF] ^ (raw >> 8)`` is GF(2)-linear
 # in ``raw`` and ``b`` (CRC tables satisfy T[a ^ b] = T[a] ^ T[b]), so
@@ -86,10 +138,11 @@ def _np_tables10():
 # matrix, applied here as four 256-entry lookup tables) and ``C(M)`` is a
 # per-content constant.  Campaigns feed the same bitstream content through
 # the ICAP and the scrubber over and over; caching ``C(M)`` per content
-# chunk turns every repeat into four table lookups regardless of length.
+# block turns every repeat into four table lookups regardless of length.
 # --------------------------------------------------------------------------
-def _op_tables(imgs: List[int]) -> Tuple[List[int], ...]:
-    """Compile a 32-basis-image operator into 4 byte-lookup tables."""
+def op_tables(imgs: Sequence[int]) -> Tuple[List[int], ...]:
+    """Compile an operator, given as its 32 basis images, into four
+    byte-lookup tables."""
     tables = []
     for part in range(4):
         base = imgs[8 * part : 8 * part + 8]
@@ -101,232 +154,84 @@ def _op_tables(imgs: List[int]) -> Tuple[List[int], ...]:
     return tuple(tables)
 
 
-def _op_compose(a_imgs: List[int], b_imgs: List[int]) -> List[int]:
-    """Basis images of ``a`` applied after ``b``."""
-    t0, t1, t2, t3 = _op_tables(a_imgs)
-    return [
-        t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
-        for x in b_imgs
-    ]
+def op_apply(tables: Sequence[List[int]], x: int) -> int:
+    """Apply a compiled operator to the 32-bit word ``x``."""
+    t0, t1, t2, t3 = tables
+    return t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
 
 
-#: Basis images of the 2^k-zero-byte advance operators (built on demand).
-_ZERO_POWERS: List[List[int]] = []
-#: Compiled zero-advance tables per byte length.
-_ZERO_OPS: Dict[int, Tuple[List[int], ...]] = {}
+def op_power(squarings: List[List[int]], exponent: int) -> Tuple[List[int], ...]:
+    """Tables of the operator ``A`` raised to ``exponent``.
+
+    ``squarings[k]`` holds the basis images of ``A`` to the power
+    ``2**k``; the caller seeds it with ``A``'s own images and owns the
+    list, which grows here as higher squarings are needed.
+    """
+    imgs = [1 << i for i in range(32)]  # identity
+    k = 0
+    while exponent:
+        if k == len(squarings):
+            last = op_tables(squarings[-1])
+            squarings.append([op_apply(last, x) for x in squarings[-1]])
+        if exponent & 1:
+            power = op_tables(squarings[k])
+            imgs = [op_apply(power, x) for x in imgs]
+        exponent >>= 1
+        k += 1
+    return op_tables(imgs)
 
 
+#: Squarings of the one-zero-byte step, grown by :func:`op_power`.
+_ZERO_SQUARINGS = [[_TABLE[(1 << i) & 0xFF] ^ ((1 << i) >> 8) for i in range(32)]]
+
+
+@functools.lru_cache(maxsize=None)
 def _zero_operator(length: int) -> Tuple[List[int], ...]:
     """Lookup tables advancing a raw CRC state through ``length`` zero bytes."""
-    tables = _ZERO_OPS.get(length)
-    if tables is not None:
-        return tables
-    if not _ZERO_POWERS:
-        table = _TABLE
-        _ZERO_POWERS.append(
-            [table[(1 << i) & 0xFF] ^ ((1 << i) >> 8) for i in range(32)]
-        )
-    while (1 << len(_ZERO_POWERS)) <= length:
-        last = _ZERO_POWERS[-1]
-        _ZERO_POWERS.append(_op_compose(last, last))
-    imgs = [1 << i for i in range(32)]  # identity
-    remaining, k = length, 0
-    while remaining:
-        if remaining & 1:
-            imgs = _op_compose(_ZERO_POWERS[k], imgs)
-        remaining >>= 1
-        k += 1
-    tables = _op_tables(imgs)
-    _ZERO_OPS[length] = tables
-    return tables
+    return op_power(_ZERO_SQUARINGS, length)
 
 
-def _fold_words_raw(raw: int, words) -> int:
-    """Advance a raw (pre-inverted) CRC state over little-endian words.
+def _constants_numpy(blocks: List[bytes], addr: Optional[int]) -> List[int]:
+    """Content constants of many equal-length packed blocks at once.
 
-    Slicing-by-8: two words per iteration, halving the loop overhead on
-    the content-constant cold path (warm passes hit the caches instead).
+    Bit-identical to :func:`_fold_raw` from a zero state per block.  Each
+    block splits into ``lanes`` contiguous segments so that all blocks
+    together fill about 2,048 vector lanes; each lane folds its segment
+    from zero, and the per-segment partials then combine with the
+    zero-advance operator for the segment's byte length.
     """
-    s0, s1, s2, s3, s4, s5, s6, s7, _s8, _s9 = _TABLES10
-    it = iter(words)
-    for w0, w1 in zip(it, it):
-        x = raw ^ w0
-        raw = (
-            s7[x & 0xFF]
-            ^ s6[(x >> 8) & 0xFF]
-            ^ s5[(x >> 16) & 0xFF]
-            ^ s4[x >> 24]
-            ^ s3[w1 & 0xFF]
-            ^ s2[(w1 >> 8) & 0xFF]
-            ^ s1[(w1 >> 16) & 0xFF]
-            ^ s0[w1 >> 24]
-        )
-    if len(words) & 1:
-        x = raw ^ words[-1]
-        raw = s3[x & 0xFF] ^ s2[(x >> 8) & 0xFF] ^ s1[(x >> 16) & 0xFF] ^ s0[x >> 24]
-    return raw
-
-
-def _fold_run_raw(raw: int, register_addr: int, words) -> int:
-    """Advance a raw CRC state over a run of ``(word, register_addr)``
-    writes — byte-for-byte the order :meth:`ConfigCrc.update` folds them,
-    four writes per iteration with the fixed address bytes precombined."""
-    count = len(words)
-    quads = count & ~3
-    if quads:
-        (
-            u0, u1, u2, u3, u4, u5, u6, u7, u8, u9,
-            u10, u11, u12, u13, u14, u15, u16, u17, u18, u19,
-        ) = _TABLES20
-        addr_k4 = (
-            u15[register_addr]
-            ^ u10[register_addr]
-            ^ u5[register_addr]
-            ^ u0[register_addr]
-        )
-        for i in range(0, quads, 4):
-            w1 = words[i + 1]
-            w2 = words[i + 2]
-            w3 = words[i + 3]
-            x = raw ^ words[i]
-            raw = (
-                u19[x & 0xFF]
-                ^ u18[(x >> 8) & 0xFF]
-                ^ u17[(x >> 16) & 0xFF]
-                ^ u16[x >> 24]
-                ^ u14[w1 & 0xFF]
-                ^ u13[(w1 >> 8) & 0xFF]
-                ^ u12[(w1 >> 16) & 0xFF]
-                ^ u11[w1 >> 24]
-                ^ u9[w2 & 0xFF]
-                ^ u8[(w2 >> 8) & 0xFF]
-                ^ u7[(w2 >> 16) & 0xFF]
-                ^ u6[w2 >> 24]
-                ^ u4[w3 & 0xFF]
-                ^ u3[(w3 >> 8) & 0xFF]
-                ^ u2[(w3 >> 16) & 0xFF]
-                ^ u1[w3 >> 24]
-                ^ addr_k4
-            )
-    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = _TABLES10
-    if count - quads >= 2:
-        w0 = words[quads]
-        w1 = words[quads + 1]
-        x = raw ^ w0
-        raw = (
-            t9[x & 0xFF]
-            ^ t8[(x >> 8) & 0xFF]
-            ^ t7[(x >> 16) & 0xFF]
-            ^ t6[x >> 24]
-            ^ t4[w1 & 0xFF]
-            ^ t3[(w1 >> 8) & 0xFF]
-            ^ t2[(w1 >> 16) & 0xFF]
-            ^ t1[w1 >> 24]
-            ^ t5[register_addr]
-            ^ t0[register_addr]
-        )
-    if count & 1:
-        x = raw ^ words[-1]
-        raw = (
-            t4[x & 0xFF]
-            ^ t3[(x >> 8) & 0xFF]
-            ^ t2[(x >> 16) & 0xFF]
-            ^ t1[x >> 24]
-            ^ t0[register_addr]
-        )
-    return raw
-
-
-def _run_constants_numpy(register_addr: int, blocks: List[bytes]) -> List[int]:
-    """Content constants for many equal-sized packed run blocks at once.
-
-    Every block folds independently from a zero state, so the folds
-    vectorise across blocks: one lane per block, advancing two
-    ``(word, addr)`` writes per iteration with the same tables the scalar
-    :func:`_fold_run_raw` uses.  Results are bit-identical.
-    """
-    t = _np_tables10()
-    words_per = len(blocks[0]) // 4  # callers pass equal, even-sized blocks
-    arr = _np.frombuffer(b"".join(blocks), dtype="<u4").reshape(
-        len(blocks), words_per
+    stride = 4 if addr is None else 5
+    count, n = len(blocks), len(blocks[0]) // 4
+    lanes = 1
+    while count * lanes * 2 <= 2048 and lanes * 2 <= n:
+        lanes *= 2
+    seg = n // lanes
+    words = _np.frombuffer(b"".join(blocks), dtype="<u4").reshape(count, n)
+    cols = _np.ascontiguousarray(
+        words[:, : lanes * seg].reshape(count * lanes, seg).T
     )
-    cols = _np.ascontiguousarray(arr.T)
-    addr_k = _np.uint32(
-        _TABLES10[5][register_addr] ^ _TABLES10[0][register_addr]
-    )
-    state = _np.zeros(len(blocks), dtype=_np.uint32)
-    for j in range(0, words_per, 2):
-        x = state ^ cols[j]
-        w1 = cols[j + 1]
+    u0, u1, u2, u3 = [
+        _np.array(table, dtype=_np.uint32) for table in _QUAD_TABLES[stride][12:]
+    ]
+    addr_one = _np.uint32(0 if addr is None else _TABLE[addr])
+    state = _np.zeros(count * lanes, dtype=_np.uint32)
+    for col in cols:
+        x = state ^ col
         state = (
-            t[9][x & 0xFF]
-            ^ t[8][(x >> 8) & 0xFF]
-            ^ t[7][(x >> 16) & 0xFF]
-            ^ t[6][x >> 24]
-            ^ t[4][w1 & 0xFF]
-            ^ t[3][(w1 >> 8) & 0xFF]
-            ^ t[2][(w1 >> 16) & 0xFF]
-            ^ t[1][w1 >> 24]
-            ^ addr_k
+            u0[x & 0xFF]
+            ^ u1[(x >> 8) & 0xFF]
+            ^ u2[(x >> 16) & 0xFF]
+            ^ u3[x >> 24]
+            ^ addr_one
         )
-    return state.tolist()
-
-
-def _chunk_constants_numpy(chunks: List[bytes]) -> List[int]:
-    """Content constants for many equal-length packed word chunks at once.
-
-    Each chunk splits into ``s`` contiguous segments folded in parallel
-    (one lane per segment across all chunks); the per-segment partials
-    then combine with the zero-advance operator for the segment length.
-    Bit-identical to :func:`_fold_words_raw` from a zero state per chunk.
-    """
-    t = _np_tables10()
-    k = len(chunks)
-    n = len(chunks[0]) // 4
-    s = 1
-    while k * s * 2 <= 2048 and s * 2 <= n:
-        s *= 2
-    seg = n // s
-    arr = _np.frombuffer(b"".join(chunks), dtype="<u4").reshape(k, n)
-    cols = _np.ascontiguousarray(arr[:, : s * seg].reshape(k * s, seg).T)
-    state = _np.zeros(k * s, dtype=_np.uint32)
-    j = 0
-    while j + 1 < seg:
-        x = state ^ cols[j]
-        w1 = cols[j + 1]
-        state = (
-            t[7][x & 0xFF]
-            ^ t[6][(x >> 8) & 0xFF]
-            ^ t[5][(x >> 16) & 0xFF]
-            ^ t[4][x >> 24]
-            ^ t[3][w1 & 0xFF]
-            ^ t[2][(w1 >> 8) & 0xFF]
-            ^ t[1][(w1 >> 16) & 0xFF]
-            ^ t[0][w1 >> 24]
-        )
-        j += 2
-    if j < seg:
-        x = state ^ cols[j]
-        state = (
-            t[3][x & 0xFF]
-            ^ t[2][(x >> 8) & 0xFF]
-            ^ t[1][(x >> 16) & 0xFF]
-            ^ t[0][x >> 24]
-        )
-    partials = state.reshape(k, s).tolist()
-    z0, z1, z2, z3 = _zero_operator(4 * seg)
+    zero = _zero_operator(stride * seg)
     constants = []
-    for row_index, row in enumerate(partials):
+    for row, partials in enumerate(state.reshape(count, lanes).tolist()):
         raw = 0
-        for partial in row:
-            raw = (
-                z0[raw & 0xFF]
-                ^ z1[(raw >> 8) & 0xFF]
-                ^ z2[(raw >> 16) & 0xFF]
-                ^ z3[raw >> 24]
-            ) ^ partial
-        if seg * s < n:
-            raw = _fold_words_raw(raw, tuple(arr[row_index, s * seg :].tolist()))
+        for partial in partials:
+            raw = op_apply(zero, raw) ^ partial
+        if lanes * seg < n:
+            raw = _fold_raw(raw, words[row, lanes * seg :].tolist(), addr)
         constants.append(raw)
     return constants
 
@@ -335,13 +240,14 @@ def _chunk_constants_numpy(chunks: List[bytes]) -> List[int]:
 #: below this the per-call numpy overhead loses to the scalar tables.
 _NUMPY_MIN_MISSES = 8
 
-#: Content-keyed constants for FDRI-style register runs: ``(addr, packed
-#: little-endian words) -> C(M)``.  Bounded LRU; a miss just recomputes.
-#: The bound is ~1.6x the fleet's working set (5,153 one-KiB blocks on
-#: the fleet campaigns); at 4096 their warm reruns refolded a fifth of
-#: every block the ICAP looked up.
-_RUN_CACHE: "OrderedDict[Tuple[int, bytes], int]" = OrderedDict()
-_RUN_CACHE_MAX = 8192
+#: Content constants ``(register address or None, packed block) -> C(M)``:
+#: configuration-run blocks under their register, the scrubber's
+#: read-back chunks under ``None``.  Bounded LRU; a miss just recomputes.
+#: The bound is ~1.5x the fleet campaigns' working set (5,150 one-KiB
+#: run blocks plus 410 read-back chunks); at 4096 run entries their warm
+#: reruns refolded a fifth of every block the ICAP looked up.
+_CONSTANTS: "OrderedDict[Tuple[Optional[int], bytes], int]" = OrderedDict()
+_CONSTANTS_MAX = 8192
 #: Run content is folded in fixed blocks **aligned to the run start**, so
 #: the cache keys depend only on (register, content) — the builder folding
 #: a whole FDRI payload in one call and the ICAP re-folding the same
@@ -350,10 +256,48 @@ _RUN_BLOCK_BYTES = 1024
 #: Below this the plain per-word loop wins over packing + hashing.
 _RUN_FAST_MIN_WORDS = 16
 
-#: Content-keyed constants for plain word streams carried as packed bytes
-#: (the scrubber's read-back chunks): ``packed -> C(M)``.
-_CHUNK_CACHE: "OrderedDict[bytes, int]" = OrderedDict()
-_CHUNK_CACHE_MAX = 4096
+
+def _fold_blocks(raw: int, blocks: List[bytes], addr: Optional[int]) -> int:
+    """Advance a raw CRC state over packed blocks via their cached constants.
+
+    ``addr`` is as for :func:`_fold_raw`.  Misses are batched through the
+    numpy kernel when enough blocks of one length miss, and otherwise
+    folded one block at a time.
+    """
+    cache = _CONSTANTS
+    fresh: Dict[bytes, int] = {}
+    if _np is not None:
+        missing = list(dict.fromkeys(b for b in blocks if (addr, b) not in cache))
+        if len(missing) >= _NUMPY_MIN_MISSES:
+            by_length: Dict[int, List[bytes]] = {}
+            for block in missing:
+                by_length.setdefault(len(block), []).append(block)
+            for group in by_length.values():
+                if len(group) >= _NUMPY_MIN_MISSES:
+                    fresh.update(zip(group, _constants_numpy(group, addr)))
+    stride = 4 if addr is None else 5
+    for block in blocks:
+        key = (addr, block)
+        constant = cache.get(key)
+        if constant is None:
+            constant = fresh.get(block)
+            if constant is None:
+                constant = _fold_raw(
+                    0, struct.unpack(f"<{len(block) // 4}I", block), addr
+                )
+            cache[key] = constant
+            if len(cache) > _CONSTANTS_MAX:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+        z0, z1, z2, z3 = _zero_operator(stride * (len(block) // 4))
+        raw = (
+            z0[raw & 0xFF]
+            ^ z1[(raw >> 8) & 0xFF]
+            ^ z2[(raw >> 16) & 0xFF]
+            ^ z3[raw >> 24]
+        ) ^ constant
+    return raw
 
 
 def crc32c_packed(chunks: Iterable[bytes], crc: int = 0) -> int:
@@ -364,41 +308,8 @@ def crc32c_packed(chunks: Iterable[bytes], crc: int = 0) -> int:
     scrubber's steady state) costs four table lookups per chunk.  Chunk
     byte lengths must be word-aligned.
     """
-    raw = crc ^ 0xFFFFFFFF
-    cache = _CHUNK_CACHE
-    chunks = [chunk for chunk in chunks if chunk]
-    if _np is not None:
-        missing = list(dict.fromkeys(c for c in chunks if c not in cache))
-        if len(missing) >= _NUMPY_MIN_MISSES:
-            by_length: Dict[int, List[bytes]] = {}
-            for chunk in missing:
-                by_length.setdefault(len(chunk), []).append(chunk)
-            for group in by_length.values():
-                if len(group) < _NUMPY_MIN_MISSES:
-                    continue
-                for chunk, constant in zip(group, _chunk_constants_numpy(group)):
-                    cache[chunk] = constant
-                    if len(cache) > _CHUNK_CACHE_MAX:
-                        cache.popitem(last=False)
-    for chunk in chunks:
-        constant = cache.get(chunk)
-        if constant is None:
-            constant = _fold_words_raw(
-                0, struct.unpack(f"<{len(chunk) // 4}I", chunk)
-            )
-            cache[chunk] = constant
-            if len(cache) > _CHUNK_CACHE_MAX:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(chunk)
-        z0, z1, z2, z3 = _zero_operator(len(chunk))
-        raw = (
-            z0[raw & 0xFF]
-            ^ z1[(raw >> 8) & 0xFF]
-            ^ z2[(raw >> 16) & 0xFF]
-            ^ z3[raw >> 24]
-        ) ^ constant
-    return raw ^ 0xFFFFFFFF
+    blocks = [chunk for chunk in chunks if chunk]
+    return _fold_blocks(crc ^ 0xFFFFFFFF, blocks, None) ^ 0xFFFFFFFF
 
 
 def crc32c_bytes(data: bytes, crc: int = 0) -> int:
@@ -411,12 +322,7 @@ def crc32c_bytes(data: bytes, crc: int = 0) -> int:
 
 def crc32c_words(words: Iterable[int], crc: int = 0) -> int:
     """CRC-32C over 32-bit words, little-endian byte order per word."""
-    t0, t1, t2, t3 = _TABLES
-    crc = crc ^ 0xFFFFFFFF
-    for word in words:
-        x = crc ^ word
-        crc = t3[x & 0xFF] ^ t2[(x >> 8) & 0xFF] ^ t1[(x >> 16) & 0xFF] ^ t0[x >> 24]
-    return crc ^ 0xFFFFFFFF
+    return _fold_raw(crc ^ 0xFFFFFFFF, tuple(words)) ^ 0xFFFFFFFF
 
 
 class ConfigCrc:
@@ -463,14 +369,8 @@ class ConfigCrc:
             raise ValueError(f"register address {register_addr} out of range")
         if not 0 <= word <= 0xFFFFFFFF:
             raise ValueError(f"data word {word:#x} out of range")
-        # Fold the 37-bit (addr, word) tuple byte-wise: 4 data bytes then
-        # the address byte, matching the order used by the builder.
-        t0, t1, t2, t3 = _TABLES
-        crc = self._crc ^ 0xFFFFFFFF
-        x = crc ^ word
-        crc = t3[x & 0xFF] ^ t2[(x >> 8) & 0xFF] ^ t1[(x >> 16) & 0xFF] ^ t0[x >> 24]
-        crc = t0[(crc ^ register_addr) & 0xFF] ^ (crc >> 8)
-        self._crc = crc ^ 0xFFFFFFFF
+        raw = _fold_raw(self._crc ^ 0xFFFFFFFF, (word,), register_addr)
+        self._crc = raw ^ 0xFFFFFFFF
         self.words_folded += 1
 
     def update_run(self, register_addr: int, words, packed: bytes = None) -> None:
@@ -501,7 +401,7 @@ class ConfigCrc:
                 buf = self._run_buf
                 buf += packed
                 if len(buf) >= _RUN_BLOCK_BYTES:
-                    self._fold_full_blocks(register_addr)
+                    self._fold_pending(len(buf) - len(buf) % _RUN_BLOCK_BYTES)
                 self.words_folded += count
                 return
         self.fold_run(register_addr, words)
@@ -514,68 +414,26 @@ class ConfigCrc:
         payloads): caching those would only grow the cache.
         """
         self._flush_run()
-        raw = _fold_run_raw(self._crc ^ 0xFFFFFFFF, register_addr, words)
+        raw = _fold_raw(self._crc ^ 0xFFFFFFFF, words, register_addr)
         self._crc = raw ^ 0xFFFFFFFF
         self.words_folded += len(words)
 
-    def _apply_run_block(self, raw: int, register_addr: int, block: bytes) -> int:
-        """Fold one packed run block via its content-cached constant."""
-        key = (register_addr, block)
-        constant = _RUN_CACHE.get(key)
-        if constant is None:
-            constant = _fold_run_raw(
-                0, register_addr, struct.unpack(f"<{len(block) // 4}I", block)
-            )
-            _RUN_CACHE[key] = constant
-            if len(_RUN_CACHE) > _RUN_CACHE_MAX:
-                _RUN_CACHE.popitem(last=False)
-        else:
-            _RUN_CACHE.move_to_end(key)
-        z0, z1, z2, z3 = _zero_operator(5 * (len(block) // 4))
-        return (
-            z0[raw & 0xFF]
-            ^ z1[(raw >> 8) & 0xFF]
-            ^ z2[(raw >> 16) & 0xFF]
-            ^ z3[raw >> 24]
-        ) ^ constant
+    def _flush_run(self) -> None:
+        """Fold any pending run tail (shorter than one block)."""
+        if self._run_addr is not None:
+            self._fold_pending(len(self._run_buf))
+            self._run_addr = None
 
-    def _fold_full_blocks(self, register_addr: int) -> None:
+    def _fold_pending(self, end: int) -> None:
+        """Fold the first ``end`` pending run bytes in run-aligned blocks."""
         buf = self._run_buf
-        end = (len(buf) // _RUN_BLOCK_BYTES) * _RUN_BLOCK_BYTES
         blocks = [
             bytes(buf[offset : offset + _RUN_BLOCK_BYTES])
             for offset in range(0, end, _RUN_BLOCK_BYTES)
         ]
         del buf[:end]
-        if _np is not None:
-            missing = list(
-                dict.fromkeys(
-                    b for b in blocks if (register_addr, b) not in _RUN_CACHE
-                )
-            )
-            if len(missing) >= _NUMPY_MIN_MISSES:
-                for block, constant in zip(
-                    missing, _run_constants_numpy(register_addr, missing)
-                ):
-                    _RUN_CACHE[(register_addr, block)] = constant
-                    if len(_RUN_CACHE) > _RUN_CACHE_MAX:
-                        _RUN_CACHE.popitem(last=False)
-        raw = self._crc ^ 0xFFFFFFFF
-        for block in blocks:
-            raw = self._apply_run_block(raw, register_addr, block)
+        raw = _fold_blocks(self._crc ^ 0xFFFFFFFF, blocks, self._run_addr)
         self._crc = raw ^ 0xFFFFFFFF
-
-    def _flush_run(self) -> None:
-        """Fold any pending run tail (shorter than one block)."""
-        if self._run_addr is None:
-            return
-        addr = self._run_addr
-        buf = self._run_buf
-        self._run_addr = None
-        if buf:
-            raw = self._apply_run_block(self._crc ^ 0xFFFFFFFF, addr, bytes(buf))
-            buf.clear()
-            self._crc = raw ^ 0xFFFFFFFF
 
     def check(self, expected: int) -> bool:
         """Compare against ``expected`` (a CRC-register write).
@@ -589,8 +447,3 @@ class ConfigCrc:
             return True
         self.error = True
         return False
-
-    def updated_many(self, pairs: Iterable[Tuple[int, int]]) -> "ConfigCrc":
-        for register_addr, word in pairs:
-            self.update(register_addr, word)
-        return self

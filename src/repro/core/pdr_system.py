@@ -18,7 +18,6 @@ the same observables as the paper's Table I rows.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -40,7 +39,7 @@ from ..dma import (
     MM2S_LENGTH,
     MM2S_SA,
 )
-from ..dram import BankDramController, BankTiming, DramDevice, REFRESH_MODES
+from ..dram import BankDramController, BankTiming, DramDevice
 from ..fabric import Asp, ConfigMemory, RpRegion, encode_asp_packed
 from ..icap import IcapController
 from ..obs import TELEMETRY_BOOK, MetricsRegistry, NullMetricsRegistry, SpanRecorder
@@ -66,6 +65,12 @@ __all__ = ["PdrSystemConfig", "PdrSystem"]
 #: row of the paper's Table I (size = throughput x latency); see DESIGN.md.
 TABLE1_BITSTREAM_BYTES = 528_760
 
+#: Where bitstreams are staged in DRAM.
+BITSTREAM_BASE_ADDR = 0x1000_0000
+
+#: Nominal PL clock out of reset (MHz).
+NOMINAL_FREQ_MHZ = 100.0
+
 #: Sentinel: :meth:`PdrSystem.make_bitstream` pads to the system config's
 #: ``pad_bitstreams_to`` unless the caller overrides per build (the fleet
 #: layer serves mixed-size requests from one system).
@@ -85,12 +90,8 @@ class PdrSystemConfig:
     firmware_setup_us: float = 1.9
     #: Firmware's give-up timeout waiting for the completion interrupt.
     irq_timeout_us: float = 20_000.0
-    #: Where bitstreams are staged in DRAM.
-    bitstream_base_addr: int = 0x1000_0000
     #: Pad generated bitstreams to the Table I reference size.
     pad_bitstreams_to: Optional[int] = TABLE1_BITSTREAM_BYTES
-    #: Nominal PL clock out of reset (MHz).
-    nominal_freq_mhz: float = 100.0
     #: DMA memory-side read burst size (bytes) — ablation A1 varies this.
     dma_burst_bytes: int = 1024
     #: DMA command-issue overhead per burst, in over-clock cycles.
@@ -106,19 +107,11 @@ class PdrSystemConfig:
     dram_page_policy: str = "open"
     #: Refresh accounting: ``"lazy"`` (refreshes in idle gaps are free,
     #: at most one tRFC per busy period), ``"engine"``
-    #: (deterministic tREFI/tRFC bus-stealing engine) or ``"off"``.  The
-    #: ``REPRO_DRAM_REFRESH`` environment variable overrides this at
-    #: construction time (refresh-jitter A/B runs over campaigns that
-    #: build their config internally, e.g. the chaos soak).
+    #: (deterministic tREFI/tRFC bus-stealing engine) or ``"off"``.
     dram_refresh_mode: str = "lazy"
-    #: Decomposed DDR command timings (ns).  Defaults give the calibrated
-    #: end-to-end figures: hit = tCAS = 202, miss = tRCD + tCAS = 302,
-    #: conflict adds tRP (0 by default — precharge folded into activate).
-    dram_tcas_ns: float = 202.0
-    dram_trcd_ns: float = 100.0
+    #: DDR precharge time tRP (ns).  0 by default (precharge folded into
+    #: activate); the other command timings are :class:`BankTiming`'s.
     dram_trp_ns: float = 0.0
-    dram_trefi_ns: float = 7800.0
-    dram_trfc_ns: float = 160.0
 
 
 class PdrSystem:
@@ -161,27 +154,14 @@ class PdrSystem:
 
         # ---- PS memory system ---------------------------------------------
         cfg = self.config
-        refresh_mode = (
-            os.environ.get("REPRO_DRAM_REFRESH") or cfg.dram_refresh_mode
-        )
-        if refresh_mode not in REFRESH_MODES:
-            raise ValueError(
-                f"refresh mode must be one of {REFRESH_MODES}, got {refresh_mode!r}"
-            )
         self.dram = DramDevice()
         self.dram_controller = BankDramController(
             sim,
             self.dram,
             metrics=self.metrics,
-            timing=BankTiming(
-                tcas_ns=cfg.dram_tcas_ns,
-                trcd_ns=cfg.dram_trcd_ns,
-                trp_ns=cfg.dram_trp_ns,
-                trefi_ns=cfg.dram_trefi_ns,
-                trfc_ns=cfg.dram_trfc_ns,
-            ),
+            timing=BankTiming(trp_ns=cfg.dram_trp_ns),
             page_policy=cfg.dram_page_policy,
-            refresh_mode=refresh_mode,
+            refresh_mode=cfg.dram_refresh_mode,
         )
         self.interconnect = AxiInterconnect(
             sim, self.dram_controller, metrics=self.metrics
@@ -189,9 +169,7 @@ class PdrSystem:
         self.hp0 = AxiHpPort(sim, self.interconnect, name="hp0")
 
         # ---- over-clock domain + transfer path ------------------------------
-        self.overclock = ClockDomain(
-            sim, self.config.nominal_freq_mhz, name="overclock"
-        )
+        self.overclock = ClockDomain(sim, NOMINAL_FREQ_MHZ, name="overclock")
         self.clock_wizard = ClockWizard(sim, self.overclock, name="clk_wiz")
         self.stream = AxiStream(
             sim,
@@ -260,7 +238,7 @@ class PdrSystem:
         #: tracer costs one boolean check per emit).
         self.trace = Tracer()
         self.trace.enabled = self.config.telemetry
-        self._staging_cursor = self.config.bitstream_base_addr
+        self._staging_cursor = BITSTREAM_BASE_ADDR
         self._bitstream_cache: Dict[tuple, Bitstream] = {}
         self._staged_addrs: Dict[int, int] = {}
         self.results: List[ReconfigResult] = []

@@ -8,9 +8,9 @@ addressable in the :class:`~repro.exec.cache.ResultCache`: a repeated
 run only simulates the points the cache has never seen (or whose code
 has changed since).
 
-Point functions run inside :func:`_execute_point`, which times the call
-and collects the kernel event count the function reports via
-:func:`note_events` into the per-point :class:`PointStats`;
+Point functions run inside :func:`_execute_point`, which collects the
+kernel event count the function reports via :func:`note_events` into
+the per-point :class:`PointStats`;
 ``benchmarks/test_bench_sweeps.py`` records those event counts to
 ``BENCH_sweeps.json``.
 """
@@ -18,7 +18,6 @@ and collects the kernel event count the function reports via
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -44,25 +43,23 @@ def note_events(events_processed: int) -> None:
 
     Point functions call this (typically with
     ``system.sim.events_processed``) just before returning, so the
-    runner can record an events/s trajectory without reaching into
-    simulator objects that never cross the process boundary.
+    runner can record the count without reaching into simulator
+    objects that never cross the process boundary.
     """
     global _POINT_EVENTS
     _POINT_EVENTS = int(events_processed)
 
 
-def _execute_point(point: SweepPoint) -> Tuple[Any, Optional[int], float]:
-    """Run one point; returns ``(payload, events_processed, wall_s)``.
+def _execute_point(point: SweepPoint) -> Tuple[Any, Optional[int]]:
+    """Run one point; returns ``(payload, events_processed)``.
 
     Module-level so it is picklable by :class:`ProcessPoolExecutor`.
     """
     global _POINT_EVENTS
     _POINT_EVENTS = None
     function = point.resolve()
-    started = time.perf_counter()
     payload = function(**point.kwargs())
-    wall_s = time.perf_counter() - started
-    return payload, _POINT_EVENTS, wall_s
+    return payload, _POINT_EVENTS
 
 
 def default_jobs() -> int:
@@ -77,26 +74,7 @@ class PointStats:
     label: str
     fn: str
     cached: bool
-    wall_s: float = 0.0
     events: Optional[int] = None
-
-    @property
-    def events_per_s(self) -> Optional[float]:
-        if self.events is None or self.wall_s <= 0 or self.cached:
-            return None
-        return self.events / self.wall_s
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "fn": self.fn,
-            "cached": self.cached,
-            "wall_s": round(self.wall_s, 6),
-            "events": self.events,
-            "events_per_s": (
-                round(self.events_per_s, 1) if self.events_per_s else None
-            ),
-        }
 
 
 @dataclass
@@ -106,7 +84,6 @@ class SweepResult:
     name: str
     values: List[Any]
     stats: List[PointStats] = field(default_factory=list)
-    wall_s: float = 0.0
     jobs: int = 1
 
     @property
@@ -150,7 +127,6 @@ class SweepRunner:
     # -- execution -------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
         """Execute every point of ``spec``; results follow spec order."""
-        started = time.perf_counter()
         count = len(spec.points)
         values: List[Any] = [None] * count
         stats: List[PointStats] = [
@@ -181,7 +157,6 @@ class SweepRunner:
             name=spec.name,
             values=values,
             stats=stats,
-            wall_s=time.perf_counter() - started,
             jobs=self.jobs,
         )
         self.history.append(result)
@@ -195,10 +170,9 @@ class SweepRunner:
         stats: List[PointStats],
     ) -> None:
         for index in pending:
-            payload, events, wall_s = _execute_point(spec.points[index])
+            payload, events = _execute_point(spec.points[index])
             values[index] = payload
             stats[index].events = events
-            stats[index].wall_s = wall_s
 
     def _run_parallel(
         self,
@@ -217,7 +191,7 @@ class SweepRunner:
             # irrelevant to the merged result.
             for index in pending:
                 try:
-                    payload, events, wall_s = futures[index].result()
+                    payload, events = futures[index].result()
                 except Exception as exc:
                     raise RuntimeError(
                         f"sweep {spec.name!r} point "
@@ -225,4 +199,3 @@ class SweepRunner:
                     ) from exc
                 values[index] = payload
                 stats[index].events = events
-                stats[index].wall_s = wall_s

@@ -26,12 +26,11 @@ different (and realistically compressible) bitstreams.
 
 from __future__ import annotations
 
-import itertools
 import struct
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..bitstream.crc import crc32c_words
+from ..bitstream.crc import crc32c_words, op_apply, op_power
 from ..bitstream.device import FRAME_WORDS
 
 __all__ = [
@@ -272,60 +271,13 @@ except ImportError:  # pragma: no cover - depends on environment
     _np = None
 
 
-# -- GF(2) linear-operator helpers for the vectorised fill -------------------
-# xorshift32 is linear over GF(2), so k steps compose into one 32x32 bit
-# matrix, carried here as 32 basis images and applied via 4 x 256 lookup
-# tables (the same representation the CRC fast path uses).
-def _lin_tables(imgs: List[int]) -> List[List[int]]:
-    tables = []
-    for part in range(4):
-        base = imgs[8 * part : 8 * part + 8]
-        tab = [0] * 256
-        for v in range(1, 256):
-            lsb = v & -v
-            tab[v] = tab[v ^ lsb] ^ base[lsb.bit_length() - 1]
-        tables.append(tab)
-    return tables
+#: Squarings of the xorshift32 step, grown by :func:`op_power`: the step
+#: is linear over GF(2), so ``k`` steps compose into one 32x32 bit matrix.
+_XS_SQUARINGS = [[_xorshift32(1 << b) for b in range(32)]]
 
 
-def _lin_apply(tabs: List[List[int]], x: int) -> int:
-    return (
-        tabs[0][x & 0xFF]
-        ^ tabs[1][(x >> 8) & 0xFF]
-        ^ tabs[2][(x >> 16) & 0xFF]
-        ^ tabs[3][x >> 24]
-    )
-
-
-def _lin_compose(a_imgs: List[int], b_imgs: List[int]) -> List[int]:
-    ta = _lin_tables(a_imgs)
-    return [_lin_apply(ta, x) for x in b_imgs]
-
-
-_XS_JUMP_CACHE: dict = {}
-
-
-def _xorshift_jump_tables(steps: int) -> List[List[int]]:
-    """Lookup tables advancing a xorshift32 state by ``steps`` steps."""
-    cached = _XS_JUMP_CACHE.get(steps)
-    if cached is not None:
-        return cached
-    imgs = [1 << b for b in range(32)]  # identity
-    sq = [_xorshift32(1 << b) for b in range(32)]
-    exp = steps
-    while exp:
-        if exp & 1:
-            imgs = _lin_compose(sq, imgs)
-        exp >>= 1
-        if exp:
-            sq = _lin_compose(sq, sq)
-    tables = _lin_tables(imgs)
-    _XS_JUMP_CACHE[steps] = tables
-    return tables
-
-
-def _fill_words_numpy(header: List[int], words_total: int, seed: int) -> List[int]:
-    """Vectorised equivalent of the scalar fill loop in encode_asp_frames.
+def _fill_numpy(header: List[int], words_total: int, seed: int) -> bytes:
+    """Vectorised equivalent of the scalar fill loop in encode_asp_packed.
 
     The walk consumes one xorshift state per word, plus one more for every
     written word (states divisible by 4 trigger a second advance whose
@@ -339,12 +291,12 @@ def _fill_words_numpy(header: List[int], words_total: int, seed: int) -> List[in
     m = 2 * n + 64  # worst case: every word triggers the second advance
     streams = 2048
     length = -(-m // streams)
-    jump = _xorshift_jump_tables(length)
+    jump = op_power(_XS_SQUARINGS, length)
     starts = [0] * streams
     state = seed
     for j in range(streams):
         starts[j] = state
-        state = _lin_apply(jump, state)
+        state = op_apply(jump, state)
     orbit = _np.empty((length, streams), dtype=_np.uint32)
     orbit[0] = starts
     for t in range(1, length):
@@ -369,29 +321,27 @@ def _fill_words_numpy(header: List[int], words_total: int, seed: int) -> List[in
     inspected = _np.where(mask, triggers, ~prev_trigger)
     ranks = _np.cumsum(inspected)  # 1-based word number per position
     write_at = _np.nonzero(triggers & (ranks <= n))[0]
-    out = _np.zeros(words_total, dtype=_np.uint32)
+    out = _np.zeros(words_total, dtype="<u4")
     out[len(header) + ranks[write_at] - 1] = walk[write_at + 1]
-    words = out.tolist()
-    words[: len(header)] = header
-    return words
+    out[: len(header)] = header
+    return out.tobytes()
 
 
-_ENCODE_CACHE: dict = {}
+_ENCODE_PACKED_CACHE: dict = {}
 
 
-def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
-    """Frames for a region of ``frame_count`` frames implementing ``asp``.
+def encode_asp_packed(frame_count: int, asp: Asp) -> bytes:
+    """Frames for a region of ``frame_count`` frames implementing ``asp``,
+    as one packed little-endian byte string.
 
     Frame 0 carries the header and parameters; the rest is deterministic
     pseudo-random fill (~25 % non-zero) seeded by the parameters, standing
-    in for LUT/routing configuration.
-
-    Encoding is deterministic, so results are memoised; treat the returned
-    frames as read-only.
+    in for LUT/routing configuration.  This is the byte form the
+    configuration-memory slab stores; results are memoised.
     """
     params = asp.params()
     cache_key = (frame_count, asp.kind, tuple(params))
-    cached = _ENCODE_CACHE.get(cache_key)
+    cached = _ENCODE_PACKED_CACHE.get(cache_key)
     if cached is not None:
         return cached
     header = [ASP_MAGIC, asp.kind, len(params)] + [p & _MASK32 for p in params]
@@ -400,11 +350,11 @@ def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
 
     words_total = frame_count * FRAME_WORDS
     # Deterministic sparse fill after the header region, vectorised when
-    # numpy is available (bit-identical to the scalar loop; the property
-    # tests compare both).
+    # numpy is available (bit-identical to the scalar loop; the tests
+    # compare both).
     seed = crc32c_words([asp.kind] + params) or 0xDEADBEEF
     if _np is not None and words_total - len(header) >= 4096:
-        words = _fill_words_numpy(header, words_total, seed)
+        packed = _fill_numpy(header, words_total, seed)
     else:
         words = header + [0] * (words_total - len(header))
         # The xorshift steps are inlined: this loop runs >130 k times per
@@ -420,33 +370,19 @@ def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
                 state ^= state >> 17
                 state = (state ^ (state << 5)) & mask
                 words[i] = state
-
-    frames = [words[i : i + FRAME_WORDS] for i in range(0, words_total, FRAME_WORDS)]
-    _ENCODE_CACHE[cache_key] = frames
-    return frames
-
-
-_ENCODE_PACKED_CACHE: dict = {}
-
-
-def encode_asp_packed(frame_count: int, asp: Asp) -> bytes:
-    """:func:`encode_asp_frames` as one packed little-endian byte string.
-
-    The byte form the configuration-memory slab stores, memoised
-    separately so golden-image comparison and region-CRC computation skip
-    per-word packing on every campaign case.
-    """
-    cache_key = (frame_count, asp.kind, tuple(asp.params()))
-    cached = _ENCODE_PACKED_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    frames = encode_asp_frames(frame_count, asp)
-    packed = struct.pack(
-        f"<{frame_count * FRAME_WORDS}I",
-        *itertools.chain.from_iterable(frames),
-    )
+        packed = struct.pack(f"<{words_total}I", *words)
     _ENCODE_PACKED_CACHE[cache_key] = packed
     return packed
+
+
+def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
+    """:func:`encode_asp_packed` as a list of ``frame_count`` word lists."""
+    words = struct.unpack(
+        f"<{frame_count * FRAME_WORDS}I", encode_asp_packed(frame_count, asp)
+    )
+    return [
+        list(words[i : i + FRAME_WORDS]) for i in range(0, len(words), FRAME_WORDS)
+    ]
 
 
 def decode_asp(frames: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[int]]]:

@@ -76,7 +76,7 @@ def make_word_corruptor(
     state_box = [seed]
 
     def corrupt(words: List[int]) -> List[int]:
-        # The xorshift32 steps are inlined, as in encode_asp_frames: the
+        # The xorshift32 steps are inlined, as in encode_asp_packed: the
         # walk takes one step per word of every over-clocked transfer.
         state = state_box[0]
         mask = 0xFFFFFFFF

@@ -351,12 +351,11 @@ class InvariantMonitor:
         """Post-conditions of one completed reconfiguration attempt."""
         self._count(2)
         if result.succeeded:
-            from ..fabric import encode_asp_frames
+            from ..fabric import encode_asp_packed
 
-            golden = encode_asp_frames(
-                system.layout.region_frame_count(region), asp
-            )
-            if not system.memory.region_equals(region, golden):
+            first, count = system.layout.region_span(region)
+            golden = encode_asp_packed(count, asp)
+            if system.memory.read_frames_packed(first, count) != golden:
                 self.violate(
                     "memory.golden_frames",
                     f"{region}: CRC read-back passed but frame contents "

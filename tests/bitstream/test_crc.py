@@ -91,9 +91,7 @@ def test_config_crc_rejects_bad_inputs():
     )
 )
 def test_property_deterministic(pairs):
-    a = ConfigCrc().updated_many(pairs)
-    b = ConfigCrc().updated_many(pairs)
-    assert a.value == b.value
+    assert _reference_crc(pairs) == _reference_crc(pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,9 +113,7 @@ def test_property_single_word_corruption_detected(pairs, flip_index, flip_bit):
     corrupted = list(pairs)
     addr, word = corrupted[index]
     corrupted[index] = (addr, word ^ (1 << flip_bit))
-    clean = ConfigCrc().updated_many(pairs)
-    dirty = ConfigCrc().updated_many(corrupted)
-    assert clean.value != dirty.value
+    assert _reference_crc(pairs) != _reference_crc(corrupted)
 
 
 # -- packed fast paths -------------------------------------------------------
@@ -161,18 +157,20 @@ def test_numpy_run_constants_match_scalar():
     if crc_mod._np is None:
         pytest.skip("numpy unavailable")
     rng = __import__("random").Random(7)
-    blocks = [
-        bytes(rng.getrandbits(8) for _ in range(crc_mod._RUN_BLOCK_BYTES))
-        for _ in range(10)
-    ]
-    addr = 2
-    expected = [
-        crc_mod._fold_run_raw(
-            0, addr, struct.unpack(f"<{len(block) // 4}I", block)
-        )
-        for block in blocks
-    ]
-    assert crc_mod._run_constants_numpy(addr, blocks) == expected
+    # Full run blocks, then blocks of an odd word count (a segment tail).
+    for block_bytes in (crc_mod._RUN_BLOCK_BYTES, 4 * 333):
+        blocks = [
+            bytes(rng.getrandbits(8) for _ in range(block_bytes))
+            for _ in range(10)
+        ]
+        addr = 2
+        expected = [
+            crc_mod._fold_raw(
+                0, struct.unpack(f"<{len(block) // 4}I", block), addr
+            )
+            for block in blocks
+        ]
+        assert crc_mod._constants_numpy(blocks, addr) == expected
 
 
 def test_numpy_chunk_constants_match_scalar():
@@ -190,12 +188,12 @@ def test_numpy_chunk_constants_match_scalar():
             for _ in range(9)
         ]
         expected = [
-            crc_mod._fold_words_raw(
+            crc_mod._fold_raw(
                 0, struct.unpack(f"<{word_count}I", chunk)
             )
             for chunk in chunks
         ]
-        assert crc_mod._chunk_constants_numpy(chunks) == expected
+        assert crc_mod._constants_numpy(chunks, None) == expected
 
 
 def test_crc32c_packed_identical_with_and_without_numpy(monkeypatch):
@@ -209,12 +207,12 @@ def test_crc32c_packed_identical_with_and_without_numpy(monkeypatch):
     ]
     joined = crc32c_bytes(b"".join(chunks))
 
-    crc_mod._CHUNK_CACHE.clear()
+    crc_mod._CONSTANTS.clear()
     with_numpy = crc_mod.crc32c_packed(iter(chunks))
 
-    crc_mod._CHUNK_CACHE.clear()
+    crc_mod._CONSTANTS.clear()
     monkeypatch.setattr(crc_mod, "_np", None)
     without_numpy = crc_mod.crc32c_packed(iter(chunks))
-    crc_mod._CHUNK_CACHE.clear()
+    crc_mod._CONSTANTS.clear()
 
     assert with_numpy == without_numpy == joined

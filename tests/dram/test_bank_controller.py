@@ -288,19 +288,17 @@ def test_chaos_injector_arms_on_bank_controller():
     assert system.dram_controller.fault_read_tamper is not None
 
 
-def test_env_overrides_refresh_mode(monkeypatch):
-    """``REPRO_DRAM_REFRESH`` flips refresh accounting without touching
-    the config — the hook for A/B soak runs over campaigns that build
-    their ``PdrSystemConfig`` internally."""
-    from repro.core import PdrSystem
+def test_refresh_mode_comes_from_the_config_only(monkeypatch):
+    """The refresh mode is part of the config, and so of every result
+    cache key: no environment variable may change it behind the key."""
+    from repro.core import PdrSystem, PdrSystemConfig
 
     monkeypatch.setenv("REPRO_DRAM_REFRESH", "engine")
-    assert PdrSystem().dram_controller.refresh_mode == "engine"
-    monkeypatch.setenv("REPRO_DRAM_REFRESH", "sometimes")
-    with pytest.raises(ValueError):
-        PdrSystem()
-    monkeypatch.delenv("REPRO_DRAM_REFRESH")
     assert PdrSystem().dram_controller.refresh_mode == "lazy"
+    engine = PdrSystemConfig(dram_refresh_mode="engine")
+    assert PdrSystem(engine).dram_controller.refresh_mode == "engine"
+    with pytest.raises(ValueError):
+        PdrSystem(PdrSystemConfig(dram_refresh_mode="sometimes"))
 
 
 # ----------------------------------------------------------------- snapshot --

@@ -35,7 +35,7 @@ def test_kwargs_reach_point_functions():
     assert value == {"x": 3, "scale": 2.0, "tag": "t", "value": 6.0}
 
 
-def test_stats_record_events_and_wall_clock():
+def test_stats_record_events():
     runner = SweepRunner()
     result = runner.run(
         SweepSpec.map("slow", slow_square, [{"x": 4}], labels=["four"])
@@ -44,8 +44,6 @@ def test_stats_record_events_and_wall_clock():
     assert stat.label == "four"
     assert stat.cached is False
     assert stat.events == 400
-    assert stat.wall_s >= 0.0
-    assert stat.to_dict()["events"] == 400
     assert result.simulated == 1 and result.cache_hits == 0
     assert runner.history == [result]
 

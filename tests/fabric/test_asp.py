@@ -223,3 +223,32 @@ def test_vector_scale_behaviour_and_roundtrip():
 def test_vector_scale_bad_params_rejected():
     with pytest.raises(AspDecodeError):
         instantiate_asp(AspKind.VECTOR_SCALE, [1])
+
+
+def test_numpy_fill_matches_scalar_loop(monkeypatch):
+    """The vectorised fill is bit-identical to the scalar xorshift loop.
+
+    Every region's frame count (RP1–RP4), plus the smallest region the
+    vectorised fill takes (41 frames is the first above 4,096 words).
+    """
+    from repro.bitstream import make_z7020_layout
+    from repro.fabric import VectorScaleAsp
+    from repro.fabric import asp as asp_mod
+
+    if asp_mod._np is None:
+        pytest.skip("numpy unavailable")
+    layout = make_z7020_layout()
+    counts = {layout.region_frame_count(name) for name in layout.regions} | {41}
+    asps = [FirFilterAsp([3, -1, 4]), Aes128Asp([5, 6, 7, 8]), VectorScaleAsp(3, 11)]
+
+    def encode_all():
+        monkeypatch.setattr(asp_mod, "_ENCODE_PACKED_CACHE", {})
+        return [
+            asp_mod.encode_asp_packed(count, asp)
+            for count in sorted(counts)
+            for asp in asps
+        ]
+
+    vectorised = encode_all()
+    monkeypatch.setattr(asp_mod, "_np", None)
+    assert encode_all() == vectorised
