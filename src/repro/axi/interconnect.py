@@ -114,7 +114,7 @@ class AxiInterconnect:
         self._submit(master, ("w", addr, len(data), data, done, self.sim.now))
         return done
 
-    def forward_read(self, addr: int, size: int, port, done: Event) -> bool:
+    def forward_read(self, addr: int, size: int, port, done) -> bool:
         """Run ``port``'s read as kernel entries if it meets no other traffic.
 
         Applies only when ``port.name`` is the one master registered here
@@ -123,6 +123,8 @@ class AxiInterconnect:
         nothing.  The burst then holds the lane: the forward stage ends
         in :meth:`BankDramController.accept`, the service end calls
         :meth:`returned`, which hands the data to ``port.deliver``.
+        ``done`` is the port's completion target (an :class:`Event` or
+        the issuing master's own, see :meth:`AxiHpPort.read`).
         The crossbar's fault hooks are read only here, at issue:
         :mod:`repro.chaos` arms and disarms them between runs.
         """

@@ -51,26 +51,32 @@ class AxiHpPort:
         ddr_transfer = self.interconnect.controller.device.transfer_ns(size)
         return self.stream_ns(size) - ddr_transfer
 
-    def read(self, addr: int, size: int) -> Event:
-        """Read a burst through the port; value is the data bytes.
+    def read(self, addr: int, size: int, done=None):
+        """Read a burst through the port; ``done`` receives the data bytes.
 
         The port streams data to the PL while the DDR supplies it; since
         DDR peak (~4.3 GB/s) exceeds the port rate (1.2 GB/s), the data
         phase is port-limited: total = interconnect+access latency +
         max(DDR transfer, port transfer).
 
+        ``done`` is completed like an :class:`Event`: ``succeed(data)``
+        when the burst has left the port, ``fail(exc)`` on an error
+        response.  A fresh event is made (and returned) if none is
+        given; a master that passes its own target is called directly.
+
         A burst that meets no other traffic runs as kernel entries
         (:meth:`AxiInterconnect.forward_read`); any other runs as a
         transaction process behind the crossbar lane and DDR server
         daemons.  Both give the same times and accounting.
         """
-        done = self.sim.event(name=f"{self.name}.read")
+        if done is None:
+            done = self.sim.event(name=f"{self.name}.read")
         if self.interconnect.forward_read(addr, size, self, done):
             return done
 
         def transaction():
             # An error response on the bus must land on the *issuing*
-            # master's completion event, not kill this port process.
+            # master's completion target, not kill this port process.
             try:
                 data = yield self.interconnect.read(addr, size, master=self.name)
             except Exception as exc:
@@ -84,7 +90,7 @@ class AxiHpPort:
         self.sim.process(transaction(), name=f"{self.name}.read@{addr:#x}")
         return done
 
-    def deliver(self, size: int, data: bytes, done: Event) -> None:
+    def deliver(self, size: int, data: bytes, done) -> None:
         """Stream a served :meth:`AxiInterconnect.forward_read` burst out of
         the port; :meth:`streamed` completes it when the port is done."""
         extra = self._stream_tail_ns(size)
@@ -93,7 +99,7 @@ class AxiHpPort:
         else:
             self.streamed(done, size, data)
 
-    def streamed(self, done: Event, size: int, data: bytes) -> None:
+    def streamed(self, done, size: int, data: bytes) -> None:
         """A read burst has left the port: count it and complete ``done``."""
         self.bytes_transferred += size
         done.succeed(data)

@@ -379,13 +379,14 @@ class ConfigCrc:
         Semantically identical to calling :meth:`update` per word, but
         with the per-word overhead hoisted out of the loop — FDRI carries
         >130 k words per partial bitstream.  Runs the caller already holds
-        little-endian packed (``packed``) — or that pack cleanly — take
-        the linear-operator path: the run constant is content-cached, so
-        re-feeding an already-seen bitstream chunk is O(1) in its length.
+        little-endian packed (``packed``; ``words`` may then be None) — or
+        that pack cleanly — take the linear-operator path: the run
+        constant is content-cached, so re-feeding an already-seen
+        bitstream chunk is O(1) in its length.
         """
         if not 0 <= register_addr < 32:
             raise ValueError(f"register address {register_addr} out of range")
-        count = len(words)
+        count = len(packed) >> 2 if words is None else len(words)
         if count == 0:
             return
         if count >= _RUN_FAST_MIN_WORDS:
@@ -404,6 +405,8 @@ class ConfigCrc:
                     self._fold_pending(len(buf) - len(buf) % _RUN_BLOCK_BYTES)
                 self.words_folded += count
                 return
+        if words is None:
+            words = struct.unpack(f"<{count}I", packed)
         self.fold_run(register_addr, words)
 
     def fold_run(self, register_addr: int, words) -> None:

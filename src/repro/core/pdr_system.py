@@ -459,8 +459,8 @@ class PdrSystem:
         top of a still-draining transfer corrupts the next load.
         """
         self.dma.reg_write(MM2S_DMACR, DMACR_RESET)
-        # The reset interrupt lands on the next event tick; give the
-        # engine a couple of cycles to unwind before quiescing the ICAP.
+        # The reset halts the engine at once; firmware still gives it a
+        # couple of cycles to unwind before quiescing the ICAP.
         yield self.overclock.wait_cycles(2)
         yield self.sim.process(self.icap.abort(), name="fw.icap_abort")
         if not self.dma.idle:

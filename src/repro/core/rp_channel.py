@@ -113,9 +113,9 @@ class RpDataChannel:
         while True:
             burst = yield self.in_stream.pop()
             # The ASP ingests one word per RP-clock cycle.
-            yield self.rp_clock.wait_cycles(len(burst.words))
+            yield self.rp_clock.wait_cycles(burst.word_count)
             collected.extend(burst.words)
-            self.in_stream.release(len(burst.words))
+            self.in_stream.release(burst.word_count)
             if burst.last:
                 break
         data_in_us = (self.sim.now - t0) / 1e3

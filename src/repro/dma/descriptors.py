@@ -68,6 +68,10 @@ class SgDescriptor:
     def __post_init__(self) -> None:
         if not 0 < self.length <= _CTRL_LEN_MASK:
             raise ValueError(f"descriptor length {self.length} out of range")
+        if self.length % 4:
+            raise ValueError(
+                f"descriptor length {self.length} is not a multiple of 4 bytes"
+            )
 
     def pack(self, next_addr: int) -> bytes:
         control = self.length

@@ -11,6 +11,14 @@ measured behaviour is what the paper's Fig. 5 knee comes from:
   HP-port streaming + the command gap paid in *over-clocked* cycles)
   saturates around 790 MB/s.
 
+The loop runs as a callback chain, not a process: the FIFO grant calls
+:meth:`AxiDmaEngine.granted`, which spends the command gap as one kernel
+entry (:meth:`~repro.sim.Simulator.call_later`) ending in
+:meth:`~AxiDmaEngine.issue`; the HP port calls
+:meth:`~AxiDmaEngine.fetched` with the burst's bytes, which go onto the
+stream as read from DRAM.  A soft reset moves the transfer epoch on, so
+an entry or read of the abandoned transfer drops out when it lands.
+
 Xilinx guarantees this block to 150 MHz; the paper drives it to 310 MHz.
 The engine itself has no notion of failure — the timing model decides
 when an over-clocked control path stops delivering the completion
@@ -19,13 +27,12 @@ interrupt (see :mod:`repro.timing`).
 
 from __future__ import annotations
 
-import struct
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from ..axi.ports import AxiHpPort
 from ..axi.stream import AxiStream, StreamBurst
 from ..obs import MetricsRegistry
-from ..sim import ClockDomain, Interrupt, InterruptLine, Simulator
+from ..sim import ClockDomain, InterruptLine, Simulator
 
 from .registers import (
     DMACR_IOC_IRQ_EN,
@@ -42,6 +49,27 @@ from .registers import (
 )
 
 __all__ = ["AxiDmaEngine", "S2mmDmaEngine"]
+
+
+class _BurstRead:
+    """Where the HP port completes the burst reads of one transfer epoch.
+
+    The port completes it as it would an :class:`~repro.sim.Event`:
+    ``succeed(data)`` once the burst has left the port, ``fail(exc)`` on
+    an error response.  Both reach the engine tagged with the epoch.
+    """
+
+    __slots__ = ("engine", "epoch")
+
+    def __init__(self, engine: "AxiDmaEngine", epoch: int):
+        self.engine = engine
+        self.epoch = epoch
+
+    def succeed(self, data: bytes) -> None:
+        self.engine.fetched(self.epoch, data)
+
+    def fail(self, exc: BaseException) -> None:
+        self.engine.fetch_failed(self.epoch, exc)
 
 
 class AxiDmaEngine:
@@ -82,9 +110,9 @@ class AxiDmaEngine:
         self._m_transfers = self.metrics.counter(f"{name}.transfers_completed")
         self._m_transfer_us = self.metrics.histogram(f"{name}.transfer_us")
         self._m_mb_s = self.metrics.histogram(f"{name}.achieved_mb_s")
-        #: Completion interrupt (IOC).  The PDR system may replace
-        #: :meth:`_raise_ioc` behaviour via ``suppress_completion_irq`` to
-        #: model a control-path timing failure.
+        #: Completion interrupt (IOC).  The PDR system sets
+        #: ``suppress_completion_irq`` to model a control-path timing
+        #: failure.
         self.ioc_irq = InterruptLine(sim, name=f"{name}.ioc")
         self.suppress_completion_irq = False
         self._control = DMACR_RS | DMACR_IOC_IRQ_EN
@@ -96,11 +124,24 @@ class AxiDmaEngine:
         self.axi_errors = 0
         self._m_resets = self.metrics.counter(f"{name}.resets")
         self._m_axi_errors = self.metrics.counter(f"{name}.axi_errors")
-        self._active: Optional[object] = None
+        #: True while a transfer's chain is live.
+        self._active = False
+        #: Bumped by every soft reset; chain entries and port reads carry
+        #: the epoch they were issued in and drop out if it has moved on.
+        self._epoch = 0
+        self._reader = _BurstRead(self, 0)
+        #: The in-flight transfer: next read address, bytes left, the
+        #: programmed length, start time, bytes pushed, current burst.
+        self._cursor = 0
+        self._remaining = 0
+        self._length = 0
+        self._started_ns = 0.0
+        self._pushed_bytes = 0
+        self._burst_bytes = 0
         #: Outstanding stream-space reservation of the in-flight transfer
-        #: (event, words), handed back on reset so an aborted producer
-        #: cannot leak FIFO space.
-        self._reservation: Optional[tuple] = None
+        #: ``(words, granted callback)``, handed back on reset so an
+        #: aborted producer cannot leak FIFO space.
+        self._reservation: Optional[Tuple[int, Callable[[], None]]] = None
         #: Optional :class:`~repro.verify.InvariantMonitor` checking the
         #: start/complete/reset state-machine transitions.
         self.monitor = None
@@ -123,6 +164,12 @@ class AxiDmaEngine:
         elif offset == MM2S_SA:
             self._source_addr = value
         elif offset == MM2S_LENGTH:
+            if value % 4:
+                # The stream carries whole 32-bit words: a ragged tail
+                # could neither be pushed nor drained.
+                raise ValueError(
+                    f"{self.name}: MM2S_LENGTH {value} is not a multiple of 4 bytes"
+                )
             if value:
                 self._start(self._source_addr, value)
         else:
@@ -151,20 +198,20 @@ class AxiDmaEngine:
     def _reset(self) -> None:
         """Soft reset (DMACR.Reset): halt the engine, kill any transfer.
 
-        The real block abandons the in-flight datamover command on reset;
-        here the transfer process is interrupted and its outstanding
+        The real block abandons the in-flight datamover command on reset.
+        Here the transfer epoch moves on, so a pending command gap or
+        port read finds itself stale when it lands, and the outstanding
         stream-space reservation is handed back so the FIFO accounting
         stays exact.  Words already pushed onto the stream remain queued —
         the ICAP abort path is responsible for quiescing the consumer.
         """
-        active = self._active
-        if active is not None and getattr(active, "is_alive", False):
-            active.interrupt("dma-reset")
-        self._active = None
+        self._epoch += 1
+        self._reader = _BurstRead(self, self._epoch)
+        self._active = False
         if self._reservation is not None:
-            event, words = self._reservation
+            words, granted = self._reservation
             self._reservation = None
-            self.stream.cancel_reserve(event, words)
+            self.stream.cancel_reserve(granted, words)
         self._control = 0
         self._status = DMASR_HALTED | DMASR_IDLE
         self.resets_issued += 1
@@ -176,80 +223,93 @@ class AxiDmaEngine:
     def _start(self, addr: int, length: int) -> None:
         if not self.running:
             raise RuntimeError(f"{self.name}: LENGTH written while halted")
-        if self._active is not None and not self._status & DMASR_IDLE:
+        if self._active:
             raise RuntimeError(f"{self.name}: transfer already in progress")
         self._status &= ~DMASR_IDLE
-        self._active = self.sim.process(
-            self._run(addr, length), name=f"{self.name}.mm2s"
-        )
+        self._active = True
+        self._cursor = addr
+        self._remaining = length
+        self._length = length
+        self._started_ns = self.sim.now
+        self._pushed_bytes = 0
         if self.monitor is not None:
             self.monitor.on_dma_start(self)
+        self._reserve_next()
 
-    def _run(self, addr: int, length: int):
-        started_ns = self.sim.now
-        remaining = length
-        cursor = addr
-        pushed_bytes = 0
-        while remaining:
-            burst_bytes = min(self.max_burst_bytes, remaining)
-            burst_words = (burst_bytes + 3) // 4
-            reserve = self.stream.reserve(burst_words)
-            self._reservation = (reserve, burst_words)
-            yield reserve
-            # Command issue overhead is paid in the over-clocked domain:
-            # faster clock, smaller gap — until the memory path dominates.
-            yield self.clock.wait_cycles(self.cmd_overhead_cycles)
-            self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
-            try:
-                data = yield self.port.read(cursor, burst_bytes)
-            except Interrupt:
-                # A DMACR soft reset interrupted the burst; ``_reset``
-                # owns the cleanup (it already cancelled the reservation).
-                raise
-            except Exception:
-                # AXI error response mid-transfer: the datamover latches
-                # DMAIntErr and halts.  No completion interrupt will ever
-                # arrive — the firmware's IRQ-timeout recovery path takes
-                # it from here (DMA soft reset + ICAP abort).  Hand back
-                # the outstanding FIFO reservation so the accounting
-                # stays exact for the abort drain.
-                if self._reservation is not None:
-                    self._reservation = None
-                    self.stream.cancel_reserve(reserve, burst_words)
-                self._status |= DMASR_HALTED | DMASR_DMA_INT_ERR
-                self._active = None
-                self.axi_errors += 1
-                self._m_axi_errors.inc()
-                return
-            words = list(struct.unpack(f">{len(data) // 4}I", data))
-            is_last = remaining == burst_bytes
-            self.stream.push(StreamBurst(words=words, last=is_last))
-            self._reservation = None
-            pushed_bytes += len(words) * 4
-            cursor += burst_bytes
-            remaining -= burst_bytes
-            self.bytes_moved += burst_bytes
-            self._m_bursts.inc()
-            self._m_bytes.inc(burst_bytes)
+    def _reserve_next(self) -> None:
+        """Claim FIFO room for the next burst, or for the final drain."""
+        if self._remaining:
+            self._burst_bytes = min(self.max_burst_bytes, self._remaining)
+            words, granted = self._burst_bytes >> 2, self.granted
+        else:
+            # Completion means the stream slave accepted the last beat:
+            # wait for the FIFO to drain fully before declaring it done.
+            words, granted = self.stream.fifo_words, self.complete
+        self._reservation = (words, granted)
+        self.stream.reserve(words, granted)
 
-        # Completion means the stream slave accepted the last beat: wait
-        # for the FIFO to drain fully before declaring the transfer done.
-        drain = self.stream.reserve(self.stream.fifo_words)
-        self._reservation = (drain, self.stream.fifo_words)
-        yield drain
+    def granted(self) -> None:
+        """FIFO room for the next burst is ours: pay the command gap."""
+        # Command issue overhead is paid in the over-clocked domain:
+        # faster clock, smaller gap — until the memory path dominates.
+        self.sim.call_later(
+            self.clock.cycles_to_ns(self.cmd_overhead_cycles), self.issue, self._epoch
+        )
+
+    def issue(self, epoch: int) -> None:
+        """The command gap is over: read the burst through the HP port."""
+        if epoch != self._epoch:
+            return
+        self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
+        self.port.read(self._cursor, self._burst_bytes, self._reader)
+
+    def fetched(self, epoch: int, data: bytes) -> None:
+        """The burst has left the HP port: push its bytes onto the stream."""
+        if epoch != self._epoch:
+            return
+        burst_bytes = self._burst_bytes
+        self.stream.push(StreamBurst(data, self._remaining == burst_bytes))
+        self._reservation = None
+        self._pushed_bytes += len(data)
+        self._cursor += burst_bytes
+        self._remaining -= burst_bytes
+        self.bytes_moved += burst_bytes
+        self._m_bursts.inc()
+        self._m_bytes.inc(burst_bytes)
+        self._reserve_next()
+
+    def fetch_failed(self, epoch: int, exc: BaseException) -> None:
+        """AXI error response mid-transfer: latch DMAIntErr and halt.
+
+        No completion interrupt will ever arrive — the firmware's
+        IRQ-timeout recovery path takes it from here (DMA soft reset +
+        ICAP abort).  The burst's FIFO room goes back so the accounting
+        stays exact for the abort drain.
+        """
+        if epoch != self._epoch:
+            return
+        words, granted = self._reservation
+        self._reservation = None
+        self.stream.cancel_reserve(granted, words)
+        self._status |= DMASR_HALTED | DMASR_DMA_INT_ERR
+        self._active = False
+        self.axi_errors += 1
+        self._m_axi_errors.inc()
+
+    def complete(self) -> None:
+        """The stream FIFO has drained: hand the room back and finish."""
         self._reservation = None
         self.stream.release(self.stream.fifo_words)
-        self._active = None
-
+        self._active = False
         self._status |= DMASR_IDLE
         self.transfers_completed += 1
         self._m_transfers.inc()
         if self.monitor is not None:
-            self.monitor.on_dma_complete(self, length, pushed_bytes)
-        duration_us = (self.sim.now - started_ns) / 1e3
+            self.monitor.on_dma_complete(self, self._length, self._pushed_bytes)
+        duration_us = (self.sim.now - self._started_ns) / 1e3
         self._m_transfer_us.observe(duration_us)
         if duration_us > 0:
-            self._m_mb_s.observe(length / duration_us)  # B/us == MB/s
+            self._m_mb_s.observe(self._length / duration_us)  # B/us == MB/s
         if (self._control & DMACR_IOC_IRQ_EN) and not self.suppress_completion_irq:
             self._status |= DMASR_IOC_IRQ
             self.ioc_irq.assert_()
@@ -324,11 +384,11 @@ class S2mmDmaEngine:
             burst = yield self.stream.pop()
             yield self.clock.wait_cycles(self.cmd_overhead_cycles)
             self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
-            data = struct.pack(f">{len(burst.words)}I", *burst.words)
+            data = burst.data
             if len(data) > remaining:
                 data = data[:remaining]
             yield self.port.write(cursor, data)
-            self.stream.release(len(burst.words))
+            self.stream.release(burst.word_count)
             cursor += len(data)
             remaining -= len(data)
             self.bytes_received += len(data)

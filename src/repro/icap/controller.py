@@ -4,6 +4,12 @@ Consumes 32-bit words from an :class:`~repro.axi.stream.AxiStream` at one
 word per clock cycle — the ICAPE2 primitive's rate, which over-clocking
 raises — and feeds them to the :class:`~repro.icap.primitive.ConfigPort`.
 
+The consumer is a callback chain, not a process: the stream hands each
+burst to :meth:`IcapController.receive`, the drain at one word per cycle
+is one kernel entry (:meth:`~repro.sim.Simulator.call_later`) ending in
+:meth:`~IcapController.drained`, which configures the burst's bytes,
+releases its FIFO room and asks the stream for the next burst.
+
 Over-clocking failure injection happens here: an optional *word corruptor*
 (installed by the PDR system from the timing model's verdict) mangles
 words between the stream and the configuration engine, modelling the
@@ -16,7 +22,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, List, Optional
 
-from ..axi.stream import AxiStream
+from ..axi.stream import AxiStream, StreamBurst
 from ..fabric.config_memory import ConfigMemory
 from ..obs import MetricsRegistry
 from ..sim import ClockDomain, InterruptLine, Signal, Simulator
@@ -76,7 +82,9 @@ class IcapController:
         #: Optional :class:`~repro.verify.InvariantMonitor` checking the
         #: busy/done protocol on every consumed burst.
         self.monitor = None
-        sim.process(self._consume(), name=f"{name}.consumer", daemon=True)
+        #: When the controller last asked the stream for a burst.
+        self._wait_started_ns = sim.now
+        stream.take(self.receive)
 
     @property
     def aborted(self) -> bool:
@@ -119,43 +127,60 @@ class IcapController:
         self._aborted = True
         self._m_aborts.inc()
 
-    def _consume(self):
-        while True:
-            wait_started_ns = self.sim.now
-            burst = yield self.stream.pop()
-            if self.busy.value:
-                # Mid-transfer wait for the next burst: the stream side
-                # starved the ICAP — count it in over-clock cycles.
-                self._m_stall_cycles.inc(
-                    self.clock.ns_to_cycles(self.sim.now - wait_started_ns)
+    def receive(self, burst: StreamBurst) -> None:
+        """The stream hands over the next burst: clock it in."""
+        if self.busy.value:
+            # Mid-transfer wait for the next burst: the stream side
+            # starved the ICAP — count it in over-clock cycles.
+            self._m_stall_cycles.inc(
+                self.clock.ns_to_cycles(self.sim.now - self._wait_started_ns)
+            )
+        self.busy.set(True)
+        # busy and done are mutually exclusive: an SG descriptor
+        # chain starts its next bitstream without a begin_transfer,
+        # so the previous segment's desync flag drops here.
+        self.done.set(False)
+        if self.fault_lockup_cycles is not None:
+            lockup = max(0, int(self.fault_lockup_cycles()))
+            if lockup:
+                self._m_lockup_cycles.inc(lockup)
+                self.sim.call_later(
+                    self.clock.cycles_to_ns(lockup), self.clock_in, burst
                 )
-            self.busy.set(True)
-            # busy and done are mutually exclusive: an SG descriptor
-            # chain starts its next bitstream without a begin_transfer,
-            # so the previous segment's desync flag drops here.
-            self.done.set(False)
-            if self.fault_lockup_cycles is not None:
-                lockup = max(0, int(self.fault_lockup_cycles()))
-                if lockup:
-                    self._m_lockup_cycles.inc(lockup)
-                    yield self.clock.wait_cycles(lockup)
-            words = burst.words
-            # One word per clock cycle through the ICAP.
-            yield self.clock.wait_cycles(len(words))
-            if self.word_corruptor is not None:
-                original = words
-                words = self.word_corruptor(words)
-                self._m_corrupted.inc(sum(map(operator.ne, original, words)))
+                return
+        self.clock_in(burst)
+
+    def clock_in(self, burst: StreamBurst) -> None:
+        """Drain the burst through the ICAP, one word per clock cycle."""
+        self.sim.call_later(
+            self.clock.cycles_to_ns(burst.word_count), self.drained, burst
+        )
+
+    def drained(self, burst: StreamBurst) -> None:
+        """The burst has passed the ICAP: configure it, hand its FIFO room
+        back and take the next burst."""
+        count = burst.word_count
+        if self.word_corruptor is not None:
+            original = burst.words
+            words = self.word_corruptor(original)
+            self._m_corrupted.inc(sum(map(operator.ne, original, words)))
+            count = len(words)
             if self.monitor is not None:
-                self.monitor.on_icap_words(self, len(words))
+                self.monitor.on_icap_words(self, count)
             self.port.feed_words(words)
-            self.words_consumed += len(words)
-            self._m_words.inc(len(words))
-            self._m_bursts.inc()
-            self.stream.release(len(burst.words))
-            if burst.last:
-                self.busy.set(False)
-                if self.port.desynced:
-                    self.done.set(True)
-                if self.port.has_error:
-                    self.error_irq.assert_()
+        else:
+            if self.monitor is not None:
+                self.monitor.on_icap_words(self, count)
+            self.port.feed_bytes(burst.data)
+        self.words_consumed += count
+        self._m_words.inc(count)
+        self._m_bursts.inc()
+        if burst.last:
+            self.busy.set(False)
+            if self.port.desynced:
+                self.done.set(True)
+            if self.port.has_error:
+                self.error_irq.assert_()
+        self.stream.release(burst.word_count)
+        self._wait_started_ns = self.sim.now
+        self.stream.take(self.receive)

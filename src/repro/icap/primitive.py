@@ -15,6 +15,7 @@ pad frame that every bitstream carries is never written to the array.
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import Optional
 
 from ..bitstream.crc import ConfigCrc
@@ -27,6 +28,8 @@ __all__ = ["ConfigPort"]
 
 _WORD_STRUCT = struct.Struct("<I")
 _MASK32 = 0xFFFFFFFF
+#: An ``array`` typecode with 4-byte items ("I" on every common ABI).
+_U32 = "I" if array("I").itemsize == 4 else "L"
 
 _CRC = int(ConfigRegister.CRC)
 _FAR = int(ConfigRegister.FAR)
@@ -37,6 +40,19 @@ _IDCODE = int(ConfigRegister.IDCODE)
 #: Registers whose payload words must act one at a time: a matching CRC
 #: write and the RCRC command both reset the CRC accumulator mid-run.
 _PER_WORD_REGISTERS = (_CRC, _CMD)
+
+
+def _swap_words(data: bytes) -> bytes:
+    """Reverse the bytes of every 32-bit word: big-endian packed words
+    become little-endian packed words.
+
+    ``array`` copies raw bytes in and out and ``byteswap`` reverses each
+    item in place, so the result does not depend on the host's byte
+    order.
+    """
+    words = array(_U32, data)
+    words.byteswap()
+    return words.tobytes()
 
 
 class ConfigPort:
@@ -147,21 +163,45 @@ class ConfigPort:
                 self.words_consumed += count
                 index += count
                 if register == _FDRI:
-                    self._fdri_run(run)
+                    try:
+                        packed = struct.pack(f"<{count}I", *run)
+                    except struct.error:
+                        packed = struct.pack(
+                            f"<{count}I", *[word & _MASK32 for word in run]
+                        )
+                    self._fdri_run(packed)
                 else:
                     self._register_run(register, run)
                 continue
             self.feed_word(words[index])
             index += 1
 
-    def _fdri_run(self, words) -> None:
-        """Bulk :meth:`_handle_write` for a run of FDRI data words."""
-        try:
-            packed = struct.pack(f"<{len(words)}I", *words)
-        except struct.error:
-            words = [word & _MASK32 for word in words]
-            packed = struct.pack(f"<{len(words)}I", *words)
-        self.crc.update_run(_FDRI, words, packed=packed)
+    def feed_bytes(self, data: bytes) -> None:
+        """Consume words packed big-endian (a DMA burst as read from DRAM);
+        identical to :meth:`feed_words` on the unpacked words.
+
+        An FDRI payload run at the head of ``data`` — all of it, for
+        every burst inside a bitstream's frame data — folds and writes
+        from one byteswapped copy, with no word unpacked.  Whatever
+        follows (packet headers, other registers, the next payload) goes
+        through :meth:`feed_words`.
+        """
+        if self.synced and self._payload_register == _FDRI and self._payload_remaining:
+            count = min(self._payload_remaining, len(data) >> 2)
+            self._payload_remaining -= count
+            self.words_consumed += count
+            if count << 2 < len(data):
+                run, data = data[: count << 2], data[count << 2 :]
+            else:
+                run, data = data, b""
+            self._fdri_run(_swap_words(run))
+        if data:
+            self.feed_words(list(struct.unpack(f">{len(data) >> 2}I", data)))
+
+    def _fdri_run(self, packed: bytes) -> None:
+        """Bulk :meth:`_handle_write` for a run of FDRI data words, packed
+        little-endian."""
+        self.crc.update_run(_FDRI, None, packed=packed)
         if not self.wcfg_active or self.idcode_error:
             return
         buffer = self._frame_buffer

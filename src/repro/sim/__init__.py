@@ -11,7 +11,7 @@ signal edges, other processes) and are resumed when those events fire.
 
 from .channel import Channel
 from .clock import MHZ, NS_PER_S, NS_PER_US, ClockDomain
-from .errors import Deadlock, Interrupt, SchedulingError, SimulationError
+from .errors import Deadlock, SchedulingError, SimulationError
 from .kernel import AllOf, AnyOf, Condition, Event, Process, Simulator, Timeout
 from .signal import InterruptLine, Signal
 from .trace import TraceRecord, Tracer
@@ -24,7 +24,6 @@ __all__ = [
     "Condition",
     "Deadlock",
     "Event",
-    "Interrupt",
     "InterruptLine",
     "MHZ",
     "NS_PER_S",

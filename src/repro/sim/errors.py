@@ -1,14 +1,11 @@
 """Exception types raised by the simulation kernel.
 
-The kernel distinguishes three failure classes:
+The kernel distinguishes two failure classes:
 
 * :class:`SimulationError` — programming errors in the way the kernel is
   driven (scheduling in the past, running a finished simulator, ...).
 * :class:`Deadlock` — the event heap drained while processes were still
   waiting; nothing can ever wake them.
-* :class:`Interrupt` — delivered *into* a process generator when another
-  process calls :meth:`Process.interrupt`.  It is a control-flow signal,
-  not an error in the simulation itself.
 """
 
 from __future__ import annotations
@@ -32,14 +29,3 @@ class Deadlock(SimulationError):
         )
         self.waiting = waiting
 
-
-class Interrupt(Exception):
-    """Thrown inside a process generator by :meth:`Process.interrupt`.
-
-    ``cause`` carries an arbitrary payload describing why the process was
-    interrupted (for instance the hardware interrupt source).
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from .errors import Deadlock, Interrupt, SchedulingError, SimulationError
+from .errors import Deadlock, SchedulingError, SimulationError
 
 __all__ = [
     "Event",
@@ -169,28 +169,16 @@ class _Resume:
 
     __slots__ = ("process", "value", "exc")
 
-    #: ``Process._deliver_interrupt`` checks ``target.callbacks is not None``
-    #: before detaching a waiter; ``None`` here means there is nothing to
-    #: remove — cancellation is detected in :meth:`_process` instead, via
-    #: the process' ``_waiting_on`` link.
-    callbacks = None
-
     def __init__(self, process: "Process", value: Any, exc: Optional[BaseException]):
         self.process = process
         self.value = value
         self.exc = exc
 
     def _process(self) -> None:
-        process = self.process
-        if process._waiting_on is not self:
-            # The process was interrupted (or re-targeted) while this entry
-            # sat on the heap; the resume is stale.
-            return
-        process._waiting_on = None
         if self.exc is not None:
-            process._step(throw=self.exc)
+            self.process._step(throw=self.exc)
         else:
-            process._step(send=self.value)
+            self.process._step(send=self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<resume:{self.process.name}>"
@@ -199,9 +187,9 @@ class _Resume:
 class _Call:
     """Lightweight heap entry: call ``fn(*args)`` when its time comes.
 
-    Device models chain the stages of an uncontended transaction through
-    these (:meth:`Simulator.call_later`) instead of spawning a process:
-    no :class:`Event` is allocated and no generator is resumed.
+    Device models chain the stages of a transaction through these
+    (:meth:`Simulator.call_later`) instead of spawning a process: no
+    :class:`Event` is allocated and no generator is resumed.
     """
 
     __slots__ = ("fn", "args")
@@ -225,7 +213,7 @@ class Process(Event):
     the generator).  The generator's return value becomes this event's value.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_interrupts", "daemon")
+    __slots__ = ("_generator", "daemon")
 
     def __init__(
         self,
@@ -238,9 +226,6 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
         self._generator = generator
-        #: The Event (or _Resume entry) this process is currently waiting on.
-        self._waiting_on: Optional[Any] = None
-        self._interrupts: List[Interrupt] = []
         #: Daemon processes (infinite hardware server loops) do not count
         #: toward deadlock detection: a run that leaves only daemons
         #: waiting has simply finished its workload.
@@ -266,36 +251,8 @@ class Process(Event):
             # Surface the failure instead of letting it vanish.
             self.sim._unhandled.append(self)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting detaches it from the event it was waiting on.
-        """
-        if self.triggered:
-            raise SchedulingError(f"cannot interrupt finished process {self!r}")
-        interrupt = Interrupt(cause)
-        self._interrupts.append(interrupt)
-        poke = Event(self.sim, name=f"interrupt:{self.name}")
-        poke.callbacks.append(self._deliver_interrupt)
-        poke._value = None
-        self.sim._enqueue(0.0, poke)
-
     # -- internals ----------------------------------------------------------
-    def _deliver_interrupt(self, _poke: Event) -> None:
-        if self.triggered or not self._interrupts:
-            return
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self._step(throw=self._interrupts.pop(0))
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._exc is not None:
             self._step(throw=event._exc)
         else:
@@ -313,13 +270,6 @@ class Process(Event):
             if not self.daemon:
                 sim._live_processes -= 1
             self._value = stop.value
-            sim._enqueue(0.0, self)
-            return
-        except Interrupt as interrupt:
-            # An un-caught interrupt terminates the process with its cause.
-            if not self.daemon:
-                sim._live_processes -= 1
-            self._value = interrupt.cause
             sim._enqueue(0.0, self)
             return
         except BaseException as exc:
@@ -347,12 +297,9 @@ class Process(Event):
         if target._processed:
             # The event already fired; resume immediately (same timestamp)
             # via a lightweight heap entry instead of a replay Event.
-            resume = _Resume(self, target._value, target._exc)
-            sim._enqueue(0.0, resume)
-            self._waiting_on = resume
+            sim._enqueue(0.0, _Resume(self, target._value, target._exc))
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 class Condition(Event):

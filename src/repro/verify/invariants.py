@@ -195,18 +195,18 @@ class InvariantMonitor:
                 f"{stream.stat_consumed_words} + queued "
                 f"{stream.stat_queued_words}",
             )
-        channel = stream._bursts
-        if channel.total_put != channel.total_got + channel.level:
+        pushed, taken = stream.stat_pushed_bursts, stream.stat_taken_bursts
+        if pushed != taken + stream.queued_bursts:
             self.violate(
                 "stream.burst_conservation",
-                f"{stream.name}: bursts put {channel.total_put} != got "
-                f"{channel.total_got} + queued {channel.level}",
+                f"{stream.name}: bursts pushed {pushed} != taken "
+                f"{taken} + queued {stream.queued_bursts}",
             )
 
     # -- DMA engine ----------------------------------------------------------------
     def on_dma_start(self, engine) -> None:
         self._count()
-        if engine.idle or engine._active is None:
+        if engine.idle or not engine._active:
             self.violate(
                 "dma.start_transition",
                 f"{engine.name}: transfer started but engine reads idle",

@@ -160,7 +160,7 @@ def test_reserve_fifo_fairness():
     def producer(sim, tag):
         yield stream.reserve(4)
         order.append(tag)
-        stream.push(StreamBurst(words=[tag] * 4))
+        stream.push(StreamBurst(words=[0] * 4))
 
     def consumer(sim):
         for _ in range(3):

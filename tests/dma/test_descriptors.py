@@ -12,6 +12,9 @@ def test_descriptor_validation():
         SgDescriptor(buffer_addr=0, length=0)
     with pytest.raises(ValueError):
         SgDescriptor(buffer_addr=0, length=1 << 27)
+    # The MM2S engine moves whole 32-bit words.
+    with pytest.raises(ValueError, match="2302"):
+        SgDescriptor(buffer_addr=0, length=2302)
 
 
 def test_chain_layout_in_dram():

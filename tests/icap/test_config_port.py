@@ -1,6 +1,7 @@
 """Tests for the configuration-port state machine."""
 
 import hashlib
+import struct
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.bitstream import (
 from repro.experiments.table1 import WORKLOAD_ASP
 from repro.fabric import ConfigMemory, FirFilterAsp, encode_asp_frames
 from repro.icap import ConfigPort
+from repro.icap.primitive import _swap_words
 from repro.timing import make_word_corruptor
 
 
@@ -295,3 +297,46 @@ def test_rcrc_clears_crc_error(setup):
     assert port.crc_error
     port.feed_words([type1(OP_WRITE, int(ConfigRegister.CMD), 1), int(Command.RCRC)])
     assert not port.crc_error
+
+
+def test_byte_path_matches_feed_words(setup):
+    """feed_bytes on big-endian burst bytes (the DMA's stream payload)
+    matches feed_words on the same bursts, burst by burst: whole-burst
+    FDRI runs through the byteswapped copy, headers and other registers
+    through the word path, and runs shorter than the CRC's cached block."""
+    layout, _memory, _port, builder = setup
+    table1, _ = _build(layout, builder, "RP1", WORKLOAD_ASP)
+    fir = _build(layout, builder, "RP2")[0].words
+    streams = {
+        "clean": table1.words,
+        # Bytes carry 32 bits: the port masks wider words the same way.
+        "hand-built": [word & 0xFFFFFFFF for word in _hand_built(layout)],
+        "corrupted": [
+            word & 0xFFFFFFFF
+            for word in _corrupted(fir, 360.0, 315.0, 100.0, "RP3")
+        ],
+    }
+    for name, words in streams.items():
+        for burst in (256, 7):
+            by_words = ConfigPort(ConfigMemory(layout))
+            by_bytes = ConfigPort(ConfigMemory(layout))
+            for start in range(0, len(words), burst):
+                chunk = words[start : start + burst]
+                by_words.feed_words(chunk)
+                by_bytes.feed_bytes(struct.pack(f">{len(chunk)}I", *chunk))
+                assert _progress(by_bytes) == _progress(by_words), (
+                    f"{name}: burst at word {start} of {burst}-word bursts"
+                )
+            assert _port_state(by_bytes) == _port_state(by_words), name
+
+
+def test_swap_words_is_host_independent():
+    """The FDRI byteswap turns big-endian packed words into little-endian
+    ones whatever the host's byte order: it is checked against explicit
+    byte orders, not the native one."""
+    words = [0x01020304, 0xFFFFFFFF, 0, 0xAA995566, 0x80000001]
+    big = struct.pack(f">{len(words)}I", *words)
+    little = struct.pack(f"<{len(words)}I", *words)
+    assert _swap_words(big) == little
+    assert _swap_words(little) == big
+    assert _swap_words(b"") == b""

@@ -150,3 +150,43 @@ def test_short_unaligned_tail_burst():
     rig.start(2304)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
     assert rig.dma.bytes_moved == 2304
+
+
+def test_unaligned_length_rejected_at_length_write():
+    """The stream carries whole words: a length with a ragged tail is
+    refused before the engine starts, naming the length."""
+    rig = TransferRig()
+    rig.dram.store(0x1000, bytes(range(256)) * 9)
+    with pytest.raises(ValueError, match="2302"):
+        rig.start(2302)
+    assert rig.dma.idle
+    rig.sim.run(until=50e3)
+    assert rig.dma.bytes_moved == 0
+    assert rig.stream.free_words == rig.stream.fifo_words
+
+
+def test_soft_reset_mid_burst_abandons_the_transfer():
+    """A DMACR soft reset 5 us into a 200 MHz load, with 3 bursts moved
+    and a 4th in flight: the in-flight burst never reaches the stream,
+    its FIFO room comes back, no IOC is raised, and the next transfer
+    runs normally."""
+    rig = TransferRig(freq_mhz=200.0)
+    bitstream, frames = rig.load("RP1")
+    rig.icap.begin_transfer()
+    rig.start(bitstream.size_bytes)
+    rig.sim.run(until=5e3)
+    assert rig.dma.bytes_moved == 3 * 1024
+    assert rig.port.bytes_transferred == 3 * 1024  # the 4th is still out
+    rig.dma.reg_write(MM2S_DMACR, DMACR_RESET)
+    rig.sim.run(until=55e3)
+    assert rig.dma.bytes_moved == 3 * 1024
+    assert rig.dma.ioc_irq.assert_count == 0
+    assert rig.stream.stat_granted_words == rig.stream.stat_released_words
+    assert rig.stream.free_words == rig.stream.fifo_words
+
+    rig.icap.begin_transfer()
+    rig.start(bitstream.size_bytes)
+    rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
+    assert rig.dma.transfers_completed == 1
+    assert rig.dma.bytes_moved == 3 * 1024 + bitstream.size_bytes
+    assert rig.memory.region_frames("RP1") == frames

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import TIMED_PHASES, PdrSystem
+from repro.experiments.points import asp_descriptor, make_point_system
+from repro.experiments.table1 import PAPER_TABLE1, WORKLOAD_ASP
 from repro.fabric import FirFilterAsp
 
 ASP = FirFilterAsp([3, -1, 4, 1, -5, 9, 2, 6])
@@ -47,25 +49,28 @@ def test_reconfigure_phase_breakdown_sums_to_latency(reconfigured_system):
     assert set(TIMED_PHASES) <= set(result.phase_us)
 
 
-def test_telemetry_off_leaves_latency_and_phases_identical():
+@pytest.mark.parametrize("temp_c", [40.0, 100.0])
+@pytest.mark.parametrize("freq_mhz", sorted(PAPER_TABLE1))
+def test_telemetry_off_leaves_latency_and_phases_identical(freq_mhz, temp_c):
     """Telemetry only observes: compiling the probes out changes neither
     the latency, any firmware phase, the device attribution nor the
-    critical path (FIFO back-pressure is model accounting, not a probe)."""
-    from repro.experiments.points import asp_descriptor, reconfigure_point
-    from repro.experiments.table1 import WORKLOAD_ASP
-
+    critical path (FIFO back-pressure is model accounting, not a probe),
+    nor the simulated end time or the kernel's event count.  The grid
+    covers all three Table-I regimes and the 310 MHz @ 100 C failure."""
     workload = asp_descriptor(WORKLOAD_ASP)
-    on = reconfigure_point("RP1", 200.0, 40.0, workload)
-    off = reconfigure_point(
-        "RP1", 200.0, 40.0, workload, config={"telemetry": False}
-    )
-    assert on.succeeded and off.succeeded
+    runs = []
+    for config in (None, {"telemetry": False}):
+        system = make_point_system("RP1", workload, config)
+        system.set_die_temperature(temp_c)
+        result = system.reconfigure("RP1", WORKLOAD_ASP, freq_mhz)
+        runs.append((result, system.sim.now, system.sim.events_processed))
+    (on, on_now, on_events), (off, off_now, off_events) = runs
     assert off.latency_us == on.latency_us
     assert off.phase_us == on.phase_us
     assert off.device_us == on.device_us
     assert off.critical_path == on.critical_path
-    assert on.critical_path is not None
     assert off == on  # every other ReconfigResult field too
+    assert (off_now, off_events) == (on_now, on_events)
 
 
 def test_reconfigure_emits_span_trace_records(reconfigured_system):

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     Deadlock,
     Event,
-    Interrupt,
     SchedulingError,
     SimulationError,
     Simulator,
@@ -258,56 +257,6 @@ def test_handled_process_exception_via_waiter():
     sim.process(parent(sim))
     sim.run()
     assert caught["e"] == "expected"
-
-
-def test_interrupt_delivered_with_cause():
-    sim = Simulator()
-    seen = {}
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(1000.0)
-        except Interrupt as interrupt:
-            seen["cause"] = interrupt.cause
-            seen["time"] = sim.now
-
-    def interrupter(sim, victim):
-        yield sim.timeout(10.0)
-        victim.interrupt(cause="crc-error")
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert seen["cause"] == "crc-error"
-    assert seen["time"] == 10.0
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    process = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SchedulingError):
-        process.interrupt()
-
-
-def test_uncaught_interrupt_ends_process_with_cause():
-    sim = Simulator()
-
-    def sleeper(sim):
-        yield sim.timeout(1000.0)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(5.0)
-        victim.interrupt(cause="abort")
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert victim.value == "abort"
 
 
 def test_deadlock_detected():

@@ -1,10 +1,9 @@
 """Edge cases of the kernel fast path: already-processed resume,
-run_until after Deadlock, event accounting, interrupt-vs-resume races,
-callback entries."""
+run_until after Deadlock, event accounting, callback entries."""
 
 import pytest
 
-from repro.sim import Deadlock, Interrupt, SchedulingError, SimulationError, Simulator
+from repro.sim import Deadlock, SchedulingError, SimulationError, Simulator
 
 
 def test_resume_on_already_processed_event_delivers_value():
@@ -94,78 +93,6 @@ def test_resume_on_finished_process_event():
     sim.process(parent(sim, child_process))
     sim.run()
     assert got["v"] == "early"
-
-
-def test_interrupt_cancels_pending_resume():
-    sim = Simulator()
-    flag = sim.event()
-    trail = []
-
-    def firer(sim):
-        yield sim.timeout(1.0)
-        flag.succeed("stale")
-
-    def waiter(sim):
-        yield sim.timeout(50.0)
-        try:
-            value = yield flag  # already processed -> resume queued
-        except Interrupt as interrupt:
-            trail.append(f"interrupted:{interrupt.cause}")
-            yield sim.timeout(5.0)
-            trail.append("resumed-after")
-            return
-        trail.append(f"value:{value}")
-
-    def interrupter(sim, holder):
-        yield sim.timeout(50.0)
-        holder["victim"].interrupt(cause="now")
-
-    sim.process(firer(sim))
-    # Spawned BEFORE the waiter, so at t=50 the interrupter runs first and
-    # its poke is enqueued ahead of the resume the waiter queues when it
-    # reaches ``yield flag``.  The interrupt detaches the waiter, and the
-    # stale resume left on the heap must NOT re-deliver "stale" into the
-    # re-yielded timeout.
-    holder = {}
-    sim.process(interrupter(sim, holder))
-    holder["victim"] = sim.process(waiter(sim))
-    sim.run()
-    assert trail == ["interrupted:now", "resumed-after"]
-    assert sim.now == 55.0
-
-
-def test_resume_enqueued_first_beats_interrupt():
-    # Mirror ordering: the waiter reaches its yield (queueing the resume)
-    # before the interrupter runs at the same timestamp.  FIFO order means
-    # the resume legitimately wins and the interrupt lands on a finished
-    # process as a no-op poke.
-    sim = Simulator()
-    flag = sim.event()
-    trail = []
-
-    def firer(sim):
-        yield sim.timeout(1.0)
-        flag.succeed("stale")
-
-    def waiter(sim):
-        yield sim.timeout(50.0)
-        try:
-            value = yield flag
-        except Interrupt:  # pragma: no cover - must not happen
-            trail.append("interrupted")
-            return
-        trail.append(f"value:{value}")
-
-    def interrupter(sim, victim):
-        yield sim.timeout(50.0)
-        if victim.is_alive:
-            victim.interrupt(cause="late")
-
-    sim.process(firer(sim))
-    victim = sim.process(waiter(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert trail == ["value:stale"]
 
 
 def test_run_until_usable_after_deadlock():
