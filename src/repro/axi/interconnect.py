@@ -1,33 +1,27 @@
 """AXI memory-mapped crossbar interconnect.
 
 Routes master bursts to the DDR controller.  Each master gets its own
-command lane: a private FIFO drained by a per-master process that pays
-the forward-path latency (address decode + register slices) and then
-issues the burst to the controller tagged with the master's name.  Lanes
-run concurrently — so when the Fig. 1 framework's DMA bitstream fetch,
-CPU traffic, and a second tenant's generator all pull on the memory
-system at once, their forward paths overlap and the *DDR command
-multiplexer* (round-robin, in :class:`repro.dram.BankDramController`)
-becomes the genuine point of contention, with per-master bandwidth
-accounting on both sides.
+command lane: a private FIFO whose head pays the forward-path latency
+(address decode + register slices) and is then handed to the controller
+tagged with the master's name.  Lanes run concurrently — so when the
+Fig. 1 framework's DMA bitstream fetch, CPU traffic, and a second
+tenant's generator all pull on the memory system at once, their forward
+paths overlap and the *DDR command multiplexer* (round-robin, in
+:class:`repro.dram.BankDramController`) becomes the genuine point of
+contention, with per-master bandwidth accounting on both sides.
 
-For a single master this times identically to the previous serialising
-round-robin arbiter: one lane, FIFO order, forward latency then
-controller service.
-
-When a read is the only traffic on the memory path (one master
-registered here and at the controller, its lane and the multiplexer
-idle, no fault hook armed), :meth:`AxiInterconnect.forward_read` runs it
-without the daemons: the forward, DDR-service and port-streaming stages
-become kernel entries (:meth:`Simulator.call_later`) that call the same
-accounting helpers at the same instants, so every time and counter is
-the one the lane and server processes would produce.
+A lane is a callback queue, not a process.  Its head's forward path is
+one kernel entry (:meth:`~repro.sim.Simulator.call_later`) ending in
+:meth:`~repro.dram.BankDramController.accept`, and the controller's
+service end starts the lane's next request.  For a single master this
+times identically to a serialising round-robin arbiter: one lane, FIFO
+order, forward latency then controller service.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..dram import BankDramController, MemoryRequest
 from ..obs import MetricsRegistry
@@ -48,16 +42,16 @@ class AxiSlaveError(RuntimeError):
 
 
 class _Lane:
-    """One master's command lane: FIFO queue + wake event."""
+    """One master's command lane: a FIFO of ``(request, then)`` whose head
+    is in flight while ``busy``."""
 
-    __slots__ = ("queue", "wake", "holder")
+    __slots__ = ("queue", "busy")
 
     def __init__(self):
-        self.queue: Deque[tuple] = deque()
-        self.wake: Optional[Event] = None
-        #: ``(port, done)`` of the :meth:`AxiInterconnect.forward_read`
-        #: burst holding the lane; requests queue behind it unserved.
-        self.holder: Optional[tuple] = None
+        self.queue: Deque[
+            Tuple[MemoryRequest, Callable[[MemoryRequest], None]]
+        ] = deque()
+        self.busy = False
 
 
 class AxiInterconnect:
@@ -106,66 +100,37 @@ class AxiInterconnect:
     def read(self, addr: int, size: int, master: str = _DEFAULT_MASTER) -> Event:
         """Submit a read; the event value is the data bytes."""
         done = self.sim.event(name=f"{self.name}.read")
-        self._submit(master, ("r", addr, size, None, done, self.sim.now))
+        request = MemoryRequest(addr=addr, size=size, master=master, done=done)
+        self.submit(request, MemoryRequest.complete)
         return done
 
     def write(self, addr: int, data: bytes, master: str = _DEFAULT_MASTER) -> Event:
+        """Submit a write; the event fires when it is committed."""
         done = self.sim.event(name=f"{self.name}.write")
-        self._submit(master, ("w", addr, len(data), data, done, self.sim.now))
+        request = MemoryRequest(
+            addr=addr,
+            size=len(data),
+            is_write=True,
+            data=data,
+            master=master,
+            done=done,
+        )
+        self.submit(request, MemoryRequest.complete)
         return done
 
-    def forward_read(self, addr: int, size: int, port, done) -> bool:
-        """Run ``port``'s read as kernel entries if it meets no other traffic.
+    def submit(
+        self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
+    ) -> None:
+        """Queue ``request`` on its master's lane now.
 
-        Applies only when ``port.name`` is the one master registered here
-        and at the controller, its lane and the DDR multiplexer are idle
-        and no fault hook is armed; otherwise returns False and does
-        nothing.  The burst then holds the lane: the forward stage ends
-        in :meth:`BankDramController.accept`, the service end calls
-        :meth:`returned`, which hands the data to ``port.deliver``.
-        ``done`` is the port's completion target (an :class:`Event` or
-        the issuing master's own, see :meth:`AxiHpPort.read`).
-        The crossbar's fault hooks are read only here, at issue:
-        :mod:`repro.chaos` arms and disarms them between runs.
+        ``then(request)`` runs once the controller has served it
+        (``request.read_data`` holds a read's bytes).  An error response
+        from :attr:`fault_error` fails ``request.done`` instead and never
+        reaches the controller.  An idle lane starts at once when it is
+        the only one; with more, one zero-delay entry later, as
+        :meth:`~repro.dram.BankDramController.accept` picks.
         """
-        master = port.name
-        lane = self._lanes.get(master)
-        if (
-            lane is None
-            or len(self._lanes) != 1
-            or lane.holder is not None
-            or lane.wake is None
-            or lane.wake.triggered
-            or self.fault_stall_ns is not None
-            or self.fault_error is not None
-            or not self.controller.uncontended(master)
-        ):
-            return False
-        lane.holder = (port, done)
-        self._admit(master)
-        self.sim.call_later(
-            self._start(master, size, self.sim.now),
-            self.controller.accept,
-            MemoryRequest(addr=addr, size=size, master=master),
-            self.returned,
-        )
-        return True
-
-    def returned(self, request: MemoryRequest) -> None:
-        """A :meth:`forward_read` burst has been served: close its crossbar
-        accounting, release the lane and hand the data to the port."""
         master = request.master
-        lane = self._lanes[master]
-        port, done = lane.holder
-        lane.holder = None
-        self._finish(master, request.size)
-        if lane.queue:
-            lane.wake.succeed()
-        port.deliver(request.size, request.read_data, done)
-
-    # -- internals ----------------------------------------------------------
-    def _admit(self, master: str) -> _Lane:
-        """Count one more request in flight from ``master``; its lane."""
         lane = self._lanes.get(master)
         if lane is None:
             lane = self._lanes[master] = _Lane()
@@ -178,24 +143,24 @@ class AxiInterconnect:
             self._m_master_wait[master] = self.metrics.counter(
                 f"{self.name}.master.{master}.wait_ns"
             )
-            self.sim.process(
-                self._lane_server(master, lane),
-                name=f"{self.name}.lane.{master}",
-                daemon=True,
-            )
         self._m_outstanding.add(1)
-        return lane
+        request.submitted_ns = self.sim.now
+        lane.queue.append((request, then))
+        if not lane.busy:
+            lane.busy = True
+            if len(self._lanes) == 1:
+                self.forward(lane)
+            else:
+                self.sim.call_later(0.0, self.forward, lane)
 
-    def _submit(self, master: str, request: tuple) -> None:
-        lane = self._admit(master)
-        lane.queue.append(request)
-        if lane.holder is None and lane.wake is not None and not lane.wake.triggered:
-            lane.wake.succeed()
-
-    def _start(self, master: str, size: int, submitted_ns: float) -> float:
-        """Take a transaction off ``master``'s lane now: account its wait;
-        returns its forward-path delay (decode + arbitration + slices)."""
-        wait_ns = self.sim.now - submitted_ns
+    # -- lane stages (kernel entries) ------------------------------------------
+    def forward(self, lane: _Lane) -> None:
+        """Take the lane's head now: account its wait, then pay the forward
+        path (decode + arbitration + slices) as one entry."""
+        request = lane.queue[0][0]
+        master = request.master
+        size = request.size
+        wait_ns = self.sim.now - request.submitted_ns
         self.transactions += 1
         self.per_master_transactions[master] += 1
         self.per_master_wait_ns[master] += wait_ns
@@ -206,32 +171,39 @@ class AxiInterconnect:
         stall_ns = 0.0
         if self.fault_stall_ns is not None:
             stall_ns = max(0.0, self.fault_stall_ns())
-        return self.forward_latency_ns + stall_ns
+        self.sim.call_later(
+            self.forward_latency_ns + stall_ns, self.forwarded, lane, request
+        )
 
-    def _finish(self, master: str, size: int) -> None:
-        """Close a served transaction's accounting."""
-        self.per_master_bytes[master] += size
-        self._m_master_bytes[master].inc(size)
+    def forwarded(self, lane: _Lane, request: MemoryRequest) -> None:
+        """The head has crossed the forward path: an error response ends
+        it here, otherwise it goes on to the DDR multiplexer."""
+        if self.fault_error is not None:
+            kind = "w" if request.is_write else "r"
+            error = self.fault_error(kind, request.addr, request.size)
+            if error is not None:
+                lane.queue.popleft()
+                self._m_error_responses.inc()
+                request.done.fail(error)
+                self._m_outstanding.add(-1)
+                self._next(lane)
+                return
+        self.controller.accept(request, self.served)
+
+    def served(self, request: MemoryRequest) -> None:
+        """The controller has served the head: close its accounting, start
+        the lane's next request, then hand this one back to its issuer."""
+        master = request.master
+        lane = self._lanes[master]
+        then = lane.queue.popleft()[1]
+        self.per_master_bytes[master] += request.size
+        self._m_master_bytes[master].inc(request.size)
         self._m_outstanding.add(-1)
+        self._next(lane)
+        then(request)
 
-    def _lane_server(self, master: str, lane: _Lane):
-        while True:
-            if not lane.queue:
-                lane.wake = self.sim.event(name=f"{self.name}.lane.{master}.wake")
-                yield lane.wake
-            kind, addr, size, data, done, submitted_ns = lane.queue.popleft()
-            yield self.sim.timeout(self._start(master, size, submitted_ns))
-            if self.fault_error is not None:
-                error = self.fault_error(kind, addr, size)
-                if error is not None:
-                    self._m_error_responses.inc()
-                    done.fail(error)
-                    self._m_outstanding.add(-1)
-                    continue
-            if kind == "r":
-                payload = yield self.controller.read(addr, size, master=master)
-                done.succeed(payload)
-            else:
-                yield self.controller.write(addr, data, master=master)
-                done.succeed(None)
-            self._finish(master, size)
+    def _next(self, lane: _Lane) -> None:
+        if lane.queue:
+            self.forward(lane)
+        else:
+            lane.busy = False

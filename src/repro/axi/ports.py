@@ -11,6 +11,7 @@ combination reproduces the paper's measured memory-path bandwidth of
 
 from __future__ import annotations
 
+from ..dram import MemoryRequest
 from ..sim import Event, Simulator
 
 from .interconnect import AxiInterconnect
@@ -63,64 +64,54 @@ class AxiHpPort:
         when the burst has left the port, ``fail(exc)`` on an error
         response.  A fresh event is made (and returned) if none is
         given; a master that passes its own target is called directly.
-
-        A burst that meets no other traffic runs as kernel entries
-        (:meth:`AxiInterconnect.forward_read`); any other runs as a
-        transaction process behind the crossbar lane and DDR server
-        daemons.  Both give the same times and accounting.
+        The burst goes onto this port's crossbar lane at once, and the
+        streaming left after the DDR transfer is one kernel entry.
         """
         if done is None:
             done = self.sim.event(name=f"{self.name}.read")
-        if self.interconnect.forward_read(addr, size, self, done):
-            return done
-
-        def transaction():
-            # An error response on the bus must land on the *issuing*
-            # master's completion target, not kill this port process.
-            try:
-                data = yield self.interconnect.read(addr, size, master=self.name)
-            except Exception as exc:
-                done.fail(exc)
-                return
-            extra = self._stream_tail_ns(size)
-            if extra > 0:
-                yield self.sim.timeout(extra)
-            self.streamed(done, size, data)
-
-        self.sim.process(transaction(), name=f"{self.name}.read@{addr:#x}")
+        request = MemoryRequest(addr=addr, size=size, master=self.name, done=done)
+        self.interconnect.submit(request, self.deliver)
         return done
 
-    def deliver(self, size: int, data: bytes, done) -> None:
-        """Stream a served :meth:`AxiInterconnect.forward_read` burst out of
-        the port; :meth:`streamed` completes it when the port is done."""
-        extra = self._stream_tail_ns(size)
+    def deliver(self, request: MemoryRequest) -> None:
+        """A read has been served: stream what the DDR transfer did not
+        cover, then :meth:`streamed` completes it."""
+        extra = self._stream_tail_ns(request.size)
         if extra > 0:
-            self.sim.call_later(extra, self.streamed, done, size, data)
+            self.sim.call_later(extra, self.streamed, request)
         else:
-            self.streamed(done, size, data)
-
-    def streamed(self, done, size: int, data: bytes) -> None:
-        """A read burst has left the port: count it and complete ``done``."""
-        self.bytes_transferred += size
-        done.succeed(data)
+            self.streamed(request)
 
     def write(self, addr: int, data: bytes) -> Event:
+        """Write a burst through the port; the event fires once the DDR
+        has committed it (or fails on an error response).
+
+        The data streams into the port first; the part of that the DDR
+        transfer does not cover is one kernel entry before the burst goes
+        onto the crossbar lane.
+        """
         done = self.sim.event(name=f"{self.name}.write")
-
-        def transaction():
-            extra = self._stream_tail_ns(len(data))
-            if extra > 0:
-                yield self.sim.timeout(extra)
-            try:
-                yield self.interconnect.write(addr, data, master=self.name)
-            except Exception as exc:
-                done.fail(exc)
-                return
-            self.bytes_transferred += len(data)
-            done.succeed(None)
-
-        self.sim.process(transaction(), name=f"{self.name}.write@{addr:#x}")
+        request = MemoryRequest(
+            addr=addr,
+            size=len(data),
+            is_write=True,
+            data=data,
+            master=self.name,
+            done=done,
+        )
+        extra = self._stream_tail_ns(request.size)
+        if extra > 0:
+            self.sim.call_later(
+                extra, self.interconnect.submit, request, self.streamed
+            )
+        else:
+            self.interconnect.submit(request, self.streamed)
         return done
+
+    def streamed(self, request: MemoryRequest) -> None:
+        """A burst has crossed the port: count it and complete its issuer."""
+        self.bytes_transferred += request.size
+        request.complete()
 
 
 class AxiAcpPort:

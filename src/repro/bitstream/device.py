@@ -129,10 +129,6 @@ class DeviceLayout:
     def total_frames(self) -> int:
         return self.frames_per_row * self.rows * 2
 
-    @property
-    def total_config_bytes(self) -> int:
-        return self.total_frames * FRAME_BYTES
-
     def minors_of_column(self, column: int) -> int:
         return self._column_minors[column]
 

@@ -58,16 +58,8 @@ class PacketHeader:
     word_count: int
 
     @property
-    def is_noop(self) -> bool:
-        return self.packet_type == 1 and self.opcode == OP_NOP
-
-    @property
     def is_write(self) -> bool:
         return self.opcode == OP_WRITE
-
-    @property
-    def is_read(self) -> bool:
-        return self.opcode == OP_READ
 
 
 def type1(opcode: int, register_addr: int, word_count: int) -> int:

@@ -206,19 +206,21 @@ class PdrSystem:
         self.pcap = Pcap(sim, self.memory)
 
         # ---- bench: thermal + power ------------------------------------------
-        self.power_model = PowerModel(power_params or PowerModelParams())
-        self.thermal = ThermalModel(
+        # The sources and probes below close over the component they read,
+        # never over ``self``: a closure over the system held by one of its
+        # own parts is a reference cycle that outlives the run.
+        overclock = self.overclock
+        power_model = self.power_model = PowerModel(power_params or PowerModelParams())
+        thermal = self.thermal = ThermalModel(
             sim,
-            power_source=lambda: self.power_model.pdr_power_w(
-                self.overclock.freq_mhz, 40.0
-            ),
+            power_source=lambda: power_model.pdr_power_w(overclock.freq_mhz, 40.0),
         )
-        self.heat_gun = HeatGun(self.thermal)
-        self.temp_sensor = TemperatureSensor(self.thermal)
+        self.heat_gun = HeatGun(thermal)
+        self.temp_sensor = TemperatureSensor(thermal)
         self.current_sense = CurrentSense(
-            self.power_model,
-            freq_source=lambda: self.overclock.freq_mhz,
-            temp_source=lambda: self.thermal.temperature_c,
+            power_model,
+            freq_source=lambda: overclock.freq_mhz,
+            temp_source=lambda: thermal.temperature_c,
         )
         #: Board supply state: brownouts clamp the usable over-clock.
         self.supply = PowerSupply(now_fn=lambda: sim.now)
@@ -254,8 +256,8 @@ class PdrSystem:
         metrics.probe("sim.events_processed", lambda: sim.events_processed)
         metrics.probe("sim.heap_high_water", lambda: sim.heap_high_water)
         metrics.probe("sim.processes_spawned", lambda: sim.processes_spawned)
-        metrics.probe("overclock.freq_mhz", lambda: self.overclock.freq_mhz)
-        metrics.probe("bench.die_temp_c", lambda: self.thermal.temperature_c)
+        metrics.probe("overclock.freq_mhz", lambda: overclock.freq_mhz)
+        metrics.probe("bench.die_temp_c", lambda: thermal.temperature_c)
         self._temp_series = metrics.series("bench.temp_c")
         self._power_series = metrics.series("bench.board_power_w")
         self._m_reconfigures = metrics.counter("fw.reconfigures")

@@ -52,11 +52,13 @@ __all__ = ["AxiDmaEngine", "S2mmDmaEngine"]
 
 
 class _BurstRead:
-    """Where the HP port completes the burst reads of one transfer epoch.
+    """Where the HP port completes one burst read of a transfer epoch.
 
     The port completes it as it would an :class:`~repro.sim.Event`:
     ``succeed(data)`` once the burst has left the port, ``fail(exc)`` on
     an error response.  Both reach the engine tagged with the epoch.
+    The engine keeps no reference to it, so once the read completes it
+    is freed by reference counting.
     """
 
     __slots__ = ("engine", "epoch")
@@ -129,7 +131,6 @@ class AxiDmaEngine:
         #: Bumped by every soft reset; chain entries and port reads carry
         #: the epoch they were issued in and drop out if it has moved on.
         self._epoch = 0
-        self._reader = _BurstRead(self, 0)
         #: The in-flight transfer: next read address, bytes left, the
         #: programmed length, start time, bytes pushed, current burst.
         self._cursor = 0
@@ -206,7 +207,6 @@ class AxiDmaEngine:
         the ICAP abort path is responsible for quiescing the consumer.
         """
         self._epoch += 1
-        self._reader = _BurstRead(self, self._epoch)
         self._active = False
         if self._reservation is not None:
             words, granted = self._reservation
@@ -261,7 +261,7 @@ class AxiDmaEngine:
         if epoch != self._epoch:
             return
         self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
-        self.port.read(self._cursor, self._burst_bytes, self._reader)
+        self.port.read(self._cursor, self._burst_bytes, _BurstRead(self, epoch))
 
     def fetched(self, epoch: int, data: bytes) -> None:
         """The burst has left the HP port: push its bytes onto the stream."""

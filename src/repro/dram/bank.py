@@ -36,7 +36,10 @@ ROADMAP.md):
   end-to-end (stall + activate/precharge + CAS + data transfer); that
   serialisation is exactly the multi-master contention the paper's
   memory-path bottleneck comes from.  Per-master bytes / wait ledgers
-  feed the crossbar's bandwidth accounting.
+  feed the crossbar's bandwidth accounting.  The multiplexer is a
+  callback queue, not a process: a free bus picks a request and its
+  service is one kernel entry (:meth:`~repro.sim.Simulator.call_later`),
+  whose end completes the request and picks the next.
 
 Calibration note: the defaults (tCAS 202, tRCD 100, **tRP 0**) give the
 end-to-end latencies the paper's memory-side bandwidth calibrates to —
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from ..sim import Event, Simulator
@@ -89,11 +92,18 @@ class MemoryRequest:
     data: Optional[bytes] = None
     #: Filled by the controller for reads.
     read_data: Optional[bytes] = field(default=None, repr=False)
+    #: Where the issuer learns the outcome: ``succeed(read data or None)``
+    #: once served, ``fail(exc)`` on an error response.  An
+    #: :class:`Event`, or any object completed like one.
     done: Optional[Event] = None
-    #: Submission time, for queue-wait accounting.
+    #: Submission time at the current stage, for queue-wait accounting.
     submitted_ns: float = 0.0
     #: Issuing master (crossbar routing tag + per-master accounting).
     master: str = "m0"
+
+    def complete(self) -> None:
+        """Succeed :attr:`done` with the read bytes (``None`` for a write)."""
+        self.done.succeed(self.read_data)
 
 
 @dataclass(frozen=True)
@@ -135,9 +145,9 @@ class BankTiming:
 class BankDramController:
     """Bank-aware DDR controller with a multi-master command multiplexer.
 
-    Masters submit bursts with ``read``/``write``, which return
-    completion events; a ``master=`` tag routes each burst into its own
-    queue for round-robin arbitration and per-master accounting.
+    Masters submit bursts with :meth:`accept` (or its event forms
+    ``read``/``write``); the request's ``master`` tag routes it into its
+    own queue for round-robin arbitration and per-master accounting.
     """
 
     def __init__(
@@ -160,14 +170,15 @@ class BankDramController:
         self.timing = timing or BankTiming()
         self.page_policy = page_policy
         self.refresh_mode = refresh_mode
-        self._queues: Dict[str, Deque[MemoryRequest]] = {}
+        #: Per-master FIFOs of ``(request, then)``.
+        self._queues: Dict[
+            str, Deque[Tuple[MemoryRequest, Callable[[MemoryRequest], None]]]
+        ] = {}
         self._rr_order: List[str] = []
         self._rr_index = 0
         self._pending = 0
-        self._wakeup: Event = sim.event(name=f"{name}.wake")
-        #: True while an :meth:`accept`-ed burst holds the bus; the server
-        #: is parked and submissions queue without waking it.
-        self._held = False
+        #: True while a burst holds the bus or a pick is scheduled.
+        self._busy = False
         #: When the burst on the bus started service (one at a time).
         self._service_start_ns = 0.0
         self.requests_served = 0
@@ -214,93 +225,52 @@ class BankDramController:
         ] = None
         #: Optional :class:`repro.verify.InvariantMonitor` (set by attach).
         self.monitor = None
-        sim.process(self._serve(), name=f"{name}.server", daemon=True)
 
     # -- master-facing API ----------------------------------------------------
     def read(self, addr: int, size: int, master: str = "m0") -> Event:
         """Submit a read burst; the event's value is the data bytes."""
-        request = MemoryRequest(
-            addr=addr,
-            size=size,
-            done=self.sim.event(),
-            submitted_ns=self.sim.now,
-            master=master,
+        done = self.sim.event()
+        self.accept(
+            MemoryRequest(addr=addr, size=size, master=master, done=done),
+            MemoryRequest.complete,
         )
-        self._submit(request)
-        return request.done
+        return done
 
     def write(self, addr: int, data: bytes, master: str = "m0") -> Event:
         """Submit a write burst; the event fires when committed."""
+        done = self.sim.event()
         request = MemoryRequest(
             addr=addr,
             size=len(data),
             is_write=True,
             data=data,
-            done=self.sim.event(),
-            submitted_ns=self.sim.now,
             master=master,
+            done=done,
         )
-        self._submit(request)
-        return request.done
+        self.accept(request, MemoryRequest.complete)
+        return done
 
     @property
     def queue_depth(self) -> int:
         return self._pending
 
-    def uncontended(self, master: str) -> bool:
-        """True when a burst from ``master`` would meet no other traffic.
-
-        ``master`` must be the only master registered here, the
-        multiplexer idle (server parked, nothing queued, no
-        :meth:`accept`-ed burst on the bus) and no fault hook armed.
-        """
-        return (
-            not self._held
-            and not self._wakeup.triggered
-            and self._rr_order == [master]
-            and self.fault_latency_ns is None
-            and self.fault_read_tamper is None
-        )
-
     def accept(
         self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
     ) -> None:
-        """Take ``request`` as it reaches the multiplexer; ``then(request)``
-        runs when it has been served.
+        """Queue ``request`` at the multiplexer now; ``then(request)`` runs
+        in the entry that ends its service (``request.read_data`` holds a
+        read's bytes).
 
-        On an idle multiplexer the burst starts service at once and holds
-        the bus until :meth:`served`, one kernel entry later: requests
-        submitted meanwhile queue behind it exactly as behind the server.
-        On a busy multiplexer it queues for the server like any other
-        request.  Either way its timing and accounting are the server's.
+        A free bus picks at once when one master is registered.  With
+        more, the pick is one zero-delay entry later, so every master that
+        reaches the free bus in this instant is queued before it and the
+        round-robin pointer, not arrival order, decides who goes first.
         """
         request.submitted_ns = self.sim.now
-        if self._held or self._wakeup.triggered:
-            request.done = self.sim.event()
-            request.done.callbacks.append(lambda _event: then(request))
-            self._submit(request)
-            return
-        self._held = True
-        self._submit(request)
-        delay = self._start_service(self._next_request())
-        self.sim.call_later(delay, self.served, request, then)
-
-    def served(
-        self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
-    ) -> None:
-        """Kernel entry at the end of an :meth:`accept`-ed burst's service:
-        complete it, release the bus to any queued request, run ``then``."""
-        self._finish_service(request)
-        self._held = False
-        if self._pending:
-            self._wakeup.succeed()
-        then(request)
-
-    # -- command multiplexer -------------------------------------------------
-    def _submit(self, request: MemoryRequest) -> None:
         master = request.master
-        if master not in self._queues:
-            self._queues[master] = deque()
+        queue = self._queues.get(master)
+        if queue is None:
+            queue = self._queues[master] = deque()
             self._rr_order.append(master)
             self.masters[master] = MasterLedger()
             self._m_master_bytes[master] = self.metrics.counter(
@@ -309,13 +279,38 @@ class BankDramController:
             self._m_master_wait[master] = self.metrics.counter(
                 f"{self.name}.master.{master}.wait_ns"
             )
-        self._queues[master].append(request)
+        queue.append((request, then))
         self._pending += 1
         self._m_queue_depth.set(self._pending)
-        if not self._wakeup.triggered and not self._held:
-            self._wakeup.succeed()
+        if not self._busy:
+            self._busy = True
+            if len(self._rr_order) == 1:
+                self.pick()
+            else:
+                self.sim.call_later(0.0, self.pick)
 
-    def _next_request(self) -> MemoryRequest:
+    # -- command multiplexer -------------------------------------------------
+    def pick(self) -> None:
+        """Put the round-robin pick on the bus; its service is one entry."""
+        request, then = self._next_request()
+        self.sim.call_later(
+            self._start_service(request), self.served, request, then
+        )
+
+    def served(
+        self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
+    ) -> None:
+        """The burst on the bus is done: complete it, then pick again."""
+        self._finish_service(request)
+        then(request)
+        if self._pending:
+            self.pick()
+        else:
+            self._busy = False
+
+    def _next_request(
+        self,
+    ) -> Tuple[MemoryRequest, Callable[[MemoryRequest], None]]:
         """Round-robin pick: resume scanning after the last-served master."""
         count = len(self._rr_order)
         for offset in range(count):
@@ -374,17 +369,7 @@ class BankDramController:
         if self.refresh_mode == "engine":
             self._refresh_stall(self.sim.now if now_ns is None else now_ns)
 
-    # -- server ----------------------------------------------------------------
-    def _serve(self):
-        while True:
-            if self._pending == 0:
-                self._wakeup = self.sim.event(name=f"{self.name}.wake")
-                yield self._wakeup
-            request = self._next_request()
-            yield self.sim.timeout(self._start_service(request))
-            self._finish_service(request)
-            request.done.succeed(request.read_data)
-
+    # -- service -------------------------------------------------------------
     def _start_service(self, request: MemoryRequest) -> float:
         """Put the picked ``request`` on the bus now: account its queue
         wait, charge refresh, classify the bank access.  Returns how long

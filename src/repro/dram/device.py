@@ -50,12 +50,6 @@ class DramDevice:
         self.row_conflicts = 0
 
     # -- bank machine -------------------------------------------------------
-    def bank_of(self, addr: int) -> int:
-        return (addr // self.timing.row_bytes) % self.timing.banks
-
-    def row_of(self, addr: int) -> int:
-        return addr // self.timing.row_bytes
-
     def bank_access(
         self, addr: int, size: int, policy: str = "open"
     ) -> Tuple[str, int, int, Optional[int]]:

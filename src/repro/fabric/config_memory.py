@@ -20,7 +20,7 @@ for fault-injection experiments.
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..bitstream.device import FRAME_BYTES, FRAME_WORDS, DeviceLayout
 from ..bitstream.far import FrameAddress
@@ -39,7 +39,6 @@ class ConfigMemory:
         self._slab = bytearray(self.total_frames * FRAME_BYTES)
         self._generation: List[int] = [0] * self.total_frames
         self.total_frame_writes = 0
-        self._watchers: List[Callable[[int], None]] = []
 
     # -- access ------------------------------------------------------------
     def read_frame(self, index: int) -> List[int]:
@@ -74,8 +73,6 @@ class ConfigMemory:
         self._slab[offset : offset + FRAME_BYTES] = packed
         self._generation[index] += 1
         self.total_frame_writes += 1
-        for watcher in self._watchers:
-            watcher(index)
 
     def read_frames_packed(self, index: int, count: int) -> bytes:
         """``count`` consecutive frames as packed little-endian bytes."""
@@ -110,10 +107,6 @@ class ConfigMemory:
                 f"frame range [{first}, {first + count}) out of range"
             )
         return self._generation[first : first + count]
-
-    def watch_writes(self, callback: Callable[[int], None]) -> None:
-        """Register ``callback(frame_index)`` on every frame write."""
-        self._watchers.append(callback)
 
     # -- region views --------------------------------------------------------
     def region_frames(self, name: str) -> List[List[int]]:
@@ -188,8 +181,7 @@ class ConfigMemory:
         )
 
     def restore_state(self, state) -> None:
-        """Restore a :meth:`capture_state` result (watchers NOT invoked:
-        forks restore memory before any watcher-owning device reads it)."""
+        """Restore a :meth:`capture_state` result."""
         slab, generations, writes = state
         self._slab[:] = slab
         self._generation[:] = generations

@@ -1,7 +1,7 @@
 """Reconfigurable partitions as functional units.
 
 :class:`RpRegion` is the runtime view of one reconfigurable partition
-(RP 1–4 of the paper's Fig. 1): it watches the configuration memory and
+(RP 1–4 of the paper's Fig. 1): it reads the configuration memory and
 exposes whatever ASP is currently configured as an executable object.
 """
 
@@ -30,24 +30,28 @@ class RpRegion:
         self.layout.region(name)  # validate the name early
         # Region frames are contiguous in flat frame-index space
         # (region_span asserts it), so a range covers them without the
-        # per-frame address translation.  Membership tests on a range are
-        # O(1), which _on_frame_write needs for every frame of every
-        # transfer.
+        # per-frame address translation.
         first, count = self.layout.region_span(name)
         self._frame_indices = range(first, first + count)
-        self._frame_index_set = self._frame_indices
-        self._first_frame_index = first if count else -1
         self._cached_asp: Optional[Asp] = None
         self._cached_generation: Optional[List[int]] = None
-        #: How many distinct configurations this region has held.
-        self.reconfiguration_count = 0
-        self._last_seen_generation = self._generations()
-        memory.watch_writes(self._on_frame_write)
+        self._base_generation = memory.generation(first)
 
     # -- configuration state ----------------------------------------------
     @property
     def frame_count(self) -> int:
         return len(self._frame_indices)
+
+    @property
+    def reconfiguration_count(self) -> int:
+        """How many configurations this region has held since it was built.
+
+        Every load rewrites the region's first frame once, so this is
+        that frame's generation counter (which snapshots restore) less
+        its value when the region was built.
+        """
+        first = self._frame_indices.start
+        return self.memory.generation(first) - self._base_generation
 
     @property
     def size_bytes(self) -> int:
@@ -94,14 +98,6 @@ class RpRegion:
         return self.memory.generation_span(
             self._frame_indices.start, len(self._frame_indices)
         )
-
-    def _on_frame_write(self, frame_index: int) -> None:
-        if frame_index not in self._frame_index_set:
-            return
-        # Count a "reconfiguration" once per burst of writes: when the first
-        # frame of the region is rewritten.
-        if frame_index == self._first_frame_index:
-            self.reconfiguration_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         asp = self.try_current_asp()

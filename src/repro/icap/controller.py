@@ -20,6 +20,7 @@ their CRC.
 from __future__ import annotations
 
 import operator
+import weakref
 from typing import Callable, List, Optional
 
 from ..axi.stream import AxiStream, StreamBurst
@@ -46,7 +47,11 @@ class IcapController:
     ):
         self.sim = sim
         self.clock = clock
-        self.stream = stream
+        #: Held weakly: the stream holds :meth:`receive` between bursts,
+        #: and a strong link back would make the pair a reference cycle
+        #: that keeps the configuration memory alive until the cyclic
+        #: collector runs.  The stream's owner and producer keep it alive.
+        self._stream = weakref.ref(stream)
         self.name = name
         self.port = ConfigPort(memory)
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
@@ -112,7 +117,8 @@ class IcapController:
         done flags are cleared so the scrubber's busy gate reopens.
         """
         polls = 0
-        while self.stream.queued_bursts or self.stream.free_words < self.stream.fifo_words:
+        stream = self._stream()
+        while stream.queued_bursts or stream.free_words < stream.fifo_words:
             polls += 1
             if polls > self.ABORT_POLL_LIMIT:
                 raise RuntimeError(
@@ -181,6 +187,7 @@ class IcapController:
                 self.done.set(True)
             if self.port.has_error:
                 self.error_irq.assert_()
-        self.stream.release(burst.word_count)
+        stream = self._stream()
+        stream.release(burst.word_count)
         self._wait_started_ns = self.sim.now
-        self.stream.take(self.receive)
+        stream.take(self.receive)

@@ -110,6 +110,3 @@ class ZedboardTestApp:
 
     def image_names(self) -> List[str]:
         return sorted(self._images)
-
-    def oled_snapshot(self) -> List[str]:
-        return self.system.oled.snapshot()

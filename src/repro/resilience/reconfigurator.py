@@ -26,6 +26,7 @@ system trace) so time-to-repair shows up next to the firmware phases.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -192,8 +193,9 @@ class ResilientReconfigurator:
             "resilience.repair_verify_failures"
         )
         self._m_mttr_us = metrics.histogram("resilience.mttr_us")
+        sim = system.sim
         self._spans = SpanRecorder(
-            now_fn=lambda: system.sim.now,
+            now_fn=lambda: sim.now,
             tracer=system.trace,
             source="resilience",
             metrics=metrics,
@@ -382,9 +384,18 @@ class ResilientReconfigurator:
 
         Once attached, any scrub pass (including the background loop)
         that detects a corrupted region queues it here; call
-        :meth:`repair_pending` to re-write the golden content.
+        :meth:`repair_pending` to re-write the golden content.  The hook
+        holds this reconfigurator weakly: it holds the system, and a
+        strong link back would be a reference cycle.
         """
-        self.system.scrubber.on_mismatch = self._on_scrub_mismatch
+        owner = weakref.ref(self)
+
+        def on_mismatch(scrub) -> None:
+            reconfigurator = owner()
+            if reconfigurator is not None:
+                reconfigurator._on_scrub_mismatch(scrub)
+
+        self.system.scrubber.on_mismatch = on_mismatch
 
     def _on_scrub_mismatch(self, scrub) -> None:
         if scrub.region == self._active_region:

@@ -239,10 +239,6 @@ class Process(Event):
         if not daemon:
             sim._live_processes += 1
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def _process(self) -> None:
         had_waiters = bool(self.callbacks)
         super()._process()
@@ -260,7 +256,6 @@ class Process(Event):
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         sim = self.sim
-        sim._active_process, previous = self, sim._active_process
         try:
             if throw is not None:
                 target = self._generator.throw(throw)
@@ -281,8 +276,6 @@ class Process(Event):
             if not isinstance(exc, Exception):  # pragma: no cover
                 raise
             return
-        finally:
-            sim._active_process = previous
 
         if not isinstance(target, Event):
             raise SimulationError(
@@ -383,7 +376,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, Any]] = []
         self._sequence = 0
         self._live_processes = 0
-        self._active_process: Optional[Process] = None
         self._running = False
         self._unhandled: List[Process] = []
         #: Every process that died unobserved, kept for post-mortem
@@ -413,10 +405,6 @@ class Simulator:
     def now_s(self) -> float:
         """Current simulation time in seconds."""
         return self._now / 1e9
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event construction ---------------------------------------------------
     def event(self, name: str = "") -> Event:

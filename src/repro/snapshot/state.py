@@ -65,10 +65,10 @@ class SystemSnapshot:
     bitstreams: Tuple[Tuple[tuple, Any], ...]
     #: Staged DRAM addresses, keyed by position in :attr:`bitstreams`.
     staged: Tuple[Tuple[int, int], ...]
-    #: Scrubber golden CRCs: ``(region, crc)`` pairs.
+    #: Scrubber golden CRCs: ``(region, crc)`` pairs.  Region
+    #: reconfiguration counts need no field: they derive from the frame
+    #: generations in :attr:`memory_state`.
     expected_crcs: Tuple[Tuple[str, int], ...]
-    #: Per-region reconfiguration counters.
-    region_counts: Tuple[Tuple[str, int], ...]
 
     @classmethod
     def capture(cls, system) -> "SystemSnapshot":
@@ -108,10 +108,6 @@ class SystemSnapshot:
             expected_crcs=tuple(
                 sorted(system.scrubber._expected.items())
             ),
-            region_counts=tuple(
-                (name, region.reconfiguration_count)
-                for name, region in sorted(system.regions.items())
-            ),
         )
 
     def config_mapping(self) -> Dict[str, Any]:
@@ -144,5 +140,3 @@ class SystemSnapshot:
         system._staged_addrs = staged_addrs
         for region, crc in self.expected_crcs:
             system.scrubber.set_expected_crc(region, crc)
-        for name, count in self.region_counts:
-            system.regions[name].reconfiguration_count = count

@@ -102,9 +102,3 @@ def test_corrupt_region_word_out_of_range(memory):
     with pytest.raises(ValueError):
         memory.corrupt_region_word("RP3", 10**9)
 
-
-def test_write_watcher_fires(memory):
-    seen = []
-    memory.watch_writes(seen.append)
-    memory.write_frame(42, [0] * FRAME_WORDS)
-    assert seen == [42]
