@@ -24,7 +24,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..dram import BankDramController, MemoryRequest
-from ..obs import MetricsRegistry
+from ..obs import Counts, MetricsRegistry
 from ..sim import Event, Simulator
 
 __all__ = ["AxiInterconnect", "AxiSlaveError"]
@@ -72,18 +72,15 @@ class AxiInterconnect:
         self.forward_latency_ns = forward_latency_ns
         self.name = name
         self._lanes: Dict[str, _Lane] = {}
-        self.transactions = 0
-        self.per_master_transactions: Dict[str, int] = {}
-        self.per_master_bytes: Dict[str, int] = {}
-        self.per_master_wait_ns: Dict[str, float] = {}
+        #: Per-master ledgers: exported ``bytes`` and ``wait_ns``, plus
+        #: the model-only ``transactions`` count.
+        self.masters: Dict[str, Counts] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
-        self._m_transactions = self.metrics.counter(f"{name}.transactions")
-        self._m_bytes = self.metrics.counter(f"{name}.bytes")
+        self.counts = self.metrics.counts(
+            name, transactions=0, bytes=0, error_responses=0
+        )
         self._m_outstanding = self.metrics.gauge(f"{name}.outstanding_requests")
         self._m_queue_wait_us = self.metrics.histogram(f"{name}.queue_wait_us")
-        self._m_error_responses = self.metrics.counter(f"{name}.error_responses")
-        self._m_master_bytes: Dict[str, object] = {}
-        self._m_master_wait: Dict[str, object] = {}
         self._m_outstanding.set(0.0)
         #: Optional fault hooks (installed by :mod:`repro.chaos`).
         #: ``fault_stall_ns()`` adds forward-path latency to the next
@@ -134,15 +131,10 @@ class AxiInterconnect:
         lane = self._lanes.get(master)
         if lane is None:
             lane = self._lanes[master] = _Lane()
-            self.per_master_transactions[master] = 0
-            self.per_master_bytes[master] = 0
-            self.per_master_wait_ns[master] = 0.0
-            self._m_master_bytes[master] = self.metrics.counter(
-                f"{self.name}.master.{master}.bytes"
+            ledger = self.masters[master] = self.metrics.counts(
+                f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
             )
-            self._m_master_wait[master] = self.metrics.counter(
-                f"{self.name}.master.{master}.wait_ns"
-            )
+            ledger.transactions = 0
         self._m_outstanding.add(1)
         request.submitted_ns = self.sim.now
         lane.queue.append((request, then))
@@ -158,15 +150,13 @@ class AxiInterconnect:
         """Take the lane's head now: account its wait, then pay the forward
         path (decode + arbitration + slices) as one entry."""
         request = lane.queue[0][0]
-        master = request.master
-        size = request.size
         wait_ns = self.sim.now - request.submitted_ns
-        self.transactions += 1
-        self.per_master_transactions[master] += 1
-        self.per_master_wait_ns[master] += wait_ns
-        self._m_master_wait[master].inc(wait_ns)
-        self._m_transactions.inc()
-        self._m_bytes.inc(size)
+        counts = self.counts
+        counts.transactions += 1
+        counts.bytes += request.size
+        ledger = self.masters[request.master]
+        ledger.transactions += 1
+        ledger.wait_ns += wait_ns
         self._m_queue_wait_us.observe(wait_ns / 1e3)
         stall_ns = 0.0
         if self.fault_stall_ns is not None:
@@ -183,7 +173,7 @@ class AxiInterconnect:
             error = self.fault_error(kind, request.addr, request.size)
             if error is not None:
                 lane.queue.popleft()
-                self._m_error_responses.inc()
+                self.counts.error_responses += 1
                 request.done.fail(error)
                 self._m_outstanding.add(-1)
                 self._next(lane)
@@ -196,8 +186,7 @@ class AxiInterconnect:
         master = request.master
         lane = self._lanes[master]
         then = lane.queue.popleft()[1]
-        self.per_master_bytes[master] += request.size
-        self._m_master_bytes[master].inc(request.size)
+        self.masters[master].bytes += request.size
         self._m_outstanding.add(-1)
         self._next(lane)
         then(request)

@@ -90,29 +90,28 @@ class AxiStream:
         self._space_waiters: Deque[Tuple[int, Callable[[], None], float]] = deque()
         self._reserve_event_name = f"{name}.reserve"
         self._pop_event_name = f"{name}.pop"
-        self.total_words = 0
         #: Optional :class:`~repro.verify.InvariantMonitor`; ``None`` costs a
         #: single identity check per stream operation.
         self.monitor = None
         #: Conservation ledgers for the invariant monitor.  ``granted`` /
         #: ``released`` track FIFO space reservations; ``queued`` /
-        #: ``consumed`` track words pushed onto vs handed off the stream,
-        #: and ``pushed`` / ``taken`` count the bursts.
+        #: ``consumed`` track words pushed onto vs handed off the stream
+        #: (``counts.words_total`` counts every word pushed), and
+        #: ``pushed`` / ``taken`` count the bursts.
         self.stat_granted_words = 0
         self.stat_released_words = 0
         self.stat_queued_words = 0
         self.stat_consumed_words = 0
         self.stat_pushed_bursts = 0
         self.stat_taken_bursts = 0
-        #: Total sim time (ns) producers spent stalled on a full FIFO.
-        #: Model accounting: results read it, the counter only mirrors it.
-        self.stat_stall_ns = 0.0
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        #: ``backpressure_ns`` is the total sim time producers spent
+        #: stalled on a full FIFO; results read it.
+        self.counts = self.metrics.counts(
+            name, backpressure_stalls=0, backpressure_ns=0.0, words_total=0
+        )
         self._m_occupancy = self.metrics.gauge(f"{name}.occupancy_words")
         self._m_depth = self.metrics.histogram(f"{name}.fifo_depth_words")
-        self._m_stalls = self.metrics.counter(f"{name}.backpressure_stalls")
-        self._m_stall_ns = self.metrics.counter(f"{name}.backpressure_ns")
-        self._m_words = self.metrics.counter(f"{name}.words_total")
         self._m_occupancy.set(0.0)
 
     # -- producer side ---------------------------------------------------------
@@ -140,7 +139,7 @@ class AxiStream:
             self.stat_granted_words += words
             self._m_occupancy.set(self.fifo_words - self._free_words)
         else:
-            self._m_stalls.inc()
+            self.counts.backpressure_stalls += 1
             self._space_waiters.append((words, granted, self.sim.now))
         if self.monitor is not None:
             self.monitor.on_stream_op(self)
@@ -172,10 +171,9 @@ class AxiStream:
         """Enqueue a burst whose space was previously reserved; a waiting
         consumer receives it at once."""
         words = len(burst.data) >> 2
-        self.total_words += words
+        self.counts.words_total += words
         self.stat_queued_words += words
         self.stat_pushed_bursts += 1
-        self._m_words.inc(words)
         self._m_depth.observe(self.fifo_words - self._free_words)
         if self._takers:
             self._hand_off(self._takers.popleft(), burst)
@@ -222,9 +220,7 @@ class AxiStream:
             self._space_waiters.popleft()
             self._free_words -= need
             self.stat_granted_words += need
-            stall_ns = self.sim.now - waited_since_ns
-            self.stat_stall_ns += stall_ns
-            self._m_stall_ns.inc(stall_ns)
+            self.counts.backpressure_ns += self.sim.now - waited_since_ns
             grants.append(granted)
         self._m_occupancy.set(self.fifo_words - self._free_words)
         if self.monitor is not None:
@@ -235,16 +231,6 @@ class AxiStream:
             granted()
 
     # -- inspection ---------------------------------------------------------------
-    @property
-    def backpressure_ns(self) -> float:
-        """Total sim time producers spent stalled on a full FIFO.
-
-        Reads :attr:`stat_stall_ns`, so it does not depend on telemetry;
-        the critical-path extractor diffs this around the DMA transfer
-        window to attribute consumer-bound time.
-        """
-        return self.stat_stall_ns
-
     @property
     def queued_bursts(self) -> int:
         return len(self._bursts)

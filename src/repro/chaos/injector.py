@@ -4,7 +4,10 @@ against a live :class:`~repro.core.PdrSystem`.
 The injector is the only component that touches the device models' fault
 hooks (``fault_*`` attributes, ``None`` by default so the hot path stays
 hook-free).  ``arm()`` installs one hook per subsystem plus one daemon
-delivery process per *scheduled* fault; ``disarm()`` removes everything.
+delivery process per *scheduled* fault; ``disarm()`` removes everything:
+the hooks, and the deliveries still pending, whose generators it closes
+so that their waits left on the simulator's heap hold no reference back
+to the injector or the system.
 
 Delivery semantics per kind:
 
@@ -23,13 +26,13 @@ Delivery semantics per kind:
   scrubber's job, repair the resilience layer's.
 
 Every delivery appends a plain-data event record to :attr:`events`,
-increments ``chaos.*`` counters and emits a ``chaos`` trace span, so a
+adds to the ``chaos.*`` counts and emits a ``chaos`` trace span, so a
 soak report can audit exactly what was injected when, and what recovered.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..axi import AxiSlaveError
 from ..obs import SpanRecorder
@@ -51,12 +54,13 @@ class ChaosInjector:
         self.plan = plan
         self.armed = False
         metrics = system.metrics
-        self._m_total = metrics.counter("chaos.faults_injected")
-        self._m_kind = {
-            kind: metrics.counter(f"chaos.injected.{kind}")
-            for kind in sorted({fault.kind for fault in plan.faults})
-        }
-        self._m_applications = metrics.counter("chaos.fault_applications")
+        self.counts = metrics.counts(
+            "chaos", faults_injected=0, fault_applications=0
+        )
+        #: One field per fault kind in the plan: deliveries of that kind.
+        self.injected = metrics.counts(
+            "chaos.injected", **{fault.kind: 0 for fault in plan.faults}
+        )
         self._spans = SpanRecorder(
             now_fn=lambda: system.sim.now,
             tracer=system.trace,
@@ -72,6 +76,8 @@ class ChaosInjector:
         self._stall_windows: List[Dict] = []
         self._slverrs: List[Dict] = []
         self._lockups: List[Dict] = []
+        #: The delivery generators, closed by :meth:`disarm`.
+        self._deliveries: List[Generator] = []
 
     # -- lifecycle ----------------------------------------------------------
     def arm(self) -> None:
@@ -98,16 +104,25 @@ class ChaosInjector:
                 "applications": 0,
             }
             self.events.append(event)
+            delivery = self._deliver(fault, event)
+            self._deliveries.append(delivery)
             system.sim.process(
-                self._deliver(fault, event),
+                delivery,
                 name=f"chaos.{fault.kind}@{fault.at_us}us#{index}",
                 daemon=True,
             )
 
     def disarm(self) -> None:
-        """Remove every installed hook (delivered state stays recorded)."""
+        """Remove every installed hook and end every pending delivery.
+
+        Delivered state stays recorded.  Call it after the last simulated
+        instant: a delivery ended here never fires.
+        """
         if not self.armed:
             return
+        for delivery in self._deliveries:
+            delivery.close()
+        self._deliveries.clear()
         system = self.system
         system.dram_controller.fault_latency_ns = None
         system.dram_controller.fault_read_tamper = None
@@ -131,8 +146,8 @@ class ChaosInjector:
     # -- delivery daemons ------------------------------------------------------
     def _mark_injected(self, fault, event) -> None:
         event["injected_ns"] = self.system.sim.now
-        self._m_total.inc()
-        self._m_kind[fault.kind].inc()
+        self.counts.faults_injected += 1
+        vars(self.injected)[fault.kind] += 1
         with self._spans.span("inject", kind=fault.kind, at_us=fault.at_us):
             pass
 
@@ -228,7 +243,7 @@ class ChaosInjector:
             if now <= window["end_ns"]:
                 extra += window["extra_ns"]
                 window["applications"] += 1
-                self._m_applications.inc()
+                self.counts.fault_applications += 1
         return extra
 
     def _dram_tamper_hook(self, request, data: bytes) -> bytes:
@@ -236,7 +251,7 @@ class ChaosInjector:
             if flip["remaining"] > 0 and len(data) >= 4:
                 flip["remaining"] -= 1
                 flip["applications"] += 1
-                self._m_applications.inc()
+                self.counts.fault_applications += 1
                 word = int.from_bytes(data[:4], "big") ^ flip["flip_mask"]
                 data = word.to_bytes(4, "big") + data[4:]
                 if flip["remaining"] == 0:
@@ -250,7 +265,7 @@ class ChaosInjector:
             if now <= window["end_ns"]:
                 stall += window["stall_ns"]
                 window["applications"] += 1
-                self._m_applications.inc()
+                self.counts.fault_applications += 1
         return stall
 
     def _axi_error_hook(
@@ -260,7 +275,7 @@ class ChaosInjector:
             if slverr["remaining"] > 0:
                 slverr["remaining"] -= 1
                 slverr["applications"] += 1
-                self._m_applications.inc()
+                self.counts.fault_applications += 1
                 slverr["recovered_ns"] = self.system.sim.now
                 return AxiSlaveError(
                     f"injected SLVERR on {kind} @{addr:#x} ({size} B)"
@@ -272,7 +287,7 @@ class ChaosInjector:
             if lockup["remaining"] > 0:
                 lockup["remaining"] -= 1
                 lockup["applications"] += 1
-                self._m_applications.inc()
+                self.counts.fault_applications += 1
                 if lockup["remaining"] == 0:
                     lockup["recovered_ns"] = self.system.sim.now
                 return lockup["cycles"]

@@ -346,7 +346,7 @@ def _grade_episode(
         if injected
         else 1.0,
         "mttr_us": mttr_samples,
-        "checks": monitor.checks,
+        "checks": monitor.counts.checks,
         "violations": list(monitor.violations),
         "unhandled_failures": [
             process.name for process in system.sim.unhandled_failures

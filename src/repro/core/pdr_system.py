@@ -135,10 +135,11 @@ class PdrSystem:
         self.sim = Simulator()
         sim = self.sim
 
-        #: Shared telemetry: every component namespaces its counters,
+        #: Shared telemetry: every component namespaces its count record,
         #: gauges and histograms into this registry (``component.metric``).
         #: With ``config.telemetry=False`` the probes are compiled out —
-        #: the same wiring lands on shared no-op metrics instead.
+        #: the same wiring lands on shared no-op metrics instead, and the
+        #: count records still count but are not exported.
         if self.config.telemetry:
             self.metrics = MetricsRegistry(now_fn=lambda: sim.now, name="pdr_system")
         else:
@@ -251,7 +252,7 @@ class PdrSystem:
         #: corruption and belongs to the retry ladder, not the scrubber.
         self.firmware_active = 0
 
-        # ---- telemetry: probes, bench series, firmware counters -------------
+        # ---- telemetry: probes, bench series, firmware counts ---------------
         metrics = self.metrics
         metrics.probe("sim.events_processed", lambda: sim.events_processed)
         metrics.probe("sim.heap_high_water", lambda: sim.heap_high_water)
@@ -260,10 +261,9 @@ class PdrSystem:
         metrics.probe("bench.die_temp_c", lambda: thermal.temperature_c)
         self._temp_series = metrics.series("bench.temp_c")
         self._power_series = metrics.series("bench.board_power_w")
-        self._m_reconfigures = metrics.counter("fw.reconfigures")
-        self._m_irq_timeouts = metrics.counter("fw.irq_timeouts")
+        self.fw_counts = metrics.counts("fw", reconfigures=0, irq_timeouts=0)
         self._m_latency_us = metrics.histogram("fw.latency_us")
-        self._m_brownout_clamps = metrics.counter("power.brownout_clamps")
+        self.power_counts = metrics.counts("power", brownout_clamps=0)
         if self.config.telemetry:
             TELEMETRY_BOOK.register(metrics, "pdr_system")
             TELEMETRY_BOOK.register_tracer(self.trace, "pdr_system")
@@ -572,7 +572,7 @@ class PdrSystem:
             metrics=self.metrics,
             metrics_prefix="fw.phase.",
         )
-        self._m_reconfigures.inc()
+        self.fw_counts.reconfigures += 1
         self.firmware_active += 1
         try:
             result = yield from self._firmware_sequence_body(
@@ -592,7 +592,7 @@ class PdrSystem:
             #    over-clock, so firmware gates the request first.
             gated_mhz = self.supply.gate_mhz(freq_mhz)
             if gated_mhz < freq_mhz:
-                self._m_brownout_clamps.inc()
+                self.power_counts.brownout_clamps += 1
                 self.trace.emit(
                     self.sim.now,
                     "fw",
@@ -632,7 +632,7 @@ class PdrSystem:
             # FIFO backpressure accumulated during the transfer window is
             # consumer-bound time (the ICAP draining slower than the DMA
             # fills); the critical-path extractor re-attributes it.
-            stall_before_ns = self.stream.backpressure_ns
+            stall_before_ns = self.stream.counts.backpressure_ns
             with spans.span("dma_transfer"):
                 # 4. Arm the ICAP and start the DMA.
                 self.icap.begin_transfer()
@@ -658,7 +658,7 @@ class PdrSystem:
             if interrupt_seen:
                 self._m_latency_us.observe(latency_us)
             else:
-                self._m_irq_timeouts.inc()
+                self.fw_counts.irq_timeouts += 1
                 # A timed-out transfer may still be in flight: left alone
                 # it keeps draining into the ICAP and can bleed into the
                 # next reconfiguration.  Halt the engine and quiesce the
@@ -693,7 +693,7 @@ class PdrSystem:
             self._power_series.sample(board_power)
             self._temp_series.sample(self.thermal.temperature_c)
         phase_us = spans.breakdown_us(parent="reconfigure")
-        stall_us = max(0.0, self.stream.backpressure_ns - stall_before_ns) / 1e3
+        stall_us = max(0.0, self.stream.counts.backpressure_ns - stall_before_ns) / 1e3
         device_us = attribute_devices(phase_us, stall_us)
         result = ReconfigResult(
             region=region,

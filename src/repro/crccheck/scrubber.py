@@ -67,9 +67,9 @@ class CrcScrubber:
         self.memory = memory
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
-        self._m_passes = self.metrics.counter(f"{name}.scrubs_run")
-        self._m_mismatches = self.metrics.counter(f"{name}.mismatches")
-        self._m_words = self.metrics.counter(f"{name}.words_read")
+        self.counts = self.metrics.counts(
+            name, scrubs_run=0, mismatches=0, words_read=0
+        )
         self._m_pass_us = self.metrics.histogram(f"{name}.pass_us")
         #: The block's own read-back port into the configuration logic
         #: (Fig. 2: the CRC block reads the bitstream back itself).
@@ -86,8 +86,6 @@ class CrcScrubber:
         self.on_mismatch: Optional[Callable[["ScrubResult"], None]] = None
         self._expected: Dict[str, int] = {}
         self.enabled = False
-        self.passes_completed = 0
-        self.errors_detected = 0
         self.last_result: Optional[ScrubResult] = None
         self._process = None
 
@@ -160,13 +158,12 @@ class CrcScrubber:
             at_ns=self.sim.now,
         )
         self.last_result = result
-        self.passes_completed += 1
-        self._m_passes.inc()
-        self._m_words.inc(words_read)
+        counts = self.counts
+        counts.scrubs_run += 1
+        counts.words_read += words_read
         self._m_pass_us.observe((self.sim.now - pass_started_ns) / 1e3)
         if not result.ok:
-            self.errors_detected += 1
-            self._m_mismatches.inc()
+            counts.mismatches += 1
             self.error_irq.assert_()
             if self.on_mismatch is not None:
                 self.on_mismatch(result)

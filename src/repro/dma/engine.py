@@ -106,10 +106,15 @@ class AxiDmaEngine:
         self.max_burst_bytes = max_burst_bytes
         self.cmd_overhead_cycles = cmd_overhead_cycles
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
-        self._m_bursts = self.metrics.counter(f"{name}.bursts_issued")
-        self._m_bytes = self.metrics.counter(f"{name}.bytes_moved")
-        self._m_cmd_cycles = self.metrics.counter(f"{name}.cmd_overhead_cycles")
-        self._m_transfers = self.metrics.counter(f"{name}.transfers_completed")
+        self.counts = self.metrics.counts(
+            name,
+            bursts_issued=0,
+            bytes_moved=0,
+            cmd_overhead_cycles=0,
+            transfers_completed=0,
+            resets=0,
+            axi_errors=0,
+        )
         self._m_transfer_us = self.metrics.histogram(f"{name}.transfer_us")
         self._m_mb_s = self.metrics.histogram(f"{name}.achieved_mb_s")
         #: Completion interrupt (IOC).  The PDR system sets
@@ -120,12 +125,6 @@ class AxiDmaEngine:
         self._control = DMACR_RS | DMACR_IOC_IRQ_EN
         self._status = DMASR_IDLE
         self._source_addr = 0
-        self.bytes_moved = 0
-        self.transfers_completed = 0
-        self.resets_issued = 0
-        self.axi_errors = 0
-        self._m_resets = self.metrics.counter(f"{name}.resets")
-        self._m_axi_errors = self.metrics.counter(f"{name}.axi_errors")
         #: True while a transfer's chain is live.
         self._active = False
         #: Bumped by every soft reset; chain entries and port reads carry
@@ -214,8 +213,7 @@ class AxiDmaEngine:
             self.stream.cancel_reserve(granted, words)
         self._control = 0
         self._status = DMASR_HALTED | DMASR_IDLE
-        self.resets_issued += 1
-        self._m_resets.inc()
+        self.counts.resets += 1
         self.ioc_irq.deassert()
         if self.monitor is not None:
             self.monitor.on_dma_reset(self)
@@ -260,7 +258,7 @@ class AxiDmaEngine:
         """The command gap is over: read the burst through the HP port."""
         if epoch != self._epoch:
             return
-        self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
+        self.counts.cmd_overhead_cycles += self.cmd_overhead_cycles
         self.port.read(self._cursor, self._burst_bytes, _BurstRead(self, epoch))
 
     def fetched(self, epoch: int, data: bytes) -> None:
@@ -273,9 +271,9 @@ class AxiDmaEngine:
         self._pushed_bytes += len(data)
         self._cursor += burst_bytes
         self._remaining -= burst_bytes
-        self.bytes_moved += burst_bytes
-        self._m_bursts.inc()
-        self._m_bytes.inc(burst_bytes)
+        counts = self.counts
+        counts.bursts_issued += 1
+        counts.bytes_moved += burst_bytes
         self._reserve_next()
 
     def fetch_failed(self, epoch: int, exc: BaseException) -> None:
@@ -293,8 +291,7 @@ class AxiDmaEngine:
         self.stream.cancel_reserve(granted, words)
         self._status |= DMASR_HALTED | DMASR_DMA_INT_ERR
         self._active = False
-        self.axi_errors += 1
-        self._m_axi_errors.inc()
+        self.counts.axi_errors += 1
 
     def complete(self) -> None:
         """The stream FIFO has drained: hand the room back and finish."""
@@ -302,8 +299,7 @@ class AxiDmaEngine:
         self.stream.release(self.stream.fifo_words)
         self._active = False
         self._status |= DMASR_IDLE
-        self.transfers_completed += 1
-        self._m_transfers.inc()
+        self.counts.transfers_completed += 1
         if self.monitor is not None:
             self.monitor.on_dma_complete(self, self._length, self._pushed_bytes)
         duration_us = (self.sim.now - self._started_ns) / 1e3
@@ -346,16 +342,17 @@ class S2mmDmaEngine:
         self.name = name
         self.cmd_overhead_cycles = cmd_overhead_cycles
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
-        self._m_bursts = self.metrics.counter(f"{name}.bursts_issued")
-        self._m_bytes = self.metrics.counter(f"{name}.bytes_moved")
-        self._m_cmd_cycles = self.metrics.counter(f"{name}.cmd_overhead_cycles")
-        self._m_transfers = self.metrics.counter(f"{name}.transfers_completed")
+        self.counts = self.metrics.counts(
+            name,
+            bursts_issued=0,
+            bytes_moved=0,
+            cmd_overhead_cycles=0,
+            transfers_completed=0,
+        )
         self._m_transfer_us = self.metrics.histogram(f"{name}.transfer_us")
         self._m_mb_s = self.metrics.histogram(f"{name}.achieved_mb_s")
         self.ioc_irq = InterruptLine(sim, name=f"{name}.ioc")
         self.suppress_completion_irq = False
-        self.bytes_received = 0
-        self.transfers_completed = 0
         self._idle = True
 
     @property
@@ -367,7 +364,7 @@ class S2mmDmaEngine:
 
         Completion (TLAST seen or buffer full) pulses the IOC interrupt;
         the number of bytes actually landed accumulates in
-        ``bytes_received``.
+        ``counts.bytes_moved``.
         """
         if max_bytes < 4:
             raise ValueError("receive buffer must hold at least one word")
@@ -377,13 +374,14 @@ class S2mmDmaEngine:
         self.sim.process(self._run(dest_addr, max_bytes), name=f"{self.name}.s2mm")
 
     def _run(self, dest_addr: int, max_bytes: int):
+        counts = self.counts
         started_ns = self.sim.now
         cursor = dest_addr
         remaining = max_bytes
         while remaining > 0:
             burst = yield self.stream.pop()
             yield self.clock.wait_cycles(self.cmd_overhead_cycles)
-            self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
+            counts.cmd_overhead_cycles += self.cmd_overhead_cycles
             data = burst.data
             if len(data) > remaining:
                 data = data[:remaining]
@@ -391,14 +389,12 @@ class S2mmDmaEngine:
             self.stream.release(burst.word_count)
             cursor += len(data)
             remaining -= len(data)
-            self.bytes_received += len(data)
-            self._m_bursts.inc()
-            self._m_bytes.inc(len(data))
+            counts.bursts_issued += 1
+            counts.bytes_moved += len(data)
             if burst.last:
                 break
         self._idle = True
-        self.transfers_completed += 1
-        self._m_transfers.inc()
+        counts.transfers_completed += 1
         duration_us = (self.sim.now - started_ns) / 1e3
         self._m_transfer_us.observe(duration_us)
         received = cursor - dest_addr

@@ -11,7 +11,6 @@ from .bank import (
     REFRESH_MODES,
     BankDramController,
     BankTiming,
-    MasterLedger,
     MemoryRequest,
 )
 from .device import DdrTiming, DramDevice
@@ -21,7 +20,6 @@ __all__ = [
     "BankTiming",
     "DdrTiming",
     "DramDevice",
-    "MasterLedger",
     "MemoryRequest",
     "PAGE_POLICIES",
     "REFRESH_MODES",

@@ -36,7 +36,10 @@ ROADMAP.md):
   end-to-end (stall + activate/precharge + CAS + data transfer); that
   serialisation is exactly the multi-master contention the paper's
   memory-path bottleneck comes from.  Per-master bytes / wait ledgers
-  feed the crossbar's bandwidth accounting.  The multiplexer is a
+  feed the crossbar's bandwidth accounting.  Every count the controller
+  keeps (bytes, row outcomes, waits, refreshes) lives in its
+  :class:`~repro.obs.Counts` records, which the metrics registry
+  exports as ``ddrc.*`` counters.  The multiplexer is a
   callback queue, not a process: a free bus picks a request and its
   service is one kernel entry (:meth:`~repro.sim.Simulator.call_later`),
   whose end completes the request and picks the next.
@@ -55,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..obs import MetricsRegistry
+from ..obs import Counts, MetricsRegistry
 from ..sim import Event, Simulator
 
 from .device import DramDevice
@@ -63,7 +66,6 @@ from .device import DramDevice
 __all__ = [
     "BankDramController",
     "BankTiming",
-    "MasterLedger",
     "MemoryRequest",
     "PAGE_POLICIES",
     "REFRESH_MODES",
@@ -71,15 +73,6 @@ __all__ = [
 
 PAGE_POLICIES = ("open", "closed")
 REFRESH_MODES = ("off", "lazy", "engine")
-
-
-@dataclass
-class MasterLedger:
-    """Per-master traffic accounting at the DDR controller."""
-
-    requests: int = 0
-    bytes: int = 0
-    wait_ns: float = 0.0
 
 
 @dataclass
@@ -181,14 +174,10 @@ class BankDramController:
         self._busy = False
         #: When the burst on the bus started service (one at a time).
         self._service_start_ns = 0.0
-        self.requests_served = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
         self.busy_ns = 0.0
-        self.queue_wait_ns = 0.0
-        self.refresh_stall_ns = 0.0
-        self.refreshes_completed = 0
-        self.masters: Dict[str, MasterLedger] = {}
+        #: Per-master ledgers: exported ``bytes`` and ``wait_ns``, plus
+        #: the model-only ``requests`` count.
+        self.masters: Dict[str, Counts] = {}
         # Lazy-refresh state.
         self._last_refresh_ns = 0.0
         # Engine-refresh state: next due time, bus-held-until, last
@@ -197,20 +186,21 @@ class BankDramController:
         self._refresh_busy_until_ns = 0.0
         self._service_end_ns = 0.0
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
-        self._m_requests = self.metrics.counter(f"{name}.requests_served")
-        self._m_bytes_read = self.metrics.counter(f"{name}.bytes_read")
-        self._m_bytes_written = self.metrics.counter(f"{name}.bytes_written")
+        self.counts = self.metrics.counts(
+            name,
+            requests_served=0,
+            bytes_read=0,
+            bytes_written=0,
+            row_hits=0,
+            row_misses=0,
+            row_conflicts=0,
+            queue_wait_ns=0.0,
+            refresh_stall_ns=0.0,
+            refreshes_completed=0,
+        )
         self._m_queue_depth = self.metrics.gauge(f"{name}.queue_depth")
         self._m_queue_wait_us = self.metrics.histogram(f"{name}.queue_wait_us")
         self._m_service_us = self.metrics.histogram(f"{name}.service_us")
-        self._m_row_hits = self.metrics.counter(f"{name}.row_hits")
-        self._m_row_misses = self.metrics.counter(f"{name}.row_misses")
-        self._m_row_conflicts = self.metrics.counter(f"{name}.row_conflicts")
-        self._m_refresh_stall = self.metrics.counter(f"{name}.refresh_stall_ns")
-        self._m_refreshes = self.metrics.counter(f"{name}.refreshes_completed")
-        self._m_queue_wait_ns = self.metrics.counter(f"{name}.queue_wait_ns")
-        self._m_master_bytes: Dict[str, object] = {}
-        self._m_master_wait: Dict[str, object] = {}
         self._m_queue_depth.set(0.0)
         #: Optional fault hooks (installed by :mod:`repro.chaos`).
         #: ``fault_latency_ns(request)`` adds service latency to one
@@ -272,13 +262,10 @@ class BankDramController:
         if queue is None:
             queue = self._queues[master] = deque()
             self._rr_order.append(master)
-            self.masters[master] = MasterLedger()
-            self._m_master_bytes[master] = self.metrics.counter(
-                f"{self.name}.master.{master}.bytes"
+            ledger = self.masters[master] = self.metrics.counts(
+                f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
             )
-            self._m_master_wait[master] = self.metrics.counter(
-                f"{self.name}.master.{master}.wait_ns"
-            )
+            ledger.requests = 0
         queue.append((request, then))
         self._pending += 1
         self._m_queue_depth.set(self._pending)
@@ -337,8 +324,7 @@ class BankDramController:
             if elapsed >= timing.trefi_ns:
                 intervals = int(elapsed // timing.trefi_ns)
                 self._last_refresh_ns += intervals * timing.trefi_ns
-                self.refreshes_completed += intervals
-                self._m_refreshes.inc(intervals)
+                self.counts.refreshes_completed += intervals
                 return timing.trfc_ns
             return 0.0
         # engine: run every refresh due by start_ns at its earliest slot.
@@ -354,8 +340,7 @@ class BankDramController:
         if completed:
             self._refresh_busy_until_ns = busy_until
             self._refresh_next_ns = next_due
-            self.refreshes_completed += completed
-            self._m_refreshes.inc(completed)
+            self.counts.refreshes_completed += completed
         return max(0.0, busy_until - start_ns)
 
     def sync_refresh(self, now_ns: Optional[float] = None) -> None:
@@ -375,31 +360,29 @@ class BankDramController:
         wait, charge refresh, classify the bank access.  Returns how long
         the burst occupies the bus (ns)."""
         device = self.device
+        counts = self.counts
         self._pending -= 1
         started = self._service_start_ns = self.sim.now
         self._m_queue_depth.set(self._pending)
         wait_ns = started - request.submitted_ns
-        self.queue_wait_ns += wait_ns
-        self._m_queue_wait_ns.inc(wait_ns)
+        counts.queue_wait_ns += wait_ns
         self._m_queue_wait_us.observe(wait_ns / 1e3)
         ledger = self.masters[request.master]
         ledger.requests += 1
         ledger.wait_ns += wait_ns
-        self._m_master_wait[request.master].inc(wait_ns)
 
         stall_ns = self._refresh_stall(started)
         if stall_ns:
-            self.refresh_stall_ns += stall_ns
-            self._m_refresh_stall.inc(stall_ns)
+            counts.refresh_stall_ns += stall_ns
         outcome, bank, row, open_before = device.bank_access(
             request.addr, request.size, self.page_policy
         )
         if outcome == "hit":
-            self._m_row_hits.inc()
+            counts.row_hits += 1
         elif outcome == "miss":
-            self._m_row_misses.inc()
+            counts.row_misses += 1
         else:
-            self._m_row_conflicts.inc()
+            counts.row_conflicts += 1
         if self.monitor is not None:
             self.monitor.on_dram_access(
                 self, request, bank, row, outcome, open_before, stall_ns
@@ -415,23 +398,20 @@ class BankDramController:
         """Complete the burst on the bus now: move its data and close its
         accounting (``request.read_data`` holds a read's bytes)."""
         device = self.device
+        counts = self.counts
         if request.is_write:
             assert request.data is not None
             device.store(request.addr, request.data)
-            self.bytes_written += request.size
-            self._m_bytes_written.inc(request.size)
+            counts.bytes_written += request.size
         else:
             request.read_data = device.load(request.addr, request.size)
             if self.fault_read_tamper is not None:
                 request.read_data = self.fault_read_tamper(
                     request, request.read_data
                 )
-            self.bytes_read += request.size
-            self._m_bytes_read.inc(request.size)
+            counts.bytes_read += request.size
         self.masters[request.master].bytes += request.size
-        self._m_master_bytes[request.master].inc(request.size)
-        self.requests_served += 1
-        self._m_requests.inc()
+        counts.requests_served += 1
         now = self.sim.now
         self.busy_ns += now - self._service_start_ns
         self._m_service_us.observe((now - self._service_start_ns) / 1e3)

@@ -45,9 +45,6 @@ class DramDevice:
         self.timing = timing
         self._open_rows: Dict[int, int] = {}  # bank -> open row index
         self._pages: Dict[int, bytearray] = {}
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
 
     # -- bank machine -------------------------------------------------------
     def bank_access(
@@ -60,26 +57,22 @@ class DramDevice:
         only) or ``"conflict"`` (a different row was open — PRECHARGE then
         ACTIVATE).  Under the closed-page policy every access auto-
         precharges, so no row is ever left open and every access is a
-        miss.  The bank-aware controller derives latency from the outcome;
-        this method owns the state so snapshot fork/restore carries
-        bank/row history with the device.
+        miss.  The bank-aware controller derives latency from the outcome
+        and counts it; this method owns the state so snapshot
+        fork/restore carries bank/row history with the device.
         """
         self._bounds(addr, size)
         row = addr // self.timing.row_bytes
         bank = row % self.timing.banks
         open_before = self._open_rows.get(bank)
         if policy == "closed":
-            self.row_misses += 1
             self._open_rows.pop(bank, None)
             return "miss", bank, row, open_before
         if open_before == row:
-            self.row_hits += 1
             return "hit", bank, row, open_before
         self._open_rows[bank] = row
         if open_before is None:
-            self.row_misses += 1
             return "miss", bank, row, open_before
-        self.row_conflicts += 1
         return "conflict", bank, row, open_before
 
     def open_row(self, bank: int) -> Optional[int]:
@@ -120,28 +113,22 @@ class DramDevice:
     def capture_state(self):
         """Plain-data device state for :mod:`repro.snapshot`.
 
-        Bank/row state and the hit/miss counters are part of the state:
-        a forked system must replay the same row-hit sequence (and hence
-        the same access latencies) as the system it was captured from.
+        Bank/row state is part of the state: a forked system must replay
+        the same row-hit sequence (and hence the same access latencies)
+        as the system it was captured from.
         """
         return (
             tuple(sorted(
                 (index, bytes(page)) for index, page in self._pages.items()
             )),
             tuple(sorted(self._open_rows.items())),
-            self.row_hits,
-            self.row_misses,
-            self.row_conflicts,
         )
 
     def restore_state(self, state) -> None:
         """Restore a :meth:`capture_state` result."""
-        pages, open_rows, hits, misses, conflicts = state
+        pages, open_rows = state
         self._pages = {index: bytearray(page) for index, page in pages}
         self._open_rows = dict(open_rows)
-        self.row_hits = hits
-        self.row_misses = misses
-        self.row_conflicts = conflicts
 
     # -- internals ----------------------------------------------------------
     def _bounds(self, addr: int, size: int) -> None:

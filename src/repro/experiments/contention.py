@@ -119,8 +119,8 @@ def contention_point(
     note_events(system.sim.events_processed)
 
     controller = system.dram_controller
-    device = system.dram
-    classified = device.row_hits + device.row_misses + device.row_conflicts
+    counts = controller.counts
+    classified = counts.row_hits + counts.row_misses + counts.row_conflicts
     elapsed_ns = system.sim.now
     return {
         "label": f"{page_policy}/{tenant_rate_mb_s:g}MBps",
@@ -137,13 +137,13 @@ def contention_point(
         "succeeded": result.succeeded,
         "latency_us": result.latency_us,
         "throughput_mb_s": result.throughput_mb_s,
-        "row_hits": device.row_hits,
-        "row_misses": device.row_misses,
-        "row_conflicts": device.row_conflicts,
-        "row_hit_rate": device.row_hits / classified if classified else 0.0,
-        "refreshes_completed": controller.refreshes_completed,
-        "refresh_stall_ns": controller.refresh_stall_ns,
-        "queue_wait_ns": controller.queue_wait_ns,
+        "row_hits": counts.row_hits,
+        "row_misses": counts.row_misses,
+        "row_conflicts": counts.row_conflicts,
+        "row_hit_rate": counts.row_hits / classified if classified else 0.0,
+        "refreshes_completed": counts.refreshes_completed,
+        "refresh_stall_ns": counts.refresh_stall_ns,
+        "queue_wait_ns": counts.queue_wait_ns,
         "per_master": {
             master: {
                 "requests": ledger.requests,

@@ -217,11 +217,13 @@ def board_point(
         if scrubbing:
             system.scrubber.start()
 
-    metrics = system.metrics
-    m_groups_ok = metrics.counter("fleet.health.groups_ok")
-    m_groups_bad = metrics.counter("fleet.health.groups_failed")
-    m_kills = metrics.counter("fleet.health.board_kills")
-    m_crashes = metrics.counter("fleet.health.board_crashes")
+    health = system.metrics.counts(
+        "fleet.health",
+        groups_ok=0,
+        groups_failed=0,
+        board_kills=0,
+        board_crashes=0,
+    )
 
     executed: List[Dict[str, Any]] = []
     killed = False
@@ -230,7 +232,7 @@ def board_point(
         for group in groups:
             if kill_at_us is not None and system.sim.now / 1e3 >= kill_at_us:
                 killed = True
-                m_kills.inc()
+                health.board_kills += 1
                 break
             start_ns = system.sim.now
             try:
@@ -260,7 +262,7 @@ def board_point(
                 # its work over.  Deterministic for a given seed, so the
                 # byte-identity contract is untouched.
                 crash = f"{type(exc).__name__}: {exc}"
-                m_crashes.inc()
+                health.board_crashes += 1
                 killed = True
                 executed.append(
                     {
@@ -275,7 +277,10 @@ def board_point(
                 )
                 break
             ok = all(job_ok)
-            (m_groups_ok if ok else m_groups_bad).inc()
+            if ok:
+                health.groups_ok += 1
+            else:
+                health.groups_failed += 1
             executed.append(
                 {
                     "jobs": len(group),
@@ -312,7 +317,7 @@ def board_point(
         "unhandled_failures": [
             process.name for process in system.sim.unhandled_failures
         ],
-        "checks": monitor.checks if monitor else 0,
+        "checks": monitor.counts.checks if monitor else 0,
         "violations": list(monitor.violations) if monitor else [],
     }
 

@@ -55,13 +55,16 @@ class IcapController:
         self.name = name
         self.port = ConfigPort(memory)
         self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
-        self._m_words = self.metrics.counter(f"{name}.words_consumed")
-        self._m_bursts = self.metrics.counter(f"{name}.bursts_consumed")
-        self._m_stall_cycles = self.metrics.counter(f"{name}.stall_cycles")
-        self._m_corrupted = self.metrics.counter(f"{name}.corrupted_words")
-        self._m_transfers = self.metrics.counter(f"{name}.transfers")
-        self._m_aborts = self.metrics.counter(f"{name}.aborts")
-        self._m_lockup_cycles = self.metrics.counter(f"{name}.lockup_cycles")
+        self.counts = self.metrics.counts(
+            name,
+            words_consumed=0,
+            bursts_consumed=0,
+            stall_cycles=0.0,
+            corrupted_words=0,
+            transfers=0,
+            aborts=0,
+            lockup_cycles=0,
+        )
         #: High while a configuration stream is being consumed.
         self.busy = Signal(sim, initial=False, name=f"{name}.busy")
         #: Rises when the stream desyncs (configuration done).
@@ -77,8 +80,6 @@ class IcapController:
         #: the DMA through the stream FIFO, so the transfer stretches but
         #: no words are lost.
         self.fault_lockup_cycles: Optional[Callable[[], int]] = None
-        self.words_consumed = 0
-        self.aborted_transfers = 0
         #: Latched at the *end* of :meth:`abort` (stale in-flight words are
         #: legitimately drained during the abort itself); cleared when
         #: :meth:`begin_transfer` re-arms.  While latched, any word reaching
@@ -101,7 +102,7 @@ class IcapController:
         self.port.reset()
         self.done.set(False)
         self._aborted = False
-        self._m_transfers.inc()
+        self.counts.transfers += 1
 
     #: Abort quiesce polls before giving up (a wedged producer bug, not a
     #: timing failure — the producer must be halted before aborting).
@@ -129,17 +130,16 @@ class IcapController:
         self.port.reset()
         self.busy.set(False)
         self.done.set(False)
-        self.aborted_transfers += 1
+        self.counts.aborts += 1
         self._aborted = True
-        self._m_aborts.inc()
 
     def receive(self, burst: StreamBurst) -> None:
         """The stream hands over the next burst: clock it in."""
         if self.busy.value:
             # Mid-transfer wait for the next burst: the stream side
             # starved the ICAP — count it in over-clock cycles.
-            self._m_stall_cycles.inc(
-                self.clock.ns_to_cycles(self.sim.now - self._wait_started_ns)
+            self.counts.stall_cycles += self.clock.ns_to_cycles(
+                self.sim.now - self._wait_started_ns
             )
         self.busy.set(True)
         # busy and done are mutually exclusive: an SG descriptor
@@ -149,7 +149,7 @@ class IcapController:
         if self.fault_lockup_cycles is not None:
             lockup = max(0, int(self.fault_lockup_cycles()))
             if lockup:
-                self._m_lockup_cycles.inc(lockup)
+                self.counts.lockup_cycles += lockup
                 self.sim.call_later(
                     self.clock.cycles_to_ns(lockup), self.clock_in, burst
                 )
@@ -165,11 +165,12 @@ class IcapController:
     def drained(self, burst: StreamBurst) -> None:
         """The burst has passed the ICAP: configure it, hand its FIFO room
         back and take the next burst."""
+        counts = self.counts
         count = burst.word_count
         if self.word_corruptor is not None:
             original = burst.words
             words = self.word_corruptor(original)
-            self._m_corrupted.inc(sum(map(operator.ne, original, words)))
+            counts.corrupted_words += sum(map(operator.ne, original, words))
             count = len(words)
             if self.monitor is not None:
                 self.monitor.on_icap_words(self, count)
@@ -178,9 +179,8 @@ class IcapController:
             if self.monitor is not None:
                 self.monitor.on_icap_words(self, count)
             self.port.feed_bytes(burst.data)
-        self.words_consumed += count
-        self._m_words.inc(count)
-        self._m_bursts.inc()
+        counts.words_consumed += count
+        counts.bursts_consumed += 1
         if burst.last:
             self.busy.set(False)
             if self.port.desynced:

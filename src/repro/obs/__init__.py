@@ -22,7 +22,7 @@ from .book import TELEMETRY_BOOK, TelemetryBook
 from .campaign import CampaignReport, aggregate_campaign
 from .export import to_chrome_trace, to_openmetrics
 from .metrics import (
-    Counter,
+    Counts,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -36,7 +36,7 @@ from .spans import Span, SpanRecorder
 
 __all__ = [
     "CampaignReport",
-    "Counter",
+    "Counts",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -3,8 +3,10 @@
 The observability layer follows the classic counter / gauge / histogram
 triad, adapted to discrete-event simulation:
 
-* a :class:`Counter` is a monotonically increasing total (bytes moved,
-  bursts issued, scrub passes);
+* a :class:`Counts` record holds one component's monotonically
+  increasing totals (bytes moved, bursts issued, scrub passes) as plain
+  attributes.  The model adds to them itself, and the registry that
+  handed the record out exports each field as a ``counter``;
 * a :class:`Gauge` is a sampled level.  In a DES, averaging raw samples
   is wrong — a FIFO that sits full for 1 ms and empty for 1 µs must not
   average to half-full — so gauges integrate their value over *simulation
@@ -21,16 +23,15 @@ triad, adapted to discrete-event simulation:
 
 All metrics live in a :class:`MetricsRegistry` keyed by dotted
 ``component.metric`` names (``dma.bytes_moved``, ``icap.stall_cycles``).
-Registries export to plain dicts, JSON, or CSV.
+Registries export to plain dicts.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "Counter",
+    "Counts",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -44,21 +45,39 @@ __all__ = [
 _ZERO_CLOCK = lambda: 0.0  # noqa: E731
 
 
-class Counter:
-    """A monotonically increasing total."""
+class Counts:
+    """One component's exported counts, as plain attributes.
+
+    The model reads and adds to the fields itself
+    (``counts.bytes_moved += n``).  The :class:`MetricsRegistry` that
+    handed the record out exports each field it was asked for as a
+    ``counter``.  A record holds numbers, never the component, so a
+    registry kept for export (the CLI's telemetry capture) does not keep
+    a finished system alive.
+    """
+
+    def __init__(self, **fields: float):
+        self.__dict__.update(fields)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"Counts({fields})"
+
+
+class _CountField:
+    """The export view of one :class:`Counts` field: a ``counter``."""
 
     kind = "counter"
 
-    __slots__ = ("name", "value")
+    __slots__ = ("_record", "_field")
 
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
+    def __init__(self, record: Counts, field: str):
+        self._record = record
+        self._field = field
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        self.value += amount
+    @property
+    def value(self) -> float:
+        return float(getattr(self._record, self._field))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": self.kind, "value": self.value}
@@ -299,6 +318,7 @@ class MetricsRegistry:
         self.name = name
         self.now_fn = now_fn or _ZERO_CLOCK
         self._metrics: Dict[str, Any] = {}
+        self._records: Dict[str, Counts] = {}
 
     # -- get-or-create -------------------------------------------------------
     def _lookup(self, name: str, cls, factory):
@@ -314,8 +334,25 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str) -> Counter:
-        return self._lookup(name, Counter, lambda: Counter(name))
+    def counts(self, prefix: str, **fields: float) -> Counts:
+        """Get-or-create the count record of ``prefix``.
+
+        Each keyword names a field and its initial value.  A field the
+        record does not have yet is added and exported as the counter
+        ``<prefix>.<field>``.  Asking again for ``prefix`` returns the
+        same record, so components sharing a namespace share its counts.
+        """
+        record = self._records.get(prefix)
+        if record is None:
+            record = self._records[prefix] = Counts()
+        for field, initial in fields.items():
+            if field not in vars(record):
+                self._export(f"{prefix}.{field}", record, field)
+                setattr(record, field, initial)
+        return record
+
+    def _export(self, name: str, record: Counts, field: str) -> None:
+        self._lookup(name, _CountField, lambda: _CountField(record, field))
 
     def gauge(self, name: str) -> Gauge:
         return self._lookup(name, Gauge, lambda: Gauge(name, self.now_fn))
@@ -359,29 +396,14 @@ class MetricsRegistry:
                 out[name] = metric.to_dict()
         return out
 
-    def dump_json(self, path: str, indent: int = 2) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"registry": self.name, "metrics": self.to_dict()}, handle, indent=indent)
-            handle.write("\n")
-
-    def dump_csv(self, path: str) -> None:
-        """Flat ``metric,field,value`` rows (series samples excluded)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("metric,field,value\n")
-            for name, data in self.to_dict().items():
-                for field, value in data.items():
-                    if field in ("samples",):
-                        continue
-                    handle.write(f"{name},{field},{value}\n")
-
 
 class _NullMetric:
     """The compiled-out metric: every mutator is a no-op.
 
-    One shared instance stands in for every counter/gauge/histogram/
-    series/probe of a :class:`NullMetricsRegistry`, so instrumented hot
-    paths keep their unconditional ``metric.inc(...)`` calls and pay
-    only an attribute lookup plus an empty method call.  Readable
+    One shared instance stands in for every gauge/histogram/series/probe
+    of a :class:`NullMetricsRegistry`, so instrumented hot paths keep
+    their unconditional ``metric.set(...)`` calls and pay only an
+    attribute lookup plus an empty method call.  Readable
     attributes exist (zeros / ``None``) so code that *inspects* metrics
     (critical-path attribution, probes) still works unchanged.
     """
@@ -400,9 +422,6 @@ class _NullMetric:
     samples: Tuple[Tuple[float, float], ...] = ()
     dropped = 0
     last = None
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
 
     def set(self, value: float) -> None:
         pass
@@ -441,13 +460,14 @@ class NullMetricsRegistry(MetricsRegistry):
     """A registry whose every metric is the shared no-op instance.
 
     Instrumentation compiled out: components wire their probes exactly
-    as usual, but nothing is recorded and exports are empty.  This is
-    the ``PdrSystemConfig(telemetry=False)`` fast path the probe-overhead
-    benchmark measures against.
+    as usual, but nothing is recorded and exports are empty.  Count
+    records still count, because the model reads them; they are only
+    not exported.  This is the ``PdrSystemConfig(telemetry=False)`` fast
+    path the probe-overhead benchmark measures against.
     """
 
-    def counter(self, name: str) -> Counter:  # type: ignore[override]
-        return NULL_METRIC  # type: ignore[return-value]
+    def _export(self, name: str, record: Counts, field: str) -> None:
+        pass
 
     def gauge(self, name: str) -> Gauge:  # type: ignore[override]
         return NULL_METRIC  # type: ignore[return-value]

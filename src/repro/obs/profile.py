@@ -33,7 +33,7 @@ campaign artifacts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "PHASE_DEVICE",
@@ -197,28 +197,3 @@ def critical_path(
     if not devices:
         return None
     return max(sorted(devices), key=lambda name: devices[name])
-
-
-def phase_table(
-    results: Iterable, phases: Tuple[str, ...] = ()
-) -> List[Dict[str, Any]]:
-    """Per-result phase rows (µs) for campaign reports.
-
-    ``results`` may be :class:`~repro.core.ReconfigResult` objects or
-    plain mappings with ``phase_us`` / ``critical_path`` keys.
-    """
-    rows: List[Dict[str, Any]] = []
-    for result in results:
-        if isinstance(result, Mapping):
-            phase_us = dict(result.get("phase_us") or {})
-            critical = result.get("critical_path")
-        else:
-            phase_us = dict(getattr(result, "phase_us", {}) or {})
-            critical = getattr(result, "critical_path", None)
-        row: Dict[str, Any] = {
-            name: round(phase_us.get(name, 0.0), 3)
-            for name in (phases or sorted(phase_us))
-        }
-        row["critical_path"] = critical
-        rows.append(row)
-    return rows

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..obs import MetricsRegistry
+from ..obs import Counts, MetricsRegistry
 
 __all__ = ["FrequencyGovernor"]
 
@@ -48,11 +48,11 @@ class FrequencyGovernor:
         self.metrics = metrics
         # NB: the registry is falsy while empty (it defines __len__), so
         # these guards must test identity, not truthiness.
-        self._m_quarantines = (
-            metrics.counter("resilience.quarantines") if metrics is not None else None
-        )
-        self._m_clamps = (
-            metrics.counter("resilience.governor_clamps") if metrics is not None else None
+        fields = dict(quarantines=0, governor_clamps=0)
+        self.counts = (
+            metrics.counts("resilience", **fields)
+            if metrics is not None
+            else Counts(**fields)
         )
         #: (region, fbucket, tbucket) -> consecutive failure count.
         self._fail_streak: Dict[Tuple[str, int, int], int] = {}
@@ -95,8 +95,7 @@ class FrequencyGovernor:
         if streak < self.quarantine_after or key in self._quarantined:
             return False
         self._quarantined[key] = sorted(set(modes))
-        if self._m_quarantines is not None:
-            self._m_quarantines.inc()
+        self.counts.quarantines += 1
         low_key = (region, key[2])
         lowest = self._lowest_quarantined.get(low_key)
         if lowest is None or freq_mhz < lowest:
@@ -142,8 +141,8 @@ class FrequencyGovernor:
         else:
             clamped = lowest - self.clamp_step_mhz
         clamped = max(clamped, self.clamp_step_mhz)
-        if self._m_clamps is not None and clamped < freq_mhz:
-            self._m_clamps.inc()
+        if clamped < freq_mhz:
+            self.counts.governor_clamps += 1
         granted = min(freq_mhz, clamped)
         if self.monitor is not None:
             self.monitor.on_governor_authorise(self, region, freq_mhz, temp_c, granted)

@@ -18,8 +18,8 @@ corrupted.  :class:`ResilientReconfigurator` closes the loop:
   which quarantines operating points after repeated failures and clamps
   later requests below them.
 
-All recovery activity is observable: ``resilience.*`` counters and
-histograms live in the system's metrics registry, and each logical
+All recovery activity is observable: the ``resilience`` count record
+and histograms live in the system's metrics registry, and each logical
 reconfiguration is wrapped in a ``recover`` span (mirrored into the
 system trace) so time-to-repair shows up next to the firmware phases.
 """
@@ -176,22 +176,23 @@ class ResilientReconfigurator:
             metrics=system.metrics,
         )
         metrics = system.metrics
-        self._m_attempts = metrics.counter("resilience.attempts")
-        self._m_retries = metrics.counter("resilience.retries")
-        self._m_backoffs = metrics.counter("resilience.backoffs")
-        self._m_failures = metrics.counter("resilience.failures_detected")
-        self._m_recoveries = metrics.counter("resilience.recoveries")
-        self._m_giveups = metrics.counter("resilience.giveups")
-        self._m_repairs = metrics.counter("resilience.scrub_repairs")
-        self._m_repair_us = metrics.histogram("resilience.time_to_repair_us")
-        #: Completed (re-verified) SEU repair cycles — the chaos layer's
-        #: headline repair counter; ``scrub_repairs`` above counts repair
-        #: *starts* and predates it.
-        self._m_seu_repairs = metrics.counter("resilience.repairs")
-        self._m_seu_detected = metrics.counter("resilience.seu_detected")
-        self._m_verify_failures = metrics.counter(
-            "resilience.repair_verify_failures"
+        #: ``repairs`` counts completed (re-verified) SEU repair cycles,
+        #: the chaos layer's headline repair count; ``scrub_repairs``
+        #: counts repair *starts* and predates it.
+        self.counts = metrics.counts(
+            "resilience",
+            attempts=0,
+            retries=0,
+            backoffs=0,
+            failures_detected=0,
+            recoveries=0,
+            giveups=0,
+            scrub_repairs=0,
+            repairs=0,
+            seu_detected=0,
+            repair_verify_failures=0,
         )
+        self._m_repair_us = metrics.histogram("resilience.time_to_repair_us")
         self._m_mttr_us = metrics.histogram("resilience.mttr_us")
         sim = system.sim
         self._spans = SpanRecorder(
@@ -262,9 +263,9 @@ class ResilientReconfigurator:
         freq_mhz = outcome.requested_freq_mhz
         with self._spans.span("recover", region=region, freq_mhz=freq_mhz):
             for attempt in range(policy.max_attempts):
-                self._m_attempts.inc()
+                self.counts.attempts += 1
                 if attempt > 0:
-                    self._m_retries.inc()
+                    self.counts.retries += 1
                 result = system.reconfigure(
                     region, asp, freq, bitstream=bitstream, attempt=attempt
                 )
@@ -290,11 +291,11 @@ class ResilientReconfigurator:
                     if first_failure_ns is not None:
                         repair_us = (system.sim.now - first_failure_ns) / 1e3
                         outcome.recovery_latency_us = repair_us
-                        self._m_recoveries.inc()
+                        self.counts.recoveries += 1
                         self._m_repair_us.observe(repair_us)
                     break
                 # -- failure detected -------------------------------------
-                self._m_failures.inc()
+                self.counts.failures_detected += 1
                 if first_failure_ns is None:
                     first_failure_ns = system.sim.now
                 if self.governor.record_failure(
@@ -309,10 +310,10 @@ class ResilientReconfigurator:
                 )
                 next_freq = policy.next_frequency(freq, attempt, modes)
                 if next_freq < freq:
-                    self._m_backoffs.inc()
+                    self.counts.backoffs += 1
                 freq = next_freq
             else:
-                self._m_giveups.inc()
+                self.counts.giveups += 1
         return outcome
 
     # -- batch (SG dispatch group) entry ----------------------------------------
@@ -350,7 +351,7 @@ class ResilientReconfigurator:
             for job in jobs:
                 region, asp = job[0], job[1]
                 pad_to = job[2] if len(job) > 2 else _UNSET
-                self._m_attempts.inc()
+                self.counts.attempts += 1
                 ok = batch.control_path_ok and batch.region_valid.get(
                     region, False
                 )
@@ -361,7 +362,7 @@ class ResilientReconfigurator:
                     self._golden[region] = asp
                     outcome.region_ok[region] = True
                     continue
-                self._m_failures.inc()
+                self.counts.failures_detected += 1
                 modes = []
                 if not batch.control_path_ok:
                     modes.append(FailureMode.CONTROL_HANG)
@@ -406,7 +407,7 @@ class ResilientReconfigurator:
         if scrub.region not in self.pending_repairs:
             self.pending_repairs.append(scrub.region)
             self._detected_ns.setdefault(scrub.region, scrub.at_ns)
-            self._m_seu_detected.inc()
+            self.counts.seu_detected += 1
 
     def repair_pending(self) -> List[RecoveryOutcome]:
         """Run the full SEU repair cycle for every scrub-flagged region.
@@ -433,7 +434,7 @@ class ResilientReconfigurator:
                 )
             detected_ns = self._detected_ns.get(region, system.sim.now)
             freq = self.governor.safe_fmax_mhz(region) or self.policy.freq_floor_mhz
-            self._m_repairs.inc()
+            self.counts.scrub_repairs += 1
             with self._spans.span("seu_repair", region=region):
                 self.isolated_regions.add(region)
                 try:
@@ -463,7 +464,7 @@ class ResilientReconfigurator:
             )
             if verified:
                 self._detected_ns.pop(region, None)
-                self._m_seu_repairs.inc()
+                self.counts.repairs += 1
                 self._m_mttr_us.observe(mttr_us)
                 system.trace.emit(
                     repaired_ns,
@@ -472,7 +473,7 @@ class ResilientReconfigurator:
                     f"(MTTR {mttr_us:.1f} us)",
                 )
             else:
-                self._m_verify_failures.inc()
+                self.counts.repair_verify_failures += 1
                 if region not in self.pending_repairs:
                     self.pending_repairs.append(region)
                 system.trace.emit(

@@ -97,12 +97,15 @@ class SramPrSystem:
         self._staging_cursor = 0x1000_0000
         self.results: List[SramPrResult] = []
 
+        # Probes close over what they read, never over ``self``: the
+        # telemetry capture keeps the registry after the system is gone.
         metrics = self.metrics
+        icap_clock = self.icap_clock
         metrics.probe("sim.events_processed", lambda: sim.events_processed)
         metrics.probe("sim.heap_high_water", lambda: sim.heap_high_water)
         metrics.probe("sim.processes_spawned", lambda: sim.processes_spawned)
-        metrics.probe("icap550.freq_mhz", lambda: self.icap_clock.freq_mhz)
-        self._m_reconfigures = metrics.counter("sram_pr.reconfigures")
+        metrics.probe("icap550.freq_mhz", lambda: icap_clock.freq_mhz)
+        self.counts = metrics.counts("sram_pr", reconfigures=0)
         self._m_preload_us = metrics.histogram("sram_pr.preload_us")
         self._m_activation_us = metrics.histogram("sram_pr.activation_us")
         TELEMETRY_BOOK.register(metrics, "sram_pr_system")
@@ -164,7 +167,7 @@ class SramPrSystem:
         process = self.sim.process(sequence(), name=f"sram_pr:{region}")
         result: SramPrResult = self.sim.run_until(process)
         self.results.append(result)
-        self._m_reconfigures.inc()
+        self.counts.reconfigures += 1
         self._m_preload_us.observe(result.preload_us)
         self._m_activation_us.observe(result.activation_latency_us)
         return result

@@ -239,7 +239,7 @@ def run_scenario(scenario) -> Dict[str, Any]:
             for rec in op_records
             if rec.get("recovered") or (rec.get("interrupt_seen") and rec.get("crc_valid"))
         ),
-        "checks": monitor.checks,
+        "checks": monitor.counts.checks,
         "violations": list(monitor.violations),
         "unhandled_failures": [
             process.name for process in system.sim.unhandled_failures

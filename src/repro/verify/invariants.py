@@ -6,7 +6,7 @@ path).  :meth:`InvariantMonitor.attach` wires one monitor into every
 component of a :class:`~repro.core.PdrSystem`; from then on each kernel
 step, stream operation, DMA transition and ICAP word batch is checked
 against the invariants below, and the check/violation totals are
-published as ``verify.*`` metrics in the system's registry.
+counted in the system registry's ``verify`` record.
 
 Invariants checked
 ------------------
@@ -46,7 +46,7 @@ dram (:class:`~repro.dram.BankDramController`)
     access exactly the accessed row is open under the open-page policy
     and none under closed-page (never two rows open in one bank).
     Refresh stalls are non-negative and conserved: the monitor's running
-    sum of observed stalls equals the ``refresh_stall_ns`` counter.  At
+    sum of observed stalls equals the ``refresh_stall_ns`` count.  At
     quiescence the per-master ledger sums to the controller totals
     (bytes and queue-wait conservation), and in engine refresh mode one
     refresh has completed for every elapsed tREFI window.
@@ -60,6 +60,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..obs import Counts
+
 __all__ = ["InvariantMonitor", "InvariantViolation"]
 
 
@@ -71,18 +73,16 @@ class InvariantMonitor:
     """Cheap always-on assertion probes over a running simulation.
 
     One monitor instance watches one system (or one hand-assembled set
-    of components).  ``checks`` counts every probe evaluated;
-    ``violations`` keeps the human-readable record of each failure in
-    detection order.
+    of components).  ``counts.checks`` counts every probe evaluated and
+    ``counts.violations`` every failure; ``violations`` keeps the
+    human-readable record of each failure in detection order.
     """
 
     def __init__(self, raise_on_violation: bool = True):
         self.raise_on_violation = raise_on_violation
-        self.checks = 0
+        self.counts = Counts(checks=0, violations=0)
         self.violations: List[str] = []
         self.system = None
-        self._metrics_checks = None
-        self._metrics_violations = None
         #: (region, temp_bucket) -> lowest quarantine floor ever seen.
         self._clamp_floor: Dict[Tuple[str, int], float] = {}
         #: id(controller) -> running sum of observed refresh stalls, for
@@ -92,11 +92,14 @@ class InvariantMonitor:
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, system) -> "InvariantMonitor":
-        """Wire this monitor into every component of a ``PdrSystem``."""
+        """Wire this monitor into every component of a ``PdrSystem``.
+
+        From here on the monitor counts into the system registry's
+        ``verify`` record, which exports ``verify.checks`` and
+        ``verify.violations``.
+        """
         self.system = system
-        metrics = system.metrics
-        self._metrics_checks = metrics.counter("verify.checks")
-        self._metrics_violations = metrics.counter("verify.violations")
+        self.counts = system.metrics.counts("verify", checks=0, violations=0)
         for component in (
             system.sim,
             system.stream,
@@ -125,16 +128,13 @@ class InvariantMonitor:
 
     # -- bookkeeping ---------------------------------------------------------
     def _count(self, probes: int = 1) -> None:
-        self.checks += probes
-        if self._metrics_checks is not None:
-            self._metrics_checks.inc(probes)
+        self.counts.checks += probes
 
     def violate(self, invariant: str, message: str) -> None:
         """Record (and by default raise) one invariant violation."""
         record = f"{invariant}: {message}"
         self.violations.append(record)
-        if self._metrics_violations is not None:
-            self._metrics_violations.inc()
+        self.counts.violations += 1
         if self.raise_on_violation:
             raise InvariantViolation(record)
 
@@ -188,10 +188,11 @@ class InvariantMonitor:
                 f"{stream.name}: released {released} words but only "
                 f"{granted} were ever granted",
             )
-        if stream.total_words != stream.stat_consumed_words + stream.stat_queued_words:
+        produced = stream.counts.words_total
+        if produced != stream.stat_consumed_words + stream.stat_queued_words:
             self.violate(
                 "stream.word_conservation",
-                f"{stream.name}: produced {stream.total_words} != consumed "
+                f"{stream.name}: produced {produced} != consumed "
                 f"{stream.stat_consumed_words} + queued "
                 f"{stream.stat_queued_words}",
             )
@@ -308,19 +309,21 @@ class InvariantMonitor:
             )
         total = self._dram_stall_sum.get(id(controller), 0.0) + stall_ns
         self._dram_stall_sum[id(controller)] = total
-        if abs(total - controller.refresh_stall_ns) > 1e-6:
+        counted = controller.counts.refresh_stall_ns
+        if abs(total - counted) > 1e-6:
             self.violate(
                 "dram.refresh_stall_conservation",
                 f"{name}: observed stalls sum to {total} ns but the "
-                f"refresh_stall_ns counter reads {controller.refresh_stall_ns}",
+                f"refresh_stall_ns count reads {counted}",
             )
 
     def check_dram_quiescent(self, controller, now_ns: float) -> None:
         """Ledger + refresh-coverage conservation on an idle controller."""
         ledgers = controller.masters
+        counts = controller.counts
         self._count(2)
         ledger_bytes = sum(ledger.bytes for ledger in ledgers.values())
-        moved = controller.bytes_read + controller.bytes_written
+        moved = counts.bytes_read + counts.bytes_written
         if ledger_bytes != moved:
             self.violate(
                 "dram.master_ledger_conservation",
@@ -328,20 +331,20 @@ class InvariantMonitor:
                 f"{ledger_bytes} bytes but the controller moved {moved}",
             )
         ledger_wait = sum(ledger.wait_ns for ledger in ledgers.values())
-        if abs(ledger_wait - controller.queue_wait_ns) > 1e-6:
+        if abs(ledger_wait - counts.queue_wait_ns) > 1e-6:
             self.violate(
                 "dram.queue_wait_conservation",
                 f"{controller.name}: per-master waits sum to {ledger_wait} "
-                f"ns but queue_wait_ns reads {controller.queue_wait_ns}",
+                f"ns but queue_wait_ns reads {counts.queue_wait_ns}",
             )
         if controller.refresh_mode == "engine":
             self._count()
             controller.sync_refresh(now_ns)
             due = int(now_ns // controller.timing.trefi_ns)
-            if controller.refreshes_completed != due:
+            if counts.refreshes_completed != due:
                 self.violate(
                     "dram.refresh_every_trefi",
-                    f"{controller.name}: {controller.refreshes_completed} "
+                    f"{controller.name}: {counts.refreshes_completed} "
                     f"refreshes completed by {now_ns} ns but {due} tREFI "
                     f"window(s) have elapsed",
                 )

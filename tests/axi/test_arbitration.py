@@ -34,7 +34,9 @@ def test_round_robin_alternates_between_masters():
         for group in _group_runs(middle)
     )
     assert runs <= 2
-    assert interconnect.per_master_transactions == {"a": 6, "b": 6}
+    assert {
+        m: l.transactions for m, l in interconnect.masters.items()
+    } == {"a": 6, "b": 6}
 
 
 def _group_runs(sequence):

@@ -9,7 +9,6 @@ multiplexer picks when masters meet, how long each one waited, and when
 each burst completed.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -49,17 +48,25 @@ def _observed(system, results):
     metrics = system.metrics.to_dict()
     for name in _KERNEL_PROBES:
         metrics.pop(name, None)
-    device = system.dram_controller.device
+    counts = system.dram_controller.counts
     return {
         "results": results,
         "now": system.sim.now,
         "metrics": metrics,
         "ledgers": {
-            master: dataclasses.asdict(ledger)
+            master: _ledger(ledger)
             for master, ledger in system.dram_controller.masters.items()
         },
-        "rows": (device.row_hits, device.row_misses, device.row_conflicts),
+        "rows": (counts.row_hits, counts.row_misses, counts.row_conflicts),
         "port_bytes": system.hp0.bytes_transferred,
+    }
+
+
+def _ledger(ledger):
+    return {
+        "requests": ledger.requests,
+        "bytes": ledger.bytes,
+        "wait_ns": ledger.wait_ns,
     }
 
 
@@ -130,7 +137,7 @@ def test_telemetry_off_matches_reference():
     seen = _observed(system, _two_loads(system))
     assert (seen["now"], _digest(seen)) == _TELEMETRY_OFF
     # The stall accounting behind ``device_us`` ran with no probes.
-    assert system.stream.stat_stall_ns > 0.0
+    assert system.stream.counts.backpressure_ns > 0.0
 
 
 def test_noop_fault_hooks_move_nothing():
@@ -185,10 +192,10 @@ def _rig(page_policy="open", trp_ns=0.0):
 
 def _accounts(sim, interconnect, controller):
     return {
-        "queue_wait_ns": controller.queue_wait_ns,
-        "ledgers": {m: dataclasses.asdict(l) for m, l in controller.masters.items()},
-        "axi_wait": dict(interconnect.per_master_wait_ns),
-        "axi_bytes": dict(interconnect.per_master_bytes),
+        "queue_wait_ns": controller.counts.queue_wait_ns,
+        "ledgers": {m: _ledger(l) for m, l in controller.masters.items()},
+        "axi_wait": {m: l.wait_ns for m, l in interconnect.masters.items()},
+        "axi_bytes": {m: l.bytes for m, l in interconnect.masters.items()},
         "busy_ns": controller.busy_ns,
         "now": sim.now,
     }
@@ -390,7 +397,9 @@ def test_slverr_fails_one_burst_and_serves_the_two_behind_it():
     sim.run()
     seen = _accounts(sim, interconnect, controller)
     seen["outcomes"] = outcomes
-    seen["transactions"] = dict(interconnect.per_master_transactions)
+    seen["transactions"] = {
+        m: l.transactions for m, l in interconnect.masters.items()
+    }
     assert seen == _SLVERR_QUEUED
     assert outcomes[0x1000][0] == "SLVERR @0x1000"
 
@@ -438,7 +447,8 @@ def _s2mm_beside_mm2s(page_policy):
     sim.run_until(sim.all_of([mm2s_done, s2mm_done]))
     seen = _accounts(sim, interconnect, controller)
     seen["popped"] = popped
-    seen["rows"] = (device.row_hits, device.row_misses, device.row_conflicts)
+    counts = controller.counts
+    seen["rows"] = (counts.row_hits, counts.row_misses, counts.row_conflicts)
     seen["landed"] = hashlib.sha256(device.load(0x10000, 8192)).hexdigest()
     return seen
 

@@ -74,15 +74,16 @@ def test_per_master_accounting_totals():
     sim.process(driver(sim, "hp0", 4, 1024))
     sim.process(driver(sim, "cpu", 2, 64))
     sim.run()
-    assert interconnect.per_master_transactions == {"hp0": 4, "cpu": 2}
-    assert interconnect.per_master_bytes == {"hp0": 4096, "cpu": 128}
-    assert interconnect.transactions == 6
+    masters = interconnect.masters
+    assert {m: l.transactions for m, l in masters.items()} == {"hp0": 4, "cpu": 2}
+    assert {m: l.bytes for m, l in masters.items()} == {"hp0": 4096, "cpu": 128}
+    assert interconnect.counts.transactions == 6
     snapshot = interconnect.metrics.to_dict()
     assert snapshot["axi_ic.master.hp0.bytes"]["value"] == 4096
     assert snapshot["axi_ic.master.cpu.bytes"]["value"] == 128
     # The crossbar lanes never queue a solo-stream master; the DDR
     # multiplexer's ledger shows where the real waiting happened.
-    assert interconnect.per_master_wait_ns["hp0"] == 0.0
+    assert masters["hp0"].wait_ns == 0.0
     assert controller.masters["hp0"].bytes == 4096
     assert controller.masters["cpu"].bytes == 128
 

@@ -46,7 +46,7 @@ def test_push_pop_roundtrip():
     sim.process(consumer(sim))
     sim.run()
     assert got == [[0] * 4, [1] * 4, [2] * 4]
-    assert stream.total_words == 12
+    assert stream.counts.words_total == 12
     assert stream.free_words == 64
 
 

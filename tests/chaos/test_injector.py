@@ -108,7 +108,7 @@ def test_axi_slverr_recovered_by_retry_ladder(system):
     # First attempt eats the SLVERR (DMA halts, IRQ timeout), retry wins.
     assert outcome.injected_failure
     assert outcome.recovered
-    assert system.dma.axi_errors == 1
+    assert system.dma.counts.axi_errors == 1
     assert system.dma.idle and not system.icap.busy.value
     assert injector.events[0]["applications"] == 1
 

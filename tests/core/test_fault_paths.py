@@ -22,8 +22,8 @@ class TestIrqTimeoutAbort:
         assert not result.interrupt_seen
         assert system.dma.idle
         assert not system.icap.busy.value
-        assert system.dma.resets_issued == 1
-        assert system.icap.aborted_transfers == 1
+        assert system.dma.counts.resets == 1
+        assert system.icap.counts.aborts == 1
 
     def test_fault_abort_phase_recorded(self):
         system = PdrSystem()
@@ -59,7 +59,7 @@ class TestIrqTimeoutAbort:
             result = system.reconfigure("RP2", WORKLOAD, 320.0)
             assert not result.interrupt_seen
             assert system.dma.idle
-        assert system.dma.resets_issued == 3
+        assert system.dma.counts.resets == 3
 
 
 class TestPdrPowerClamp:

@@ -16,7 +16,9 @@ from repro.core import PdrSystem
 from repro.experiments.points import asp_descriptor, reconfigure_point
 from repro.fabric import FirFilterAsp
 from repro.fleet import FleetSpec, run_fleet
+from repro.obs import TELEMETRY_BOOK
 from repro.snapshot import fork_system
+from repro.sram_pr import SramPrSystem
 
 
 def _parts(system):
@@ -89,3 +91,58 @@ def test_plain_fleet_frees_every_board(built):
     assert report.loads > 0
     assert len(built) >= 2
     assert _alive(built) == []
+
+
+def test_chaos_fleet_with_a_killed_board_frees_every_board(built):
+    # The killed board stops with chaos faults still scheduled; disarming
+    # its injector must end their delivery processes too.
+    report = run_fleet(
+        FleetSpec(
+            boards=4,
+            seed=17,
+            duration_ms=14.0,
+            chaos=True,
+            chaos_intensity=6,
+            kill_boards=1,
+        )
+    )
+    assert report.loads > 0
+    assert len(built) >= 4
+    assert _alive(built) == []
+
+
+def test_captured_system_is_freed_while_the_book_keeps_its_counts(built):
+    # The book keeps a captured system's registry for export after the
+    # run; the registry holds the devices' count records, never a device.
+    with TELEMETRY_BOOK.capture():
+        system = PdrSystem()
+        system.set_die_temperature(40.0)
+        result = system.reconfigure("RP1", FirFilterAsp([1, 2, 3, 4]), 200.0)
+    assert result.succeeded
+    del system
+    assert len(built) == 1
+    assert [name for _index, name in _alive(built)] == ["metrics"]
+    (_label, registry), = TELEMETRY_BOOK.registries
+    assert registry.get("dma.bytes_moved").value == 528760.0
+    assert registry.to_dict()["dma.bytes_moved"] == {
+        "type": "counter",
+        "value": 528760.0,
+    }
+
+
+def test_captured_sram_pr_system_is_freed_while_the_book_keeps_its_counts():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with TELEMETRY_BOOK.capture():
+            system = SramPrSystem()
+            result = system.reconfigure("RP1", FirFilterAsp([1, 2, 3]))
+        refs = [weakref.ref(system), weakref.ref(system.memory)]
+        del system
+        assert result.crc_valid
+        assert [ref() for ref in refs] == [None, None]
+        (_label, registry), = TELEMETRY_BOOK.registries
+        assert registry.get("sram_pr.reconfigures").value == 1.0
+    finally:
+        if enabled:
+            gc.enable()

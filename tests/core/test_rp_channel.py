@@ -32,7 +32,7 @@ def test_s2mm_lands_stream_in_memory():
 
     sim.process(producer(sim))
     sim.run_until(engine.ioc_irq.wait_assert())
-    assert engine.bytes_received == 64
+    assert engine.counts.bytes_moved == 64
     landed = device.load(0x8000, 64)
     assert landed[:4] == b"\x00\x00\x00\x00"
     assert landed[4:8] == b"\x00\x00\x00\x01"
@@ -48,7 +48,7 @@ def test_s2mm_truncates_to_buffer():
 
     sim.process(producer(sim))
     sim.run_until(engine.ioc_irq.wait_assert())
-    assert engine.bytes_received == 8
+    assert engine.counts.bytes_moved == 8
 
 
 def test_s2mm_records_metrics_like_mm2s():

@@ -45,8 +45,8 @@ def test_clean_pass(rig):
     process = sim.process(scrubber.scrub_region_once("RP1"))
     result = sim.run_until(process)
     assert result.ok
-    assert scrubber.passes_completed == 1
-    assert scrubber.errors_detected == 0
+    assert scrubber.counts.scrubs_run == 1
+    assert scrubber.counts.mismatches == 0
     assert not scrubber.error_irq.asserted
 
 
@@ -58,7 +58,7 @@ def test_corruption_detected_and_irq_asserted(rig):
     process = sim.process(scrubber.scrub_region_once("RP1"))
     result = sim.run_until(process)
     assert not result.ok
-    assert scrubber.errors_detected == 1
+    assert scrubber.counts.mismatches == 1
     assert scrubber.error_irq.asserted
 
 
@@ -112,7 +112,7 @@ def test_continuous_loop_detects_later_corruption(rig):
 
     sim.process(corrupt_later(sim))
     sim.run_until(scrubber.error_irq.wait_assert())
-    assert scrubber.errors_detected >= 1
+    assert scrubber.counts.mismatches >= 1
     assert sim.now > 3e6
     scrubber.stop()
 

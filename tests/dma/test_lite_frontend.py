@@ -78,4 +78,4 @@ def test_full_transfer_through_lite_bus(rig):
     sim.process(consumer(sim))
     sim.run_until(sim.process(driver(sim)))
     assert len(drained) == 1024
-    assert dma.bytes_moved == 4096
+    assert dma.counts.bytes_moved == 4096

@@ -75,20 +75,20 @@ def test_bank_protocol_invariants_hold_for_any_stream(
     controller, monitor, sim = _run_stream(requests, page_policy, refresh_mode)
     monitor.check_dram_quiescent(controller, sim.now)
     assert monitor.ok, monitor.violations
-    assert monitor.checks >= 4 * len(requests)
+    assert monitor.counts.checks >= 4 * len(requests)
 
 
 @given(requests=_REQUESTS, page_policy=_POLICY)
 @settings(max_examples=40, deadline=None)
 def test_every_access_is_classified_exactly_once(requests, page_policy):
     controller, monitor, _ = _run_stream(requests, page_policy, "off")
-    device = controller.device
-    classified = device.row_hits + device.row_misses + device.row_conflicts
+    counts = controller.counts
+    classified = counts.row_hits + counts.row_misses + counts.row_conflicts
     assert classified == len(requests)
-    assert controller.requests_served == len(requests)
+    assert counts.requests_served == len(requests)
     if page_policy == "closed":
-        assert device.row_hits == 0
-        assert device.row_conflicts == 0
+        assert counts.row_hits == 0
+        assert counts.row_conflicts == 0
 
 
 @given(requests=_REQUESTS, refresh_mode=_MODE)
@@ -97,11 +97,11 @@ def test_master_ledger_conserves_bytes_and_waits(requests, refresh_mode):
     controller, _, _ = _run_stream(requests, "open", refresh_mode)
     ledgers = controller.masters
     assert set(ledgers) == {f"m{m}" for m, *_ in requests}
-    moved = controller.bytes_read + controller.bytes_written
+    moved = controller.counts.bytes_read + controller.counts.bytes_written
     assert sum(ledger.bytes for ledger in ledgers.values()) == moved
     assert moved == sum(size for _, _, size, _, _ in requests)
     wait = sum(ledger.wait_ns for ledger in ledgers.values())
-    assert abs(wait - controller.queue_wait_ns) < 1e-6
+    assert abs(wait - controller.counts.queue_wait_ns) < 1e-6
     assert sum(ledger.requests for ledger in ledgers.values()) == len(requests)
 
 
@@ -110,10 +110,10 @@ def test_master_ledger_conserves_bytes_and_waits(requests, refresh_mode):
 def test_engine_refresh_covers_every_window(requests):
     controller, _, sim = _run_stream(requests, "open", "engine")
     controller.sync_refresh()
-    assert controller.refreshes_completed == int(
+    assert controller.counts.refreshes_completed == int(
         sim.now // controller.timing.trefi_ns
     )
-    assert controller.refresh_stall_ns >= 0.0
+    assert controller.counts.refresh_stall_ns >= 0.0
 
 
 @given(requests=_REQUESTS, page_policy=_POLICY)

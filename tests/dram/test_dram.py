@@ -54,9 +54,6 @@ def test_row_hit_vs_miss_latency():
     assert [latency(first), latency(second), latency(other)] == [
         302.0, 202.0, 302.0
     ]
-    assert device.row_hits == 1
-    assert device.row_misses == 1
-    assert device.row_conflicts == 1
 
 
 def test_banks_keep_independent_open_rows():
@@ -100,9 +97,9 @@ def test_controller_read_write():
     sim.process(driver(sim))
     sim.run()
     assert got["data"] == b"abcd"
-    assert controller.requests_served == 2
-    assert controller.bytes_written == 4
-    assert controller.bytes_read == 4
+    assert controller.counts.requests_served == 2
+    assert controller.counts.bytes_written == 4
+    assert controller.counts.bytes_read == 4
 
 
 def test_controller_serves_fifo():

@@ -3,8 +3,8 @@
 ``MemoryRequest.submitted_ns`` used to be stamped and never read — the
 time a request spent queued behind other masters was invisible.  The
 controller now publishes it: the interval from submission to the start
-of service accumulates into ``queue_wait_ns`` (and the
-``<name>.queue_wait_ns`` metric plus the per-master ledgers).  A solo
+of service accumulates into ``counts.queue_wait_ns`` (exported as the
+``<name>.queue_wait_ns`` metric) and the per-master ledgers.  A solo
 closed-loop master never waits; two contending masters must.
 """
 
@@ -29,7 +29,7 @@ def test_solo_master_never_queue_waits(make):
     sim = Simulator()
     controller = make(sim, DramDevice())
     _drive_masters(controller, sim, ["solo"])
-    assert controller.queue_wait_ns == 0.0
+    assert controller.counts.queue_wait_ns == 0.0
     assert controller.masters["solo"].wait_ns == 0.0
 
 
@@ -40,12 +40,12 @@ def test_contended_masters_accumulate_nonzero_queue_wait(make):
     _drive_masters(controller, sim, ["a", "b"])
     # Both masters submit at t=0 every round: the loser of each round
     # waits out the winner's full service time.
-    assert controller.queue_wait_ns > 0.0
+    assert controller.counts.queue_wait_ns > 0.0
     assert controller.masters["a"].wait_ns + controller.masters["b"].wait_ns == \
-        pytest.approx(controller.queue_wait_ns)
+        pytest.approx(controller.counts.queue_wait_ns)
     name = controller.name
     metric = controller.metrics.to_dict()[f"{name}.queue_wait_ns"]
-    assert metric["value"] == pytest.approx(controller.queue_wait_ns)
+    assert metric["value"] == pytest.approx(controller.counts.queue_wait_ns)
 
 
 @pytest.mark.parametrize("make", [BankDramController])
@@ -54,7 +54,7 @@ def test_queue_wait_scales_with_contention(make):
         sim = Simulator()
         controller = make(sim, DramDevice())
         _drive_masters(controller, sim, [f"m{i}" for i in range(master_count)])
-        return controller.queue_wait_ns
+        return controller.counts.queue_wait_ns
 
     assert total_wait(1) == 0.0
     assert 0.0 < total_wait(2) < total_wait(4)

@@ -149,7 +149,7 @@ def test_short_unaligned_tail_burst():
     rig.dram.store(0x1000, bytes(range(256)) * 9)  # 2304 B = 2.25 bursts
     rig.start(2304)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
-    assert rig.dma.bytes_moved == 2304
+    assert rig.dma.counts.bytes_moved == 2304
 
 
 def test_unaligned_length_rejected_at_length_write():
@@ -161,7 +161,7 @@ def test_unaligned_length_rejected_at_length_write():
         rig.start(2302)
     assert rig.dma.idle
     rig.sim.run(until=50e3)
-    assert rig.dma.bytes_moved == 0
+    assert rig.dma.counts.bytes_moved == 0
     assert rig.stream.free_words == rig.stream.fifo_words
 
 
@@ -175,11 +175,11 @@ def test_soft_reset_mid_burst_abandons_the_transfer():
     rig.icap.begin_transfer()
     rig.start(bitstream.size_bytes)
     rig.sim.run(until=5e3)
-    assert rig.dma.bytes_moved == 3 * 1024
+    assert rig.dma.counts.bytes_moved == 3 * 1024
     assert rig.port.bytes_transferred == 3 * 1024  # the 4th is still out
     rig.dma.reg_write(MM2S_DMACR, DMACR_RESET)
     rig.sim.run(until=55e3)
-    assert rig.dma.bytes_moved == 3 * 1024
+    assert rig.dma.counts.bytes_moved == 3 * 1024
     assert rig.dma.ioc_irq.assert_count == 0
     assert rig.stream.stat_granted_words == rig.stream.stat_released_words
     assert rig.stream.free_words == rig.stream.fifo_words
@@ -187,6 +187,6 @@ def test_soft_reset_mid_burst_abandons_the_transfer():
     rig.icap.begin_transfer()
     rig.start(bitstream.size_bytes)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
-    assert rig.dma.transfers_completed == 1
-    assert rig.dma.bytes_moved == 3 * 1024 + bitstream.size_bytes
+    assert rig.dma.counts.transfers_completed == 1
+    assert rig.dma.counts.bytes_moved == 3 * 1024 + bitstream.size_bytes
     assert rig.memory.region_frames("RP1") == frames

@@ -25,7 +25,7 @@ class FakeClock:
 
 def _sample_registry(clock):
     registry = MetricsRegistry(now_fn=clock, name="sys")
-    registry.counter("dma.bytes").inc(1024)
+    registry.counts("dma", bytes=0).bytes += 1024
     gauge = registry.gauge("fifo.level")
     gauge.set(2.0)
     clock.now = 100.0
@@ -106,17 +106,17 @@ def test_openmetrics_round_trip():
 def test_openmetrics_multiple_registries_one_page():
     clock = FakeClock()
     first = MetricsRegistry(now_fn=clock)
-    first.counter("ops").inc(1)
+    first.counts("fw", ops=0).ops += 1
     second = MetricsRegistry(now_fn=clock)
-    second.counter("ops").inc(2)
+    second.counts("fw", ops=0).ops += 2
     text = to_openmetrics(
         [("a", first.to_dict()), ("b", second.to_dict())]
     )
     _, samples = parse_openmetrics(text)
-    assert samples[("repro_ops_total", (("system", "a"),))] == 1.0
-    assert samples[("repro_ops_total", (("system", "b"),))] == 2.0
+    assert samples[("repro_fw_ops_total", (("system", "a"),))] == 1.0
+    assert samples[("repro_fw_ops_total", (("system", "b"),))] == 2.0
     # The shared family is typed exactly once.
-    assert text.count("# TYPE repro_ops counter") == 1
+    assert text.count("# TYPE repro_fw_ops counter") == 1
 
 
 def test_openmetrics_escapes_labels_and_names():

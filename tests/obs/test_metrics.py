@@ -1,11 +1,8 @@
 """Tests for the metric primitives and the registry."""
 
-import json
-
 import pytest
 
 from repro.obs import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -24,15 +21,22 @@ class FakeClock:
         return self.now
 
 
-# -- counters ----------------------------------------------------------------
+# -- count records -------------------------------------------------------------
 
-def test_counter_accumulates_and_rejects_decrements():
-    counter = Counter("c")
-    counter.inc()
-    counter.inc(41)
-    assert counter.value == 42
-    with pytest.raises(ValueError):
-        counter.inc(-1)
+def test_count_record_accumulates_and_exports_counters():
+    registry = MetricsRegistry()
+    counts = registry.counts("dma", bursts=0, bytes_moved=0)
+    counts.bursts += 1
+    counts.bytes_moved += 1024
+    counts.bursts += 41
+    assert (counts.bursts, counts.bytes_moved) == (42, 1024)
+    # Ints stay ints in the record; the export is a float counter.
+    assert type(counts.bursts) is int
+    assert registry.get("dma.bursts").value == 42.0
+    assert registry.to_dict() == {
+        "dma.bursts": {"type": "counter", "value": 42.0},
+        "dma.bytes_moved": {"type": "counter", "value": 1024.0},
+    }
 
 
 # -- time-weighted gauges ------------------------------------------------------
@@ -112,25 +116,31 @@ def test_registry_to_dict_threads_end_ns_to_gauges_only():
     registry = MetricsRegistry(now_fn=clock)
     gauge = registry.gauge("fifo.level")
     gauge.set(4.0)           # t=0, never set again
-    registry.counter("ops").inc(3)
+    registry.counts("fw", ops=0).ops += 3
     data = registry.to_dict(end_ns=200.0)
     assert data["fifo.level"]["time_weighted_mean"] == pytest.approx(4.0)
-    assert data["ops"]["value"] == 3
+    assert data["fw.ops"]["value"] == 3
 
 
 # -- compiled-out registry -----------------------------------------------------
 
 def test_null_registry_returns_shared_noop_metric():
     registry = NullMetricsRegistry(name="off")
-    counter = registry.counter("a.count")
     gauge = registry.gauge("a.level")
-    assert counter is NULL_METRIC and gauge is NULL_METRIC
-    counter.inc(5)
+    assert gauge is NULL_METRIC
     gauge.set(3.0)
     registry.histogram("a.lat").observe(1.0)
     registry.series("a.temp").sample(40.0)
     registry.probe("a.events", lambda: 99)
-    # Nothing was recorded, and readable attributes stay inert.
+    # Count records still count (the model reads them), and asking
+    # again returns the same record, as with telemetry on.
+    counts = registry.counts("a", count=0)
+    counts.count += 5
+    assert registry.counts("a", count=0) is counts
+    assert counts.count == 5
+    # Nothing was exported, and readable attributes stay inert.
+    assert registry.to_dict() == {}
+    assert registry.get("a.count") is None
     assert NULL_METRIC.value == 0.0
     assert NULL_METRIC.time_weighted_mean() is None
     assert NULL_METRIC.to_dict() == {"type": "null"}
@@ -179,10 +189,17 @@ def test_histogram_empty_and_bad_percentile():
 
 def test_registry_get_or_create_returns_same_object():
     registry = MetricsRegistry()
-    assert registry.counter("dma.bytes") is registry.counter("dma.bytes")
+    counts = registry.counts("dma", bytes=0)
+    assert registry.counts("dma", bytes=0) is counts
     assert "dma.bytes" in registry
     with pytest.raises(TypeError):
         registry.gauge("dma.bytes")  # same name, different type
+    # A second asker may add fields; both read the one record.
+    assert registry.counts("dma", resets=0) is counts
+    assert registry.names() == ["dma.bytes", "dma.resets"]
+    registry.gauge("dma.level")
+    with pytest.raises(TypeError):
+        registry.counts("dma", level=0)
 
 
 def test_registry_series_and_probe_export():
@@ -196,21 +213,3 @@ def test_registry_series_and_probe_export():
     data = registry.to_dict()
     assert data["bench.temp_c"]["samples"] == [[0.0, 40.0], [10.0, 41.0]]
     assert data["sim.events"]["value"] == 123
-
-
-def test_registry_dump_json_and_csv(tmp_path):
-    registry = MetricsRegistry(name="test")
-    registry.counter("a.count").inc(7)
-    registry.histogram("a.lat_us").observe(2.5)
-
-    json_path = tmp_path / "m.json"
-    registry.dump_json(str(json_path))
-    doc = json.loads(json_path.read_text())
-    assert doc["registry"] == "test"
-    assert doc["metrics"]["a.count"]["value"] == 7
-
-    csv_path = tmp_path / "m.csv"
-    registry.dump_csv(str(csv_path))
-    text = csv_path.read_text()
-    assert text.startswith("metric,field,value\n")
-    assert "a.count,value,7" in text

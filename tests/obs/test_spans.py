@@ -114,7 +114,7 @@ def test_book_capture_collects_and_survives_exit(tmp_path):
     book = TelemetryBook()
     with book.capture() as captured:
         registry = MetricsRegistry(name="sys")
-        registry.counter("a.count").inc(3)
+        registry.counts("a", count=0).count += 3
         book.register(registry, "sys")
         tracer = Tracer()
         tracer.emit(1.0, "x", "hello")

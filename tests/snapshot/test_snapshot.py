@@ -42,8 +42,8 @@ def _run(system):
         result.crc_valid,
         system.sim.events_processed,
         system.sim.now,
-        system.dram.row_hits,
-        system.dram.row_misses,
+        system.dram_controller.counts.row_hits,
+        system.dram_controller.counts.row_misses,
     )
 
 

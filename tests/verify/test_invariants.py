@@ -20,7 +20,7 @@ def test_clean_reconfigure_passes_all_probes(system):
     monitor.check_quiescent(system)
     assert result.succeeded
     assert monitor.ok
-    assert monitor.checks > 10_000  # the probes genuinely ran
+    assert monitor.counts.checks > 10_000  # the probes genuinely ran
 
 
 def test_failure_path_keeps_invariants(system):
@@ -37,8 +37,8 @@ def test_failure_path_keeps_invariants(system):
 def test_attach_registers_verify_metrics(system):
     monitor = InvariantMonitor().attach(system)
     system.reconfigure("RP1", PassthroughAsp(), freq_mhz=100.0)
-    assert system.metrics.counter("verify.checks").value == monitor.checks
-    assert system.metrics.counter("verify.violations").value == 0
+    assert system.metrics.get("verify.checks").value == monitor.counts.checks
+    assert system.metrics.get("verify.violations").value == 0
 
 
 def test_detach_removes_every_hook(system):
