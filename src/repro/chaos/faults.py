@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a **pure function** of ``(fault_seed, horizon,
 count, seu_per_ms)`` — the same contract as the fuzzer's scenario
 generator: no wall clock, no global RNG state, plain-data records.  Case
 ``i`` of a soak campaign therefore schedules bit-identical faults in
-every process, forever, which is what makes ``--replay`` and the
-serial-vs-parallel oracle byte-exact.
+every process, forever, which is what makes ``--replay`` and a
+``--jobs N`` campaign byte-exact.
 
 The taxonomy covers one fault per architectural layer of the platform
 (see DESIGN.md §12 for the full table):

@@ -134,14 +134,12 @@ class ChaosInjector:
     # -- summary ------------------------------------------------------------
     @property
     def injected_count(self) -> int:
-        return sum(1 for e in self.events if e["injected_ns"] is not None)
+        """Faults delivered so far."""
+        return self.counts.faults_injected
 
     def injected_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            if event["injected_ns"] is not None:
-                counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-        return counts
+        """Deliveries per fault kind, for the kinds delivered at least once."""
+        return {kind: count for kind, count in vars(self.injected).items() if count}
 
     # -- delivery daemons ------------------------------------------------------
     def _mark_injected(self, fault, event) -> None:

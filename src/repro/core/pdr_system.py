@@ -519,7 +519,10 @@ class PdrSystem:
             return result
 
         def batch_body():
-            achieved = yield self.clock_wizard.program(freq_mhz)
+            gated_mhz = self._gate_clock(
+                freq_mhz, ", ".join(region for region, _ in bitstreams)
+            )
+            achieved = yield self.clock_wizard.program(gated_mhz)
             temp_c = self.thermal.temperature_c
             control_ok = self.timing.ok(PDR_CONTROL_PATH, achieved, temp_c)
             data_ok = self.timing.ok(PDR_DATA_PATH, achieved, temp_c)
@@ -556,6 +559,24 @@ class PdrSystem:
         return self.sim.run_until(process)
 
     # ---------------------------------------------------------------- firmware --
+    def _gate_clock(self, freq_mhz: float, target: str) -> float:
+        """The clock request the supply allows for a load of ``target``.
+
+        A browned-out rail cannot hold timing at the full over-clock, so
+        firmware clamps the request to the ceiling, counts the clamp and
+        traces it.
+        """
+        gated_mhz = self.supply.gate_mhz(freq_mhz)
+        if gated_mhz < freq_mhz:
+            self.power_counts.brownout_clamps += 1
+            self.trace.emit(
+                self.sim.now,
+                "fw",
+                f"brownout: {freq_mhz:g} MHz request clamped to "
+                f"{gated_mhz:g} MHz for {target}",
+            )
+        return gated_mhz
+
     def _firmware_sequence(self, region, bitstream, addr, freq_mhz, attempt=0):
         """The paper's C test program, as a simulation process.
 
@@ -587,18 +608,8 @@ class PdrSystem:
     ):
         config = self.config
         with spans.span("reconfigure", region=region, freq_mhz=freq_mhz):
-            # 1. Program the Clock Wizard and wait for MMCM lock.  A
-            #    browned-out rail cannot hold timing at the full
-            #    over-clock, so firmware gates the request first.
-            gated_mhz = self.supply.gate_mhz(freq_mhz)
-            if gated_mhz < freq_mhz:
-                self.power_counts.brownout_clamps += 1
-                self.trace.emit(
-                    self.sim.now,
-                    "fw",
-                    f"brownout: {freq_mhz:g} MHz request clamped to "
-                    f"{gated_mhz:g} MHz for {region}",
-                )
+            # 1. Program the Clock Wizard and wait for MMCM lock.
+            gated_mhz = self._gate_clock(freq_mhz, region)
             with spans.span("clock_lock"):
                 achieved = yield self.clock_wizard.program(gated_mhz)
             self.trace.emit(

@@ -113,7 +113,7 @@ def _replayed(index: int, record: dict) -> _Outcome:
 
 def _run_fuzz(args, runner: SweepRunner) -> _Outcome:
     """``fuzz``: seeded scenarios under the invariant monitor; fails on
-    any invariant violation or oracle mismatch."""
+    any invariant violation."""
     from ..verify import Scenario, format_report, run_fuzz, run_scenario
 
     if args.replay is not None:
@@ -123,8 +123,8 @@ def _run_fuzz(args, runner: SweepRunner) -> _Outcome:
         seed=args.seed,
         cases=args.cases or 50,
         shrink=not args.no_shrink,
-        oracle=args.oracle,
         progress=lambda line: print(f"[fuzz] {line}", file=sys.stderr),
+        runner=runner,
     )
     print(format_report(report))
     return _Outcome(
@@ -269,7 +269,7 @@ COMMANDS: Dict[str, Tuple[Callable[..., _Outcome], str]] = {
     ),
     "fuzz": (
         _run_fuzz,
-        "--seed --cases --no-shrink --oracle --replay --fail-on-unhandled",
+        "--seed --cases --no-shrink --replay --fail-on-unhandled --jobs --cache",
     ),
     "report": (_run_report, "--jobs --cache --out"),
 }
@@ -355,16 +355,6 @@ def main(argv=None) -> int:
         "--no-shrink",
         action="store_true",
         help="fuzz: report violating scenarios without shrinking them",
-    )
-    parser.add_argument(
-        "--oracle",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "fuzz: replay the first N scenarios through the differential "
-            "oracle (replay identity + serial-vs-parallel equivalence)"
-        ),
     )
     parser.add_argument(
         "--replay",
@@ -513,8 +503,7 @@ def main(argv=None) -> int:
         metavar="N",
         help=(
             "worker processes for sweep execution (default 1 = serial, "
-            "0 = one per CPU; not fuzz); reports are identical "
-            "regardless of N"
+            "0 = one per CPU); reports are identical regardless of N"
         ),
     )
     parser.add_argument(
@@ -526,7 +515,7 @@ def main(argv=None) -> int:
         help=(
             "reuse sweep-point results across runs (content-addressed "
             "on-disk cache; default location "
-            "~/.cache/repro-pdr/sweeps or $REPRO_SWEEP_CACHE; not fuzz)"
+            "~/.cache/repro-pdr/sweeps or $REPRO_SWEEP_CACHE)"
         ),
     )
     parser.add_argument(

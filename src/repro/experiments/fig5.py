@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..analysis import Series, knee_frequency, render_plot
-from ..core import PdrSystem
 from ..exec import SweepRunner
 
 from .calibration import PAPER_FIG5_KNEE_MHZ, PAPER_MAX_THROUGHPUT_MB_S, PAPER_TABLE1
-from .points import asp_descriptor, reconfigure_point
+from .points import reconfigure_grid
 from .report import ExperimentReport
 from .table1 import WORKLOAD_ASP
 
@@ -36,31 +35,20 @@ class Fig5Data:
 
 
 def run_fig5(
-    system: Optional[PdrSystem] = None,
     frequencies: Optional[List[float]] = None,
     region: str = "RP1",
     runner: Optional[SweepRunner] = None,
 ) -> Fig5Data:
     """Sweep the frequency range and collect the throughput series."""
     freqs = list(frequencies or DEFAULT_SWEEP)
-    if system is not None:
-        system.set_die_temperature(40.0)
-        results = [system.reconfigure(region, WORKLOAD_ASP, freq) for freq in freqs]
-    else:
-        results = (runner or SweepRunner()).map(
-            "fig5",
-            reconfigure_point,
-            [
-                dict(
-                    region=region,
-                    freq_mhz=freq,
-                    temp_c=40.0,
-                    workload=asp_descriptor(WORKLOAD_ASP),
-                )
-                for freq in freqs
-            ],
-            labels=[f"fig5@{freq:g}MHz" for freq in freqs],
-        )
+    results = reconfigure_grid(
+        runner,
+        "fig5",
+        region,
+        WORKLOAD_ASP,
+        [(40.0, freq) for freq in freqs],
+        "fig5@{freq:g}MHz",
+    )
     measured = Series("simulated")
     for result in results:
         if result.throughput_mb_s is not None:

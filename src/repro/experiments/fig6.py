@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis import Series, linear_fit, render_plot
-from ..core import PdrSystem
 from ..exec import SweepRunner
 
-from .points import asp_descriptor, reconfigure_point
+from .points import reconfigure_grid
 from .report import ExperimentReport, format_table
 from .table1 import WORKLOAD_ASP
 
@@ -53,7 +52,6 @@ class Fig6Data:
 
 
 def run_fig6(
-    system: Optional[PdrSystem] = None,
     temps_c: Optional[List[float]] = None,
     freqs_mhz: Optional[List[float]] = None,
     region: str = "RP1",
@@ -63,26 +61,9 @@ def run_fig6(
     temps = list(temps_c or PLOT_TEMPS_C)
     freqs = list(freqs_mhz or PLOT_FREQS_MHZ)
     grid = [(temp, freq) for temp in temps for freq in freqs]
-    if system is not None:
-        results = []
-        for temp, freq in grid:
-            system.set_die_temperature(temp)
-            results.append(system.reconfigure(region, WORKLOAD_ASP, freq))
-    else:
-        results = (runner or SweepRunner()).map(
-            "fig6",
-            reconfigure_point,
-            [
-                dict(
-                    region=region,
-                    freq_mhz=freq,
-                    temp_c=temp,
-                    workload=asp_descriptor(WORKLOAD_ASP),
-                )
-                for temp, freq in grid
-            ],
-            labels=[f"fig6@{freq:g}MHz/{temp:g}C" for temp, freq in grid],
-        )
+    results = reconfigure_grid(
+        runner, "fig6", region, WORKLOAD_ASP, grid, "fig6@{freq:g}MHz/{temp:g}C"
+    )
     curves: Dict[float, Series] = {}
     fits: Dict[float, tuple] = {}
     for (temp, _freq), result in zip(grid, results):

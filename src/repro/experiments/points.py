@@ -10,26 +10,27 @@ key.  The common case, one over-clocked reconfiguration on a fresh
 (baseline controllers, campaigns, perturbed systems) live next to their
 experiment module.
 
-A fresh system per point is what makes the points independent (and thus
-parallel/cacheable); results match the shared-system path to well within
-the reproduction's 1 % tolerance — only the global-timer tick phase
-differs, which shows up at most in the 5th significant digit.
+The Table I/II, Fig. 5/6 and §IV-A stress drivers have one path: each
+maps :func:`reconfigure_point` over its frequency × temperature grid
+with :func:`reconfigure_grid`, through the runner ``repro-pdr`` hands
+it (a serial one when called directly).  A library call and the CLI
+therefore print the same digits, whatever ``--jobs`` or ``--cache``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import PdrSystem, ReconfigResult
-from ..exec import note_events
+from ..exec import SweepRunner, note_events
 from ..fabric import Asp, instantiate_asp
-from ..snapshot import fork_point_system, fork_system
+from ..snapshot import fork_point_system
 
 __all__ = [
     "asp_descriptor",
     "campaign_point",
     "make_point_system",
-    "make_system",
+    "reconfigure_grid",
     "reconfigure_point",
 ]
 
@@ -41,16 +42,6 @@ def asp_descriptor(asp: Asp) -> Tuple[int, Tuple[int, ...]]:
     round-trip the configuration frames themselves use.
     """
     return (asp.kind, tuple(asp.params()))
-
-
-def make_system(config=None) -> PdrSystem:
-    """A live system from a plain-data config mapping (or ``None``).
-
-    Forks a per-config template snapshot when snapshots are enabled
-    (byte-identical to a fresh build; see :mod:`repro.snapshot`), else
-    constructs fresh.
-    """
-    return fork_system(config)
 
 
 def make_point_system(
@@ -85,6 +76,32 @@ def reconfigure_point(
     result = system.reconfigure(region, asp, freq_mhz)
     note_events(system.sim.events_processed)
     return result
+
+
+def reconfigure_grid(
+    runner: Optional[SweepRunner],
+    name: str,
+    region: str,
+    asp: Asp,
+    grid: Sequence[Tuple[float, float]],
+    label: str,
+) -> List[ReconfigResult]:
+    """One :func:`reconfigure_point` of ``asp`` per ``(temp_c, freq_mhz)``.
+
+    The points run through ``runner`` (serial when ``None``) as the sweep
+    ``name``, in ``grid`` order; ``label`` is formatted with each point's
+    ``freq`` and ``temp``.
+    """
+    workload = asp_descriptor(asp)
+    return (runner or SweepRunner()).map(
+        name,
+        reconfigure_point,
+        [
+            dict(region=region, freq_mhz=freq, temp_c=temp, workload=workload)
+            for temp, freq in grid
+        ],
+        labels=[label.format(freq=freq, temp=temp) for temp, freq in grid],
+    )
 
 
 def campaign_point(

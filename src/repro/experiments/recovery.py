@@ -25,9 +25,10 @@ from typing import Dict, List, Optional, Tuple
 from ..exec import SweepRunner, note_events
 from ..fabric import instantiate_asp
 from ..resilience import RecoveryOutcome, RecoveryPolicy, ResilientReconfigurator
+from ..snapshot import fork_system
 from ..timing import FailureMode
 
-from .points import asp_descriptor, make_system
+from .points import asp_descriptor
 from .report import ExperimentReport, format_table
 from .table1 import WORKLOAD_ASP
 
@@ -60,7 +61,7 @@ def recovery_point(
     ``None`` for defaults) so the point stays plain-data for the worker
     pool and the result cache.
     """
-    system = make_system(config)
+    system = fork_system(config)
     system.set_die_temperature(temp_c)
     reconfigurator = ResilientReconfigurator(
         system, policy=RecoveryPolicy.from_mapping(policy)

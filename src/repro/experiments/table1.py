@@ -10,14 +10,14 @@ Regenerate with ``repro-pdr table1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..core import PdrSystem, ReconfigResult
+from ..core import ReconfigResult
 from ..exec import SweepRunner
 from ..fabric import FirFilterAsp
 
 from .calibration import PAPER_TABLE1
-from .points import asp_descriptor, reconfigure_point
+from .points import reconfigure_grid
 from .report import ExperimentReport, fmt, fmt_err, format_phase_table, format_table
 
 __all__ = ["Table1Row", "run_table1", "format_report"]
@@ -47,7 +47,6 @@ class Table1Row:
 
 
 def run_table1(
-    system: Optional[PdrSystem] = None,
     frequencies: Optional[List[float]] = None,
     region: str = "RP1",
     temp_c: float = 40.0,
@@ -55,30 +54,18 @@ def run_table1(
 ) -> List[Table1Row]:
     """Execute the sweep and pair each row with its paper reference.
 
-    With an explicit ``system`` every transfer runs back-to-back on that
-    shared instance (the bench-style path ablations rely on); otherwise
-    each frequency is an independent sweep point executed through
+    Each frequency is an independent sweep point executed through
     ``runner`` (serial by default, parallel/cached under the CLI flags).
     """
     freqs = list(frequencies or sorted(PAPER_TABLE1))
-    if system is not None:
-        system.set_die_temperature(temp_c)
-        results = [system.reconfigure(region, WORKLOAD_ASP, freq) for freq in freqs]
-    else:
-        results = (runner or SweepRunner()).map(
-            "table1",
-            reconfigure_point,
-            [
-                dict(
-                    region=region,
-                    freq_mhz=freq,
-                    temp_c=temp_c,
-                    workload=asp_descriptor(WORKLOAD_ASP),
-                )
-                for freq in freqs
-            ],
-            labels=[f"table1@{freq:g}MHz" for freq in freqs],
-        )
+    results = reconfigure_grid(
+        runner,
+        "table1",
+        region,
+        WORKLOAD_ASP,
+        [(temp_c, freq) for freq in freqs],
+        "table1@{freq:g}MHz",
+    )
     rows = []
     for freq, result in zip(freqs, results):
         paper = PAPER_TABLE1.get(freq, (None, None, True))

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core import PdrSystem, ReconfigResult
+from ..core import ReconfigResult
 from ..exec import SweepRunner
 
 from .calibration import PAPER_TABLE2
-from .points import asp_descriptor, reconfigure_point
+from .points import reconfigure_grid
 from .report import ExperimentReport, fmt, fmt_err, format_table
 from .table1 import WORKLOAD_ASP
 
@@ -33,30 +33,19 @@ class Table2Row:
 
 
 def run_table2(
-    system: Optional[PdrSystem] = None,
     region: str = "RP1",
     runner: Optional[SweepRunner] = None,
 ) -> List[Table2Row]:
     """Run the Table II sweep at 40 C."""
     freqs = sorted(PAPER_TABLE2)
-    if system is not None:
-        system.set_die_temperature(40.0)
-        results = [system.reconfigure(region, WORKLOAD_ASP, freq) for freq in freqs]
-    else:
-        results = (runner or SweepRunner()).map(
-            "table2",
-            reconfigure_point,
-            [
-                dict(
-                    region=region,
-                    freq_mhz=freq,
-                    temp_c=40.0,
-                    workload=asp_descriptor(WORKLOAD_ASP),
-                )
-                for freq in freqs
-            ],
-            labels=[f"table2@{freq:g}MHz" for freq in freqs],
-        )
+    results = reconfigure_grid(
+        runner,
+        "table2",
+        region,
+        WORKLOAD_ASP,
+        [(40.0, freq) for freq in freqs],
+        "table2@{freq:g}MHz",
+    )
     rows = []
     for freq, result in zip(freqs, results):
         power, throughput, efficiency = PAPER_TABLE2[freq]

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core import PdrSystem
 from ..exec import SweepRunner
 
 from .calibration import (
@@ -24,7 +23,7 @@ from .calibration import (
     PAPER_STRESS_FREQS_MHZ,
     PAPER_STRESS_TEMPS_C,
 )
-from .points import asp_descriptor, reconfigure_point
+from .points import reconfigure_grid
 from .report import ExperimentReport, format_table
 from .table1 import WORKLOAD_ASP
 
@@ -46,7 +45,6 @@ class StressMatrix:
 
 
 def run_temp_stress(
-    system: Optional[PdrSystem] = None,
     temps_c: Optional[List[float]] = None,
     freqs_mhz: Optional[List[float]] = None,
     region: str = "RP2",
@@ -57,26 +55,14 @@ def run_temp_stress(
     freqs = list(freqs_mhz or PAPER_STRESS_FREQS_MHZ)
     matrix = StressMatrix(temps_c=temps, freqs_mhz=freqs)
     grid = [(temp, freq) for temp in temps for freq in freqs]
-    if system is not None:
-        results = []
-        for temp, freq in grid:
-            system.set_die_temperature(temp)
-            results.append(system.reconfigure(region, WORKLOAD_ASP, freq))
-    else:
-        results = (runner or SweepRunner()).map(
-            "temp_stress",
-            reconfigure_point,
-            [
-                dict(
-                    region=region,
-                    freq_mhz=freq,
-                    temp_c=temp,
-                    workload=asp_descriptor(WORKLOAD_ASP),
-                )
-                for temp, freq in grid
-            ],
-            labels=[f"stress@{freq:g}MHz/{temp:g}C" for temp, freq in grid],
-        )
+    results = reconfigure_grid(
+        runner,
+        "temp_stress",
+        region,
+        WORKLOAD_ASP,
+        grid,
+        "stress@{freq:g}MHz/{temp:g}C",
+    )
     for (temp, freq), result in zip(grid, results):
         matrix.cells[(freq, temp)] = result.crc_valid
     return matrix

@@ -64,6 +64,20 @@ class TelemetryBook:
         finally:
             self._active = False
 
+    @contextmanager
+    def paused(self):
+        """Register nothing created inside the block, capture or not.
+
+        Snapshot templates are built here: a template never runs, and
+        each system forked from it registers itself, so an export lists
+        the same systems with forking on and off.
+        """
+        active, self._active = self._active, False
+        try:
+            yield
+        finally:
+            self._active = active
+
     def merged_dict(self, experiments: Optional[List[str]] = None) -> Dict[str, Any]:
         """One JSON-ready document covering every captured registry."""
         return {

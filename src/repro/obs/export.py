@@ -376,6 +376,7 @@ def dump_chrome_trace(
     tracers: Iterable[Tuple[str, Any]],
     registries: Iterable[Tuple[str, Mapping[str, Mapping[str, Any]]]] = (),
 ) -> None:
+    """Write :func:`to_chrome_trace` to ``path`` (loadable in Perfetto)."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(to_chrome_trace(tracers, registries), handle, indent=1)
         handle.write("\n")

@@ -27,6 +27,7 @@ import os
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..exec.spec import canonical_json
+from ..obs import TELEMETRY_BOOK
 from .state import SystemSnapshot
 
 __all__ = [
@@ -73,6 +74,13 @@ def _build_system(mapping: Dict[str, Any]):
     return PdrSystem(config=PdrSystemConfig(**mapping))
 
 
+def _build_template(mapping: Dict[str, Any]):
+    """A system to capture a template from, kept out of the telemetry
+    capture: only the systems forked from it are exported."""
+    with TELEMETRY_BOOK.paused():
+        return _build_system(mapping)
+
+
 def template_key(config, extra: Optional[Dict[str, Any]] = None) -> str:
     """Content-address identity of a template (canonical JSON)."""
     payload: Dict[str, Any] = {"config": _config_mapping(config)}
@@ -86,7 +94,7 @@ def template_snapshot(config=None) -> SystemSnapshot:
     key = template_key(config)
     snapshot = _TEMPLATES.get(key)
     if snapshot is None:
-        snapshot = SystemSnapshot.capture(_build_system(_config_mapping(config)))
+        snapshot = SystemSnapshot.capture(_build_template(_config_mapping(config)))
         _TEMPLATES[key] = snapshot
     return snapshot
 
@@ -122,7 +130,7 @@ def point_template_snapshot(
     if snapshot is None:
         from ..fabric.asp import instantiate_asp
 
-        system = _build_system(_config_mapping(config))
+        system = _build_template(_config_mapping(config))
         asp = instantiate_asp(kind, list(params))
         bitstream = system.make_bitstream(region, asp)
         system.stage_bitstream(bitstream)

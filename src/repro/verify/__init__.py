@@ -15,11 +15,10 @@ correctness backstop:
   generator that randomises frequency, temperature, bitstream size,
   region, FIFO depth, fault mix and IRQ-timeout budget, runs each
   scenario under the monitor, and *shrinks* any violating scenario to a
-  minimal reproducer printed as a ready-to-paste CLI command.
-* :mod:`repro.verify.oracle` — a differential oracle: every scenario
-  replayed twice must produce byte-identical traces, and a sweep run
-  serially must merge byte-identically to the same sweep under
-  ``--jobs N``.
+  minimal reproducer printed as a ready-to-paste CLI command.  The
+  scenarios run through the CLI's sweep runner, so ``--jobs N`` and
+  ``--cache`` apply, and the determinism contract every command keeps
+  (serial ≡ ``--jobs N`` ≡ cached ≡ fresh-built) covers fuzz too.
 
 Entry point: ``repro-pdr fuzz --seed S --cases N``.
 """
@@ -34,24 +33,14 @@ from .fuzz import (
     run_scenario,
     shrink_scenario,
 )
-from .oracle import (
-    DifferentialMismatch,
-    assert_parallel_matches_serial,
-    assert_replay_identical,
-    record_fingerprint,
-)
 
 __all__ = [
-    "DifferentialMismatch",
     "FuzzReport",
     "InvariantMonitor",
     "InvariantViolation",
     "Scenario",
     "ScenarioGenerator",
-    "assert_parallel_matches_serial",
-    "assert_replay_identical",
     "format_report",
-    "record_fingerprint",
     "run_fuzz",
     "run_scenario",
     "shrink_scenario",

@@ -10,8 +10,10 @@ seeded ``random.Random``.  No wall-clock, no global RNG state: case
 :class:`~repro.core.PdrSystem` under an
 :class:`~repro.verify.invariants.InvariantMonitor` (collect mode, so a
 broken invariant yields a record instead of an exception) and returns a
-plain-data result dict — pickleable for the differential oracle's
-``SweepRunner`` fan-out and canonical-JSON-stable for replay identity.
+plain-data result dict, so :func:`run_fuzz` maps it over the cases
+through a :class:`~repro.exec.SweepRunner` like every other campaign:
+serial, over ``--jobs N`` workers or from the result cache, the report
+is the same.
 
 When a scenario violates an invariant, :func:`shrink_scenario` reduces
 it: categorical fields collapse to their benign defaults first (fewer
@@ -30,6 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core import PdrSystem, PdrSystemConfig
 from ..core.pdr_system import TABLE1_BITSTREAM_BYTES
+from ..exec import SweepRunner
 from ..fabric import (
     Aes128Asp,
     Asp,
@@ -376,7 +379,6 @@ class FuzzReport:
     #: shrunk minimal scenario (when shrinking ran) and the replay command.
     findings: List[Dict[str, Any]] = field(default_factory=list)
     shrink_evals: int = 0
-    oracle_scenarios: int = 0
     #: ``(case index, process name)`` for every simulation process that
     #: died with an unhandled exception — quietly dead daemons are a
     #: robustness bug even when no invariant tripped.
@@ -391,20 +393,24 @@ def run_fuzz(
     seed: int = 1,
     cases: int = 50,
     shrink: bool = True,
-    oracle: int = 0,
     progress: Optional[Callable[[str], None]] = None,
+    runner: Optional[SweepRunner] = None,
 ) -> FuzzReport:
     """Run ``cases`` seeded scenarios; shrink and report any violation.
 
-    ``oracle > 0`` additionally replays the first ``oracle`` scenarios
-    through the differential oracle (determinism + serial-vs-parallel
-    equivalence); a mismatch is reported as an ``oracle.*`` finding.
+    The scenarios run through ``runner`` (serial when ``None``) and merge
+    in case order; shrinking re-runs candidates in this process.
     """
     generator = ScenarioGenerator(seed)
     report = FuzzReport(seed=seed, cases=cases)
     scenarios = [generator.generate(index) for index in range(cases)]
-    for scenario in scenarios:
-        record = run_scenario(scenario.to_mapping())
+    records = (runner or SweepRunner()).map(
+        "fuzz",
+        run_scenario,
+        [{"scenario": scenario.to_mapping()} for scenario in scenarios],
+        labels=[f"fuzz:{scenario.index}" for scenario in scenarios],
+    )
+    for scenario, record in zip(scenarios, records):
         report.checks += record["checks"]
         report.events_processed += record["events_processed"]
         report.succeeded_ops += record["succeeded_ops"]
@@ -425,34 +431,12 @@ def run_fuzz(
             report.findings.append(finding)
             if progress is not None:
                 progress(f"case {scenario.index}: {record['violations'][0]}")
-        elif progress is not None and (scenario.index + 1) % 25 == 0:
-            progress(f"{scenario.index + 1}/{cases} cases clean")
-
-    if oracle > 0:
-        from .oracle import (
-            DifferentialMismatch,
-            assert_parallel_matches_serial,
-            assert_replay_identical,
-        )
-
-        picked = scenarios[: min(oracle, cases)]
-        report.oracle_scenarios = len(picked)
-        try:
-            for scenario in picked:
-                assert_replay_identical(scenario)
-            assert_parallel_matches_serial(picked, jobs=2)
-        except DifferentialMismatch as exc:
-            report.findings.append(
-                {
-                    "scenario": None,
-                    "violations": [f"oracle.differential: {exc}"],
-                    "repro": f"repro-pdr fuzz --seed {seed} --cases {cases} --oracle {oracle}",
-                }
-            )
     return report
 
 
 def format_report(report: FuzzReport) -> str:
+    """Render a campaign summary: totals, dead processes, every finding
+    with its (shrunk) replay command, and ``violations: 0`` when clean."""
     lines = [
         "Fuzz campaign (deterministic scenario fuzzing + invariant monitor)",
         "=" * 66,
@@ -462,11 +446,6 @@ def format_report(report: FuzzReport) -> str:
         f"invariant checks: {report.checks}, "
         f"kernel events: {report.events_processed}",
     ]
-    if report.oracle_scenarios:
-        lines.append(
-            f"differential oracle: {report.oracle_scenarios} scenario(s) "
-            f"replayed twice + serial-vs-parallel merge compared"
-        )
     if report.unhandled_failures:
         lines.append(
             f"UNHANDLED FAILURES: {len(report.unhandled_failures)} process(es)"

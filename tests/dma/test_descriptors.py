@@ -103,3 +103,21 @@ def test_batch_corruption_detected_per_region(system):
     )
     assert not batch.all_valid
     assert set(batch.region_valid.values()) == {False}
+
+
+def test_batch_clock_request_is_gated_by_a_brownout():
+    """A browned-out rail clamps a batch's clock as it clamps a single
+    load's, counts the clamp and says so in the trace."""
+    system = PdrSystem()
+    system.supply.brownout(100.0, 50e6)
+    batch = system.reconfigure_batch(
+        [("RP1", FirFilterAsp([5])), ("RP2", FirFilterAsp([6]))], 200.0
+    )
+    assert batch.freq_mhz == 100.0
+    assert batch.latency_us == pytest.approx(2650.818, abs=1e-3)
+    assert batch.all_valid
+    assert system.power_counts.brownout_clamps == 1
+    assert any(
+        "brownout: 200 MHz request clamped to 100 MHz" in record.message
+        for record in system.trace.records
+    )

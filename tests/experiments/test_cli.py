@@ -139,11 +139,11 @@ def test_cli_metrics_out_chrome_trace_and_profile(tmp_path):
         ["table2", "--out", "PATH"],
         ["chaos", "--out", "PATH"],
         ["fuzz", "--out", "PATH"],
-        ["fuzz", "--jobs", "2"],
+        ["fuzz", "--min-recovery", "0.5"],
         ["table2", "--boards", "3", "--seed", "9", "--no-batching"],
         ["report", "--cases", "3", "--chaos"],
         ["chaos", "--boards", "2"],
-        ["fleet", "--oracle", "1"],
+        ["fleet", "--no-shrink"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[1]}",
 )
@@ -188,15 +188,16 @@ def test_cli_metrics_out_exports_campaign_telemetry(tmp_path, capsys, argv):
 
 
 def test_cli_chaos_cache_serves_the_rerun(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    argv = ["chaos", "--seed", "1", "--cases", "1", "--cache", str(cache)]
-    assert main(argv) == 0
-    assert cache.is_dir()
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == first
-    assert "1 served from cache" in captured.err
+    for command in ("chaos", "fuzz"):
+        cache = tmp_path / command
+        argv = [command, "--seed", "1", "--cases", "1", "--cache", str(cache)]
+        assert main(argv) == 0
+        assert cache.is_dir()
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == first
+        assert "1 served from cache" in captured.err
 
 
 def test_cli_report_subcommand_aggregates_campaign(tmp_path):

@@ -8,9 +8,10 @@ and the ``--out`` report must be equal across all of those legs.
 
 Each row is an argv plus the flags its command takes: only rows whose
 command takes ``--jobs`` get the parallel and cached legs, and only rows
-whose command writes ``--out`` compare a report file.  A row that takes
-``--metrics-out`` also exports its telemetry twice, serially, and the two
-files must be equal.
+whose command writes ``--out`` compare a report file.  A row marked
+``--metrics-out`` also exports its telemetry serially with snapshot forking
+on and off: a forked system must export what a fresh one does, so the two
+runs and their files must be equal.
 """
 
 import json
@@ -18,14 +19,15 @@ import json
 import pytest
 
 from repro.chaos import SoakCaseGenerator
-from repro.experiments.cli import EXPERIMENTS, main
-from repro.snapshot import reset_templates
+from repro.experiments.cli import main
 from repro.verify.fuzz import ScenarioGenerator
 
 #: A sweep command: parallel and cached legs, no report file.
 SWEEP = ("--jobs", "--cache")
 #: A campaign that also writes its canonical JSON report.
 REPORT = SWEEP + ("--out",)
+#: Also compare the telemetry export with snapshot forking on and off.
+METRICS = ("--metrics-out",)
 
 FUZZ_CASE = json.dumps(ScenarioGenerator(11).generate(0).to_mapping())
 SOAK_CASE = json.dumps(SoakCaseGenerator(1).generate(0).to_mapping())
@@ -35,8 +37,8 @@ KILL_FLEET = (
 ).split()
 
 ROWS = {
-    "table2-fig5": (["table2", "fig5"], SWEEP),
-    "fuzz": (["fuzz", "--seed", "1", "--cases", "2"], ("--metrics-out",)),
+    "table2-fig5": (["table2", "fig5"], SWEEP + METRICS),
+    "fuzz": (["fuzz", "--seed", "1", "--cases", "2"], SWEEP + METRICS),
     "fuzz-replay": (["fuzz", "--replay", FUZZ_CASE], ()),
     "chaos": (["chaos", "--seed", "1", "--cases", "2"], SWEEP),
     "chaos-replay": (["chaos", "--replay", SOAK_CASE], ()),
@@ -46,7 +48,7 @@ ROWS = {
         "fleet --boards 2 --seed 4 --duration-ms 10 --arrival bursty".split(),
         REPORT,
     ),
-    "fleet-kill": (KILL_FLEET, REPORT),
+    "fleet-kill": (KILL_FLEET, REPORT + METRICS),
     "contention": (["contention"], REPORT),
 }
 
@@ -65,17 +67,13 @@ def test_contract(argv, flags, tmp_path, capsys, monkeypatch):
         return (code, captured.out, report), captured.err
 
     if "--metrics-out" in flags:
-        # Each export starts from no snapshot templates, as a new process
-        # would: a template built in-process registers with the capture.
-        # Telemetry is held to a serial rerun only, because a forked
-        # system's registry does not list the same metrics as a fresh one.
         metrics = tmp_path / "metrics.json"
-        dumps = []
-        for _ in range(2):
-            reset_templates()
-            run("--metrics-out", str(metrics))
-            dumps.append(metrics.read_bytes())
-        assert dumps[0] == dumps[1]
+        exports = {}
+        for snapshots in ("0", "1"):
+            monkeypatch.setenv("REPRO_SNAPSHOTS", snapshots)
+            result, _ = run("--metrics-out", str(metrics))
+            exports[snapshots] = result, metrics.read_bytes()
+        assert exports["1"] == exports["0"]
 
     serial, _ = run()
     legs = {}
@@ -83,8 +81,7 @@ def test_contract(argv, flags, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "cache")
         legs["--jobs 2 --cache"], _ = run("--jobs", "2", "--cache", cache)
         legs["--cache rerun"], err = run("--cache", cache)
-        if argv[0] in EXPERIMENTS:
-            assert "served from cache" in err
+        assert "served from cache" in err
     monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
     legs["REPRO_SNAPSHOTS=0"], _ = run()
     for leg, result in legs.items():

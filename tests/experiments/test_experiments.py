@@ -3,7 +3,9 @@
 These are the reproduction's acceptance tests: each asserts the *shape*
 of the corresponding paper artifact (who wins, where the knee falls,
 which cells fail), with quantitative tolerances on the headline numbers.
-A shared PdrSystem keeps the suite fast; transfers are independent.
+The sweep drivers run as ``repro-pdr`` runs them, one fresh system per
+point through a serial runner, so these are the values users see; the
+proposed-design check shares one PdrSystem.
 """
 
 import pytest
@@ -24,8 +26,8 @@ def system(shared_system):
 
 
 # ------------------------------------------------------------------ Table I --
-def test_table1_reproduces_all_rows(system):
-    rows = table1.run_table1(system=system)
+def test_table1_reproduces_all_rows():
+    rows = table1.run_table1()
     assert len(rows) == len(PAPER_TABLE1)
     for row in rows:
         assert row.matches_paper_shape, row.freq_mhz
@@ -38,8 +40,8 @@ def test_table1_reproduces_all_rows(system):
             )
 
 
-def test_table1_report_renders(system):
-    rows = table1.run_table1(system=system, frequencies=[100.0, 310.0, 320.0])
+def test_table1_report_renders():
+    rows = table1.run_table1(frequencies=[100.0, 310.0, 320.0])
     text = table1.format_report(rows)
     assert "Table I" in text
     assert "N/A no interrupt" in text
@@ -47,8 +49,8 @@ def test_table1_report_renders(system):
 
 
 # ------------------------------------------------------------------- Fig. 5 --
-def test_fig5_knee_and_ceiling(system):
-    data = fig5.run_fig5(system=system)
+def test_fig5_knee_and_ceiling():
+    data = fig5.run_fig5()
     assert data.knee_mhz == pytest.approx(200.0, abs=25.0)
     assert data.max_throughput_mb_s == pytest.approx(790.0, rel=0.01)
     # Linear region: throughput ~ 4 bytes x f below the knee.
@@ -63,8 +65,8 @@ def test_fig5_knee_and_ceiling(system):
 
 
 # ------------------------------------------------------------------- Fig. 6 --
-def test_fig6_structure(system):
-    data = fig6.run_fig6(system=system)  # the figure's full 4 x 7 grid
+def test_fig6_structure():
+    data = fig6.run_fig6()  # the figure's full 4 x 7 grid
     # Slopes constant across temperature (paper's observation).
     assert data.slope_spread() < 0.02
     for slope, _intercept in data.fits.values():
@@ -82,8 +84,8 @@ def test_fig6_structure(system):
 
 
 # ------------------------------------------------------------------ Table II --
-def test_table2_efficiency_peak(system):
-    rows = table2.run_table2(system=system)
+def test_table2_efficiency_peak():
+    rows = table2.run_table2()
     assert len(rows) == len(PAPER_TABLE2)
     best = table2.best_operating_point(rows)
     assert best.freq_mhz == 200.0  # the paper's headline operating point
@@ -102,9 +104,9 @@ def test_table2_efficiency_peak(system):
 
 
 # ------------------------------------------------------------- temp stress --
-def test_temp_stress_frontier_matches_paper(system):
+def test_temp_stress_frontier_matches_paper():
     # The paper's full 7 x 7 grid: 49 complete PDR runs through the DES.
-    matrix = temp_stress.run_temp_stress(system=system)
+    matrix = temp_stress.run_temp_stress()
     # "All the tests succeeded except the test done at 310 MHz and
     # 100 C which failed."
     assert matrix.failures() == PAPER_STRESS_FAILURES

@@ -1,7 +1,8 @@
 """Telemetry exports pinned across commits.
 
-The determinism contract holds a ``--metrics-out`` file to a rerun of
-the same commit.  These digests hold it to earlier commits: a refactor
+The determinism contract holds a ``--metrics-out`` file to the same
+commit's export with snapshot forking off.  These digests hold it to
+earlier commits: a refactor
 of how the devices keep or export their counts must reproduce every
 value and every metric name.  The ``sim.*`` kernel statistics are left
 out, because they move with every kernel change.  A change that moves
@@ -15,7 +16,6 @@ import json
 import pytest
 
 from repro.experiments.cli import main
-from repro.snapshot import reset_templates
 
 KILL_FLEET = (
     "fleet --boards 4 --seed 17 --duration-ms 14 "
@@ -40,23 +40,17 @@ def canonical_digest(doc) -> str:
     [
         (
             ["table2"],
-            "95ce71ef825a0ea698fa6cb241163f95ff80f26c25bfc2d6f099f4091c31d57d",
+            "64f37e25c941cd95782b8f3adb95db7a775583ad0e21dda75691d6afa2fda1a0",
         ),
         (
             KILL_FLEET,
-            "f5853995e2d0d0d37bafeac0e9e1708b12b9faa983c31b5cac87119052cceceb",
+            "3d854353ec8a0d007c10e902130e3da9a02f4e3ec31691131ebd41fa0cdd2fad",
         ),
     ],
     ids=["table2", "fleet-kill"],
 )
 def test_metrics_export_pinned_across_commits(argv, digest, tmp_path, capsys):
     path = tmp_path / "metrics.json"
-    # Start from no snapshot templates, as a new process would: a
-    # template built in-process registers with the capture.
-    reset_templates()
-    try:
-        assert main(list(argv) + ["--metrics-out", str(path)]) == 0
-    finally:
-        reset_templates()
+    assert main(list(argv) + ["--metrics-out", str(path)]) == 0
     capsys.readouterr()
     assert canonical_digest(json.loads(path.read_text())) == digest

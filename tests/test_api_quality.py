@@ -36,6 +36,11 @@ SUBPACKAGES = [
     "repro.analysis",
     "repro.exec",
     "repro.snapshot",
+    "repro.obs",
+    "repro.resilience",
+    "repro.verify",
+    "repro.chaos",
+    "repro.fleet",
 ]
 
 
