@@ -82,15 +82,17 @@ class AxiHpPort:
         else:
             self.streamed(request)
 
-    def write(self, addr: int, data: bytes) -> Event:
-        """Write a burst through the port; the event fires once the DDR
+    def write(self, addr: int, data: bytes, done=None):
+        """Write a burst through the port; ``done`` succeeds once the DDR
         has committed it (or fails on an error response).
 
-        The data streams into the port first; the part of that the DDR
-        transfer does not cover is one kernel entry before the burst goes
-        onto the crossbar lane.
+        ``done`` is completed as in :meth:`read`; a fresh event is made
+        (and returned) if none is given.  The data streams into the port
+        first; the part of that the DDR transfer does not cover is one
+        kernel entry before the burst goes onto the crossbar lane.
         """
-        done = self.sim.event(name=f"{self.name}.write")
+        if done is None:
+            done = self.sim.event(name=f"{self.name}.write")
         request = MemoryRequest(
             addr=addr,
             size=len(data),

@@ -38,6 +38,8 @@ from ..dma import (
     MM2S_DMASR,
     MM2S_LENGTH,
     MM2S_SA,
+    SgDescriptor,
+    write_descriptor_chain,
 )
 from ..dram import BankDramController, BankTiming, DramDevice
 from ..fabric import Asp, ConfigMemory, RpRegion, encode_asp_packed
@@ -67,6 +69,9 @@ TABLE1_BITSTREAM_BYTES = 528_760
 
 #: Where bitstreams are staged in DRAM.
 BITSTREAM_BASE_ADDR = 0x1000_0000
+
+#: Where a batch's SG descriptor chain is laid out (below the staging area).
+SG_CHAIN_BASE_ADDR = 0x0F00_0000
 
 #: Nominal PL clock out of reset (MHz).
 NOMINAL_FREQ_MHZ = 100.0
@@ -448,7 +453,9 @@ class PdrSystem:
         if bitstream is None:
             bitstream = self.make_bitstream(region, asp)
         addr = self.stage_bitstream(bitstream)
-        return self._firmware_sequence(region, bitstream, addr, freq_mhz, attempt)
+        return self._firmware_sequence(
+            region, [(region, bitstream, addr)], freq_mhz, attempt
+        )
 
     # ------------------------------------------------------------ fault hooks --
     def abort_transfer(self):
@@ -478,7 +485,7 @@ class PdrSystem:
     # ------------------------------------------------------ batch (SG) mode --
     def reconfigure_batch(
         self, jobs: List[tuple], freq_mhz: float
-    ) -> "BatchReconfigResult":
+    ) -> BatchReconfigResult:
         """Reconfigure several partitions back-to-back via SG descriptors.
 
         ``jobs`` is a list of ``(region, asp)`` pairs — or
@@ -487,13 +494,13 @@ class PdrSystem:
         A scatter-gather descriptor chain in DRAM points at each staged
         bitstream; the DMA walks the chain with no software between
         transfers, so the per-transfer driver overhead is paid once for
-        the whole batch.
+        the whole batch.  The chain runs through the same firmware
+        sequence as :meth:`reconfigure`, with one read-back scrub per
+        region.
         """
-        from ..dma.descriptors import SgDescriptor, SgDmaEngine, write_descriptor_chain
-
         if not jobs:
             raise ValueError("batch needs at least one (region, asp) job")
-        bitstreams = []
+        loads = []
         descriptors = []
         for job in jobs:
             region, asp = job[0], job[1]
@@ -502,61 +509,17 @@ class PdrSystem:
                 raise KeyError(f"unknown region {region!r}")
             bitstream = self.make_bitstream(region, asp, pad_to=pad_to)
             addr = self.stage_bitstream(bitstream)
-            bitstreams.append((region, bitstream))
-            descriptors.append(
-                SgDescriptor(buffer_addr=addr, length=bitstream.size_bytes)
-            )
-        chain_base = 0x0F00_0000  # below the bitstream staging area
-        head = write_descriptor_chain(self.dram, chain_base, descriptors)
-        engine = SgDmaEngine(self.dma, name="sg")
-
-        def sequence():
-            self.firmware_active += 1
-            try:
-                result = yield from batch_body()
-            finally:
-                self.firmware_active -= 1
-            return result
-
-        def batch_body():
-            gated_mhz = self._gate_clock(
-                freq_mhz, ", ".join(region for region, _ in bitstreams)
-            )
-            achieved = yield self.clock_wizard.program(gated_mhz)
-            temp_c = self.thermal.temperature_c
-            control_ok = self.timing.ok(PDR_CONTROL_PATH, achieved, temp_c)
-            data_ok = self.timing.ok(PDR_DATA_PATH, achieved, temp_c)
-            self.dma.suppress_completion_irq = False  # SG needs per-buffer IOC
-            if not data_ok:
-                fmax = self.timing.path(PDR_DATA_PATH).fmax_mhz(temp_c)
-                self.icap.word_corruptor = make_word_corruptor(achieved, fmax, temp_c)
-            else:
-                self.icap.word_corruptor = None
-
-            start_ticks = self.timer.read_ticks()
-            yield self.sim.timeout(self.config.firmware_setup_us * 1e3)
-            self.icap.begin_transfer()
-            walk = engine.start_chain(head)
-            yield walk
-            latency_us = self.timer.elapsed_us(start_ticks)
-
-            region_valid = {}
-            for region, bitstream in bitstreams:
-                self.scrubber.set_expected_crc(region, bitstream.meta["region_crc"])
-                scrub = yield self.sim.process(
-                    self.scrubber.scrub_region_once(region)
-                )
-                region_valid[region] = scrub.ok
-            return BatchReconfigResult(
-                freq_mhz=achieved,
-                latency_us=latency_us,
-                total_bytes=sum(b.size_bytes for _r, b in bitstreams),
-                region_valid=region_valid,
-                control_path_ok=control_ok,
-            )
-
-        process = self.sim.process(sequence(), name="fw.batch")
-        return self.sim.run_until(process)
+            loads.append((region, bitstream, addr))
+            descriptors.append(SgDescriptor(addr, bitstream.size_bytes))
+        head = write_descriptor_chain(self.dram, SG_CHAIN_BASE_ADDR, descriptors)
+        label = "+".join(region for region, _b, _a in loads)
+        process = self.sim.process(
+            self._firmware_sequence(label, loads, freq_mhz, head=head),
+            name=f"fw.reconfigure_batch:{label}",
+        )
+        batch: BatchReconfigResult = self.sim.run_until(process)
+        self.results.append(batch.load)
+        return batch
 
     # ---------------------------------------------------------------- firmware --
     def _gate_clock(self, freq_mhz: float, target: str) -> float:
@@ -577,15 +540,21 @@ class PdrSystem:
             )
         return gated_mhz
 
-    def _firmware_sequence(self, region, bitstream, addr, freq_mhz, attempt=0):
+    def _firmware_sequence(self, label, loads, freq_mhz, attempt=0, head=None):
         """The paper's C test program, as a simulation process.
 
+        ``loads`` lists ``(region, bitstream, addr)`` for every staged
+        bitstream and ``label`` names them (the region, or the regions
+        joined with ``+``).  With no ``head`` the one load runs in
+        direct register mode (SA/LENGTH) and the process returns its
+        :class:`ReconfigResult`; with ``head`` the DMA walks the SG
+        descriptor chain there and the process returns a
+        :class:`BatchReconfigResult`.
+
         Every firmware phase runs inside a :class:`SpanRecorder` span, so
-        the returned :class:`ReconfigResult` carries a per-phase latency
-        breakdown and the registry accumulates ``fw.phase.*_us``
-        histograms across reconfigurations.
+        the result carries a per-phase latency breakdown and the registry
+        accumulates ``fw.phase.*_us`` histograms across reconfigurations.
         """
-        config = self.config
         spans = SpanRecorder(
             now_fn=lambda: self.sim.now,
             tracer=self.trace,
@@ -596,24 +565,24 @@ class PdrSystem:
         self.fw_counts.reconfigures += 1
         self.firmware_active += 1
         try:
-            result = yield from self._firmware_sequence_body(
-                region, bitstream, addr, freq_mhz, attempt, spans
+            result, region_valid = yield from self._firmware_sequence_body(
+                label, loads, freq_mhz, attempt, head, spans
             )
         finally:
             self.firmware_active -= 1
-        return result
+        if head is None:
+            return result
+        return BatchReconfigResult(load=result, region_valid=region_valid)
 
-    def _firmware_sequence_body(
-        self, region, bitstream, addr, freq_mhz, attempt, spans
-    ):
+    def _firmware_sequence_body(self, label, loads, freq_mhz, attempt, head, spans):
         config = self.config
-        with spans.span("reconfigure", region=region, freq_mhz=freq_mhz):
+        with spans.span("reconfigure", region=label, freq_mhz=freq_mhz):
             # 1. Program the Clock Wizard and wait for MMCM lock.
-            gated_mhz = self._gate_clock(freq_mhz, region)
+            gated_mhz = self._gate_clock(freq_mhz, label)
             with spans.span("clock_lock"):
                 achieved = yield self.clock_wizard.program(gated_mhz)
             self.trace.emit(
-                self.sim.now, "fw", f"clock locked at {achieved:g} MHz for {region}"
+                self.sim.now, "fw", f"clock locked at {achieved:g} MHz for {label}"
             )
             self._temp_series.sample(self.thermal.temperature_c)
 
@@ -628,7 +597,7 @@ class PdrSystem:
             if not data_ok:
                 fmax = self.timing.path(PDR_DATA_PATH).fmax_mhz(temp_c)
                 self.icap.word_corruptor = make_word_corruptor(
-                    achieved, fmax, temp_c, region=region, attempt=attempt
+                    achieved, fmax, temp_c, region=label, attempt=attempt
                 )
                 failure_modes.append(FailureMode.DATA_CORRUPT)
             else:
@@ -645,11 +614,16 @@ class PdrSystem:
             # fills); the critical-path extractor re-attributes it.
             stall_before_ns = self.stream.counts.backpressure_ns
             with spans.span("dma_transfer"):
-                # 4. Arm the ICAP and start the DMA.
+                # 4. Arm the ICAP and start the DMA: one buffer by its
+                #    registers, or the descriptor chain at ``head``.
                 self.icap.begin_transfer()
                 self.dma.reg_write(MM2S_DMACR, DMACR_RS | DMACR_IOC_IRQ_EN)
-                self.dma.reg_write(MM2S_SA, addr)
-                self.dma.reg_write(MM2S_LENGTH, bitstream.size_bytes)
+                if head is None:
+                    [(_region, bitstream, addr)] = loads
+                    self.dma.reg_write(MM2S_SA, addr)
+                    self.dma.reg_write(MM2S_LENGTH, bitstream.size_bytes)
+                else:
+                    self.dma.start_chain(head)
 
                 # 5. Wait for the completion interrupt (or give up).
                 irq_event = self.dma.ioc_irq.wait_assert()
@@ -677,23 +651,35 @@ class PdrSystem:
                 with spans.span("fault_abort"):
                     yield from self.abort_transfer()
 
-            # Let the ICAP finish draining whatever the DMA pushed.
+            # Let the ICAP finish draining whatever the DMA pushed: the
+            # phase ends 16 over-clock cycles after the ICAP went idle
+            # (an SG chain's last status write-back already covers them).
             with spans.span("icap_drain"):
                 yield self.icap.busy.wait_for(False)
-                yield self.overclock.wait_cycles(16)
-
-            # 6. Read-back CRC check of the freshly configured region.
-            with spans.span("scrub"):
-                self.scrubber.set_expected_crc(region, bitstream.meta["region_crc"])
-                scrub = yield self.sim.process(
-                    self.scrubber.scrub_region_once(region), name="fw.scrub"
+                settle_ns = (
+                    self.icap.idle_since_ns
+                    + self.overclock.cycles_to_ns(16)
+                    - self.sim.now
                 )
-            crc_valid = scrub.ok
-            self.trace.emit(
-                self.sim.now,
-                "fw",
-                f"read-back CRC for {region}: {'valid' if crc_valid else 'NOT VALID'}",
-            )
+                if settle_ns > 0:
+                    yield self.sim.timeout(settle_ns)
+
+            # 6. Read-back CRC check of every freshly configured region.
+            region_valid = {}
+            with spans.span("scrub"):
+                for region, bitstream, _addr in loads:
+                    self.scrubber.set_expected_crc(region, bitstream.meta["region_crc"])
+                    scrub = yield self.sim.process(
+                        self.scrubber.scrub_region_once(region), name="fw.scrub"
+                    )
+                    region_valid[region] = scrub.ok
+            for region, valid in region_valid.items():
+                self.trace.emit(
+                    self.sim.now,
+                    "fw",
+                    f"read-back CRC for {region}: {'valid' if valid else 'NOT VALID'}",
+                )
+            crc_valid = all(region_valid.values())
 
             # 7. Report on the OLED, sample power, return the record.
             # The sampled board power can quantise below the idle
@@ -707,10 +693,10 @@ class PdrSystem:
         stall_us = max(0.0, self.stream.counts.backpressure_ns - stall_before_ns) / 1e3
         device_us = attribute_devices(phase_us, stall_us)
         result = ReconfigResult(
-            region=region,
+            region=label,
             requested_freq_mhz=freq_mhz,
             freq_mhz=achieved,
-            bitstream_bytes=bitstream.size_bytes,
+            bitstream_bytes=sum(b.size_bytes for _r, b, _a in loads),
             temp_c=temp_c,
             interrupt_seen=interrupt_seen,
             crc_valid=crc_valid,
@@ -726,7 +712,7 @@ class PdrSystem:
             device_us={name: round(us, 3) for name, us in device_us.items()},
         )
         self._update_oled(result)
-        return result
+        return result, region_valid
 
     def _update_oled(self, result: ReconfigResult) -> None:
         self.oled.write_line(0, f"FREQ {result.freq_mhz:6.1f} MHz")

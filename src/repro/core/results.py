@@ -129,25 +129,15 @@ class ReconfigResult:
 
 @dataclass
 class BatchReconfigResult:
-    """Outcome of a scatter-gather batch of reconfigurations."""
+    """Outcome of a scatter-gather batch of reconfigurations.
 
-    freq_mhz: float
-    latency_us: float
-    total_bytes: int
-    #: region -> read-back CRC verdict after the whole chain completed.
-    region_valid: dict = field(default_factory=dict)
-    control_path_ok: bool = True
+    ``load`` is the whole chain as one firmware load: its ``region``
+    joins the chain's regions with ``+``, ``bitstream_bytes`` counts
+    every buffer, ``latency_us`` is the C-timer window up to the chain's
+    one completion interrupt, and ``crc_valid`` holds when every region
+    read back valid.
+    """
 
-    @property
-    def throughput_mb_s(self) -> float:
-        if self.latency_us <= 0:
-            return 0.0
-        return self.total_bytes / self.latency_us
-
-    @property
-    def all_valid(self) -> bool:
-        return bool(self.region_valid) and all(self.region_valid.values())
-
-    @property
-    def regions(self) -> List[str]:
-        return sorted(self.region_valid)
+    load: ReconfigResult
+    #: region -> read-back CRC verdict after the whole chain.
+    region_valid: Dict[str, bool] = field(default_factory=dict)

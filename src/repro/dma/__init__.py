@@ -1,6 +1,6 @@
-"""AXI DMA engine (direct register mode, MM2S path)."""
+"""AXI DMA engine (MM2S path in direct register and scatter-gather modes)."""
 
-from .descriptors import SgDescriptor, SgDmaEngine, write_descriptor_chain
+from .descriptors import SgDescriptor, write_descriptor_chain
 from .engine import AxiDmaEngine, S2mmDmaEngine
 from .lite_frontend import DmaLiteFrontend
 from .registers import (
@@ -25,7 +25,6 @@ __all__ = [
     "AxiDmaEngine",
     "S2mmDmaEngine",
     "SgDescriptor",
-    "SgDmaEngine",
     "write_descriptor_chain",
     "S2MM_DA",
     "S2MM_DMACR",

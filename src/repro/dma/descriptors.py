@@ -1,10 +1,13 @@
-"""Scatter-gather descriptor engine (AXI DMA SG mode).
+"""Scatter-gather descriptors (AXI DMA SG mode).
 
 Direct register mode (what the paper's measurements use) needs the PS to
 program SA/LENGTH for every transfer.  SG mode instead walks a chain of
 DMA descriptors resident in DRAM: each descriptor names one buffer, and
 the engine fetches the next descriptor itself — so a whole *sequence* of
 partial bitstreams streams back-to-back with no software in the loop.
+The walk is a stage of the engine's callback chain
+(:meth:`~repro.dma.engine.AxiDmaEngine.start_chain`); this module holds
+the layout and the software side that builds a chain.
 
 Descriptor layout (Xilinx-compatible fields, 8 words = 32 bytes):
 
@@ -34,26 +37,16 @@ from dataclasses import dataclass
 from typing import List
 
 from ..dram.device import DramDevice
-from ..sim import InterruptLine
 
-from .engine import AxiDmaEngine
-from .registers import (
-    DMACR_IOC_IRQ_EN,
-    DMACR_RS,
-    DMASR_IOC_IRQ,
-    MM2S_DMACR,
-    MM2S_DMASR,
-    MM2S_LENGTH,
-    MM2S_SA,
-)
-
-__all__ = ["SgDescriptor", "write_descriptor_chain", "SgDmaEngine"]
+__all__ = ["SgDescriptor", "write_descriptor_chain"]
 
 DESC_BYTES = 32
-_CTRL_LEN_MASK = 0x03FFFFFF
-_CTRL_EOF = 1 << 26
-_CTRL_SOF = 1 << 27
-_STAT_CMPLT = 1 << 31
+CTRL_LEN_MASK = 0x03FFFFFF
+CTRL_EOF = 1 << 26
+CTRL_SOF = 1 << 27
+#: Byte offset of the STATUS word within a descriptor.
+STATUS_OFFSET = 28
+STAT_CMPLT = 1 << 31
 
 
 @dataclass
@@ -66,7 +59,7 @@ class SgDescriptor:
     last: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.length <= _CTRL_LEN_MASK:
+        if not 0 < self.length <= CTRL_LEN_MASK:
             raise ValueError(f"descriptor length {self.length} out of range")
         if self.length % 4:
             raise ValueError(
@@ -76,9 +69,9 @@ class SgDescriptor:
     def pack(self, next_addr: int) -> bytes:
         control = self.length
         if self.first:
-            control |= _CTRL_SOF
+            control |= CTRL_SOF
         if self.last:
-            control |= _CTRL_EOF
+            control |= CTRL_EOF
         return struct.pack(
             ">8I", next_addr, 0, self.buffer_addr, 0, 0, 0, control, 0
         )
@@ -100,52 +93,3 @@ def write_descriptor_chain(
         next_addr = base_addr + (index + 1) * DESC_BYTES
         dram.store(addr, descriptor.pack(next_addr))
     return base_addr
-
-
-class SgDmaEngine:
-    """Walks a descriptor chain through an underlying MM2S engine.
-
-    The fetch and write-back use the same HP port as the data, so SG
-    bookkeeping competes with payload bandwidth exactly as in hardware.
-    """
-
-    def __init__(self, dma: AxiDmaEngine, name: str = "sg"):
-        self.dma = dma
-        self.sim = dma.sim
-        self.name = name
-        self.chain_done_irq = InterruptLine(self.sim, name=f"{name}.done")
-        self.descriptors_processed = 0
-
-    def start_chain(self, head_addr: int):
-        """Process the chain (returns the driving Process)."""
-        return self.sim.process(self._walk(head_addr), name=f"{self.name}.walk")
-
-    def _walk(self, head_addr: int):
-        port = self.dma.port
-        addr = head_addr
-        while True:
-            raw = yield port.read(addr, DESC_BYTES)
-            fields = struct.unpack(">8I", raw)
-            next_addr, buffer_addr, control = fields[0], fields[2], fields[6]
-            length = control & _CTRL_LEN_MASK
-            if length == 0:
-                raise ValueError(f"descriptor at {addr:#x} has zero length")
-
-            # Drive the underlying engine in direct mode for this buffer.
-            self.dma.reg_write(MM2S_DMACR, DMACR_RS | DMACR_IOC_IRQ_EN)
-            self.dma.reg_write(MM2S_SA, buffer_addr)
-            irq = self.dma.ioc_irq.wait_assert()
-            self.dma.reg_write(MM2S_LENGTH, length)
-            yield irq
-            self.dma.reg_write(MM2S_DMASR, DMASR_IOC_IRQ)  # ack IOC (W1C)
-
-            # Write completion status back into the descriptor.
-            status = struct.pack(">I", _STAT_CMPLT)
-            yield port.write(addr + 28, status)
-            self.descriptors_processed += 1
-
-            if control & _CTRL_EOF:
-                break
-            addr = next_addr
-        self.chain_done_irq.pulse()
-        return self.descriptors_processed

@@ -17,7 +17,14 @@ entry (:meth:`~repro.sim.Simulator.call_later`) ending in
 :meth:`~AxiDmaEngine.issue`; the HP port calls
 :meth:`~AxiDmaEngine.fetched` with the burst's bytes, which go onto the
 stream as read from DRAM.  A soft reset moves the transfer epoch on, so
-an entry or read of the abandoned transfer drops out when it lands.
+an entry or port access of the abandoned transfer drops out when it lands.
+
+Scatter-gather (SG) mode adds two stages to the chain, through the same
+HP port as the data: :meth:`~AxiDmaEngine.start_chain` reads a
+descriptor (:meth:`~AxiDmaEngine.descriptor_fetched`) and runs its
+buffer; :meth:`~AxiDmaEngine.complete` writes its STATUS word back
+(:meth:`~AxiDmaEngine.status_written`), then the engine reads the next
+descriptor, or raises the chain's one completion interrupt.
 
 Xilinx guarantees this block to 150 MHz; the paper drives it to 310 MHz.
 The engine itself has no notion of failure — the timing model decides
@@ -27,6 +34,7 @@ interrupt (see :mod:`repro.timing`).
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Optional, Tuple
 
 from ..axi.ports import AxiHpPort
@@ -34,6 +42,7 @@ from ..axi.stream import AxiStream, StreamBurst
 from ..obs import MetricsRegistry
 from ..sim import ClockDomain, InterruptLine, Simulator
 
+from .descriptors import CTRL_EOF, CTRL_LEN_MASK, DESC_BYTES, STATUS_OFFSET, STAT_CMPLT
 from .registers import (
     DMACR_IOC_IRQ_EN,
     DMACR_RESET,
@@ -51,27 +60,32 @@ from .registers import (
 __all__ = ["AxiDmaEngine", "S2mmDmaEngine"]
 
 
-class _BurstRead:
-    """Where the HP port completes one burst read of a transfer epoch.
+#: The STATUS word an SG descriptor's write-back stores.
+_STATUS_COMPLETE = struct.pack(">I", STAT_CMPLT)
+
+
+class _PortTarget:
+    """Where the HP port completes one access of a transfer epoch.
 
     The port completes it as it would an :class:`~repro.sim.Event`:
-    ``succeed(data)`` once the burst has left the port, ``fail(exc)`` on
-    an error response.  Both reach the engine tagged with the epoch.
-    The engine keeps no reference to it, so once the read completes it
-    is freed by reference counting.
+    ``succeed(data)`` runs the engine ``stage`` it was issued for,
+    ``fail(exc)`` reports an error response.  Both reach the engine
+    tagged with the epoch.  The engine keeps no reference to it, so once
+    the access completes it is freed by reference counting.
     """
 
-    __slots__ = ("engine", "epoch")
+    __slots__ = ("engine", "stage", "epoch")
 
-    def __init__(self, engine: "AxiDmaEngine", epoch: int):
+    def __init__(self, engine: "AxiDmaEngine", stage: Callable, epoch: int):
         self.engine = engine
+        self.stage = stage
         self.epoch = epoch
 
-    def succeed(self, data: bytes) -> None:
-        self.engine.fetched(self.epoch, data)
+    def succeed(self, data: Optional[bytes]) -> None:
+        self.stage(self.epoch, data)
 
     def fail(self, exc: BaseException) -> None:
-        self.engine.fetch_failed(self.epoch, exc)
+        self.engine.failed(self.epoch, exc)
 
 
 class AxiDmaEngine:
@@ -138,6 +152,11 @@ class AxiDmaEngine:
         self._started_ns = 0.0
         self._pushed_bytes = 0
         self._burst_bytes = 0
+        #: SG mode: the descriptor whose buffer is moving and the next one
+        #: (``None`` after the tail).  ``_descriptor`` is ``None`` in
+        #: direct register mode.
+        self._descriptor: Optional[int] = None
+        self._next_descriptor: Optional[int] = None
         #: Outstanding stream-space reservation of the in-flight transfer
         #: ``(words, granted callback)``, handed back on reset so an
         #: aborted producer cannot leak FIFO space.
@@ -207,6 +226,7 @@ class AxiDmaEngine:
         """
         self._epoch += 1
         self._active = False
+        self._descriptor = None
         if self._reservation is not None:
             words, granted = self._reservation
             self._reservation = None
@@ -259,7 +279,9 @@ class AxiDmaEngine:
         if epoch != self._epoch:
             return
         self.counts.cmd_overhead_cycles += self.cmd_overhead_cycles
-        self.port.read(self._cursor, self._burst_bytes, _BurstRead(self, epoch))
+        self.port.read(
+            self._cursor, self._burst_bytes, _PortTarget(self, self.fetched, epoch)
+        )
 
     def fetched(self, epoch: int, data: bytes) -> None:
         """The burst has left the HP port: push its bytes onto the stream."""
@@ -276,25 +298,29 @@ class AxiDmaEngine:
         counts.bytes_moved += burst_bytes
         self._reserve_next()
 
-    def fetch_failed(self, epoch: int, exc: BaseException) -> None:
-        """AXI error response mid-transfer: latch DMAIntErr and halt.
+    def failed(self, epoch: int, exc: BaseException) -> None:
+        """AXI error response on a burst, a descriptor read or a status
+        write-back: latch DMAIntErr and halt.
 
         No completion interrupt will ever arrive — the firmware's
         IRQ-timeout recovery path takes it from here (DMA soft reset +
-        ICAP abort).  The burst's FIFO room goes back so the accounting
-        stays exact for the abort drain.
+        ICAP abort).  An outstanding FIFO reservation goes back so the
+        accounting stays exact for the abort drain.
         """
         if epoch != self._epoch:
             return
-        words, granted = self._reservation
-        self._reservation = None
-        self.stream.cancel_reserve(granted, words)
+        if self._reservation is not None:
+            words, granted = self._reservation
+            self._reservation = None
+            self.stream.cancel_reserve(granted, words)
         self._status |= DMASR_HALTED | DMASR_DMA_INT_ERR
         self._active = False
         self.counts.axi_errors += 1
 
     def complete(self) -> None:
-        """The stream FIFO has drained: hand the room back and finish."""
+        """The stream FIFO has drained: hand the room back and finish the
+        buffer — the transfer in direct register mode, or one descriptor
+        of an SG chain, whose STATUS word is then written back."""
         self._reservation = None
         self.stream.release(self.stream.fifo_words)
         self._active = False
@@ -306,9 +332,63 @@ class AxiDmaEngine:
         self._m_transfer_us.observe(duration_us)
         if duration_us > 0:
             self._m_mb_s.observe(self._length / duration_us)  # B/us == MB/s
+        if self._descriptor is None:
+            self._raise_ioc()
+        else:
+            self.port.write(
+                self._descriptor + STATUS_OFFSET,
+                _STATUS_COMPLETE,
+                _PortTarget(self, self.status_written, self._epoch),
+            )
+
+    def _raise_ioc(self) -> None:
         if (self._control & DMACR_IOC_IRQ_EN) and not self.suppress_completion_irq:
             self._status |= DMASR_IOC_IRQ
             self.ioc_irq.assert_()
+
+    # -- scatter-gather mode ----------------------------------------------------
+    def start_chain(self, head_addr: int) -> None:
+        """SG mode: walk the descriptor chain at ``head_addr``.
+
+        Each descriptor's buffer moves through the burst chain with no
+        software between buffers; the chain raises one completion
+        interrupt, after the tail's write-back.
+        """
+        if not self.running:
+            raise RuntimeError(f"{self.name}: chain started while halted")
+        if self._active or self._descriptor is not None:
+            raise RuntimeError(f"{self.name}: transfer already in progress")
+        self._fetch_descriptor(head_addr)
+
+    def _fetch_descriptor(self, addr: int) -> None:
+        self._descriptor = addr
+        self.port.read(
+            addr, DESC_BYTES, _PortTarget(self, self.descriptor_fetched, self._epoch)
+        )
+
+    def descriptor_fetched(self, epoch: int, raw: bytes) -> None:
+        """A descriptor has left the HP port: move its buffer (a zero or
+        ragged length halts the engine with DMAIntErr instead)."""
+        if epoch != self._epoch:
+            return
+        next_addr, _, buffer_addr, _, _, _, control, _ = struct.unpack(">8I", raw)
+        length = control & CTRL_LEN_MASK
+        if not length or length % 4:
+            self._status |= DMASR_HALTED | DMASR_DMA_INT_ERR
+            return
+        self._next_descriptor = None if control & CTRL_EOF else next_addr
+        self._start(buffer_addr, length)
+
+    def status_written(self, epoch: int, _data: None) -> None:
+        """A descriptor's STATUS word is in DRAM: read the next descriptor,
+        or end the chain with its completion interrupt."""
+        if epoch != self._epoch:
+            return
+        if self._next_descriptor is not None:
+            self._fetch_descriptor(self._next_descriptor)
+            return
+        self._descriptor = None
+        self._raise_ioc()
 
 
 class S2mmDmaEngine:

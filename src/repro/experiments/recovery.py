@@ -26,7 +26,6 @@ from ..exec import SweepRunner, note_events
 from ..fabric import instantiate_asp
 from ..resilience import RecoveryOutcome, RecoveryPolicy, ResilientReconfigurator
 from ..snapshot import fork_system
-from ..timing import FailureMode
 
 from .points import asp_descriptor
 from .report import ExperimentReport, format_table

@@ -67,6 +67,9 @@ class IcapController:
         )
         #: High while a configuration stream is being consumed.
         self.busy = Signal(sim, initial=False, name=f"{name}.busy")
+        #: When ``busy`` last fell: a stream's last burst drained, or an
+        #: abort finished quiescing the stream.
+        self.idle_since_ns = sim.now
         #: Rises when the stream desyncs (configuration done).
         self.done = Signal(sim, initial=False, name=f"{name}.done")
         #: Asserted if the configuration engine latched an error.
@@ -128,6 +131,7 @@ class IcapController:
                 )
             yield self.clock.wait_cycles(16)
         self.port.reset()
+        self.idle_since_ns = self.sim.now
         self.busy.set(False)
         self.done.set(False)
         self.counts.aborts += 1
@@ -182,6 +186,7 @@ class IcapController:
         counts.words_consumed += count
         counts.bursts_consumed += 1
         if burst.last:
+            self.idle_since_ns = self.sim.now
             self.busy.set(False)
             if self.port.desynced:
                 self.done.set(True)

@@ -27,7 +27,7 @@ system trace) so time-to-repair shows up next to the firmware phases.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set
 
 from ..core import PdrSystem, ReconfigResult
@@ -347,29 +347,24 @@ class ResilientReconfigurator:
             "recover_batch", jobs=len(jobs), freq_mhz=freq_mhz
         ):
             batch = system.reconfigure_batch(jobs, authorised)
-            outcome.freq_mhz = batch.freq_mhz
+            load = batch.load
+            outcome.freq_mhz = load.freq_mhz
             for job in jobs:
                 region, asp = job[0], job[1]
                 pad_to = job[2] if len(job) > 2 else _UNSET
                 self.counts.attempts += 1
-                ok = batch.control_path_ok and batch.region_valid.get(
-                    region, False
+                # The chain's interrupt and this region's own read-back.
+                modes = detect_modes(
+                    replace(load, crc_valid=batch.region_valid[region])
                 )
-                if ok:
-                    self.governor.record_success(
-                        region, batch.freq_mhz, temp_c
-                    )
+                if not modes:
+                    self.governor.record_success(region, load.freq_mhz, temp_c)
                     self._golden[region] = asp
                     outcome.region_ok[region] = True
                     continue
                 self.counts.failures_detected += 1
-                modes = []
-                if not batch.control_path_ok:
-                    modes.append(FailureMode.CONTROL_HANG)
-                if not batch.region_valid.get(region, False):
-                    modes.append(FailureMode.DATA_CORRUPT)
                 if self.governor.record_failure(
-                    region, batch.freq_mhz, temp_c, tuple(modes)
+                    region, load.freq_mhz, temp_c, modes
                 ):
                     outcome.newly_quarantined += 1
                 recovery = self.reconfigure(region, asp, freq_mhz, pad_to=pad_to)

@@ -511,40 +511,14 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
         try:
-            if self.monitor is None:
-                # Batch dispatch: with no monitor attached (the compiled-out
-                # probe configuration, same contract as ``telemetry=False``)
-                # the per-event ``step()`` call collapses into a locals-bound
-                # loop that drains every event sharing a timestamp in one
-                # heap inspection.  Semantics — event order, processed
-                # counts, the unhandled-failure cascade, ``until`` boundary
-                # handling — are identical to repeated ``step()`` calls.
-                heap = self._heap
-                pop = heapq.heappop
-                while heap:
-                    when = heap[0][0]
-                    if until is not None and when > until:
-                        self._now = until
-                        return
-                    self._now = when
-                    while heap and heap[0][0] == when:
-                        event = pop(heap)[2]
-                        self.events_processed += 1
-                        event._process()
-                        if self._unhandled:
-                            self._raise_unhandled()
-            else:
-                while self._heap:
-                    if until is not None and self._heap[0][0] > until:
-                        self._now = until
-                        return
-                    self.step()
+            self._dispatch(float("inf") if until is None else until, None)
             # A bounded run may legitimately drain the heap while processes
             # wait on external stimulus (the caller pokes the model and runs
             # again); only an unbounded run can never wake them.
-            if until is None and self._live_processes > 0:
-                raise Deadlock(self._live_processes)
-            if until is not None and self._now < until:
+            if until is None:
+                if self._live_processes > 0:
+                    raise Deadlock(self._live_processes)
+            elif self._now < until:
                 self._now = until
         finally:
             self._running = False
@@ -560,33 +534,34 @@ class Simulator:
             event.callbacks.append(lambda _event: None)
         self._running = True
         try:
-            if self.monitor is None:
-                # Same batch fast path as :meth:`run`; the target-event
-                # check stays per dispatched event so the loop stops at
-                # exactly the same point as repeated ``step()`` calls
-                # (later same-timestamp events remain on the heap).
-                heap = self._heap
-                pop = heapq.heappop
-                while not event.triggered:
-                    if not heap:
-                        raise Deadlock(self._live_processes)
-                    when = heap[0][0]
-                    self._now = when
-                    while heap and heap[0][0] == when:
-                        dispatched = pop(heap)[2]
-                        self.events_processed += 1
-                        dispatched._process()
-                        if self._unhandled:
-                            self._raise_unhandled()
-                        if event.triggered:
-                            break
-            else:
-                while not event.triggered:
-                    if not self._heap:
-                        raise Deadlock(self._live_processes)
-                    self.step()
-            # Drain remaining same-timestamp bookkeeping for determinism of
-            # repeated run_until calls.
+            if not event.triggered:
+                self._dispatch(float("inf"), event)
+                if not event.triggered:
+                    raise Deadlock(self._live_processes)
             return event.value
         finally:
             self._running = False
+
+    def _dispatch(self, until: float, target: Optional[Event]) -> None:
+        """Process heap entries in order, exactly as repeated :meth:`step`
+        calls would, until the heap drains, the next entry lies past
+        ``until`` or ``target`` has triggered (later entries at the same
+        time stay on the heap).
+
+        The monitor is read once per call; it sees each entry before
+        ``now`` advances to it.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        monitor = self.monitor
+        while heap and heap[0][0] <= until:
+            when, _seq, entry = pop(heap)
+            if monitor is not None:
+                monitor.on_kernel_event(self, when, entry)
+            self._now = when
+            self.events_processed += 1
+            entry._process()
+            if self._unhandled:
+                self._raise_unhandled()
+            if target is not None and target.triggered:
+                return

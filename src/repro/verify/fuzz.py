@@ -44,7 +44,7 @@ from ..fabric import (
     VectorScaleAsp,
     encode_asp_frames,
 )
-from ..resilience import FrequencyGovernor, ResilientReconfigurator
+from ..resilience import ResilientReconfigurator
 from ..snapshot import fork_system
 
 from .invariants import InvariantMonitor

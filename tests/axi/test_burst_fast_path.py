@@ -116,7 +116,7 @@ def test_single_loads_match_reference(freq_mhz):
     assert (seen["now"], _digest(seen)) == _SINGLE_LOADS[freq_mhz]
 
 
-_SG_BATCH = (2877320.0, "35225fa171cfd544f951728ae3e2d46c0b17a721f1ffdf2420c64958746aa8e3")
+_SG_BATCH = (2877320.0, "f9c9d3bb26c2330f2da71e75526ae8da15b0903bc50462802677d7fbbacef782")
 
 
 def test_sg_batch_matches_reference():

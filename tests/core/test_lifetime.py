@@ -86,6 +86,19 @@ def test_forked_load_of_fresh_content_frees_its_system(built):
     assert _alive(built) == []
 
 
+def test_batch_that_loses_its_interrupt_frees_its_system(built):
+    # The chain's IRQ timeout, DMA soft reset and ICAP abort leave no
+    # cycle behind.
+    system = PdrSystem()
+    batch = system.reconfigure_batch(
+        [("RP1", FirFilterAsp([5])), ("RP2", FirFilterAsp([6]))], 310.0
+    )
+    assert not batch.load.interrupt_seen
+    del system
+    assert built
+    assert _alive(built) == []
+
+
 def test_plain_fleet_frees_every_board(built):
     report = run_fleet(FleetSpec(boards=2, seed=1, duration_ms=4.0))
     assert report.loads > 0

@@ -190,10 +190,10 @@ def test_batch_sg_vs_individual():
         return individual_us, batch
 
     individual_us, batch = run()
-    assert batch.all_valid
-    assert len(batch.regions) == 4
+    assert batch.load.crc_valid
+    assert len(batch.region_valid) == 4
     # The chain sustains per-transfer throughput within 1 %.
-    per_transfer = batch.latency_us / 4
+    per_transfer = batch.load.latency_us / 4
     assert per_transfer == pytest.approx(individual_us / 4, rel=0.01)
     # And never does worse than the summed individual transfers.
-    assert batch.latency_us <= individual_us
+    assert batch.load.latency_us <= individual_us

@@ -3,14 +3,15 @@
 Seed 17 is the repo's demonstration campaign (EXPERIMENTS E16): one of
 four boards is killed permanently mid-run and another quarantines on
 consecutive deadline breaches, then rejoins through a successful
-half-open circuit-breaker probe.  Seed 19 exercises the crash path — a
-chaos fault wedges a board's simulation, which the fleet treats as a
-board death and fails over.  Reports are cached per spec because a
+half-open circuit-breaker probe.  The crash path — a board whose
+simulation raises, which the fleet treats as a board death and fails
+over — is provoked on purpose.  Reports are cached per spec because a
 chaos campaign costs seconds, not milliseconds.
 """
 
 import functools
 
+from repro.core import PdrSystem
 from repro.exec import SweepRunner
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.health import DEAD, QUARANTINED
@@ -92,8 +93,20 @@ def test_failover_latency_penalty_is_measured():
     assert report.slos.failover_latency_penalty_us > 0
 
 
-def test_crashed_board_counts_as_dead_and_fails_over():
-    report = cached_report(CRASH_SPEC)
+def test_crashed_board_counts_as_dead_and_fails_over(monkeypatch):
+    # One dispatch raises out of the board's simulation, as an unhandled
+    # bus error once did; the serial runner keeps the patch in process.
+    reconfigure = PdrSystem.reconfigure
+    calls = []
+
+    def crash_third_dispatch(system, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("board simulation crashed")
+        return reconfigure(system, *args, **kwargs)
+
+    monkeypatch.setattr(PdrSystem, "reconfigure", crash_third_dispatch)
+    report = run_fleet(CRASH_SPEC, runner=SweepRunner(jobs=1))
     crash_reasons = [
         event["reason"]
         for entry in report.health

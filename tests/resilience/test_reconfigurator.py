@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.axi import AxiSlaveError
 from repro.fabric import FirFilterAsp
 from repro.resilience import (
     FrequencyGovernor,
@@ -172,4 +173,29 @@ def test_batch_failure_falls_back_to_per_region_recovery(system, reconfigurator)
     for recovery in outcome.recoveries.values():
         assert recovery.recovered
     assert outcome.attempts_used > len(jobs)
+    assert system.run_asp("RP2", [1, 0, 0, 0, 0]) == [3, 1, 4, 1, 5]
+
+
+def test_batch_recovers_both_regions_after_a_descriptor_slverr(system, reconfigurator):
+    # An error response on the head descriptor's read halts the chain:
+    # the interrupt is lost, and both regions go through the retry loop.
+    armed = [True]
+
+    def fault_error(kind, addr, size):
+        if armed[0] and kind == "r" and addr == 0x0F00_0000 and size == 32:
+            armed[0] = False
+            return AxiSlaveError("injected SLVERR on the head descriptor")
+        return None
+
+    system.interconnect.fault_error = fault_error
+    jobs = [("RP1", FirFilterAsp([2, 7, 1, 8])), ("RP2", WORKLOAD)]
+    try:
+        outcome = reconfigurator.reconfigure_batch(jobs, 200.0)
+    finally:
+        system.interconnect.fault_error = None
+    assert not armed[0]
+    assert outcome.recovered
+    assert sorted(outcome.recoveries) == ["RP1", "RP2"]
+    for recovery in outcome.recoveries.values():
+        assert recovery.recovered
     assert system.run_asp("RP2", [1, 0, 0, 0, 0]) == [3, 1, 4, 1, 5]
