@@ -4,8 +4,6 @@ comparison exercise identical code paths for every design."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core import PdrSystem
 from ..fabric import FirFilterAsp
 
@@ -21,10 +19,10 @@ class ThisWorkController(ReconfigController):
     has_crc_check = True
     nominal_mhz = 100.0
 
-    def __init__(self, system: Optional[PdrSystem] = None):
+    def __init__(self):
         #: The full discrete-event system; shared across transfers so the
         #: clock wizard, DRAM state etc. persist as on the real bench.
-        self.system = system or PdrSystem()
+        self.system = PdrSystem()
         self._asp = FirFilterAsp([1, 2, 3, 4])
 
     def transfer(self, bitstream_bytes: int, freq_mhz: float) -> BaselineResult:

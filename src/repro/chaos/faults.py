@@ -68,9 +68,8 @@ FAULT_KINDS = ENVIRONMENT_KINDS + ("seu",)
 #: recoverable by design); only the fleet layer schedules it, and only
 #: the fleet layer handles it: the board stops executing mid-run and its
 #: remaining work fails over to the surviving boards
-#: (:mod:`repro.fleet.health`).  The :class:`~repro.chaos.ChaosInjector`
-#: does not deliver it — executors split it out of the plan before
-#: arming the injector.
+#: (:mod:`repro.fleet.health`).  No fault plan holds it, and the
+#: :class:`~repro.chaos.ChaosInjector` does not deliver it.
 BOARD_KILL_KIND = "board_kill"
 
 
@@ -203,31 +202,14 @@ def build_board_fault_plan(
     horizon_us: float,
     fault_count: int,
     seu_per_ms: float = 0.0,
-    kill_at_us: float = None,
 ) -> FaultPlan:
     """Per-board fault schedule for a fleet campaign.
 
     The campaign seed is salted by the board index (a second large prime
     so board salts never collide with the case salts of
     :func:`build_fault_plan`), which gives every board of a fleet an
-    independent — but still seed-deterministic — storm.  ``kill_at_us``
-    additionally schedules a hard :data:`BOARD_KILL_KIND` fault: the
-    board goes permanently dark at that point of its execution.  Kill
-    faults ride in the plan as plain data like everything else, but are
-    consumed by the fleet executor, not the injector.
+    independent — but still seed-deterministic — storm.  Board kills are
+    not in the plan: the fleet executor schedules them itself.
     """
     derived = int(fault_seed) * 1_000_003 + 59 + int(board) * 7_919
-    plan = build_fault_plan(derived, horizon_us, fault_count, seu_per_ms)
-    faults = plan.faults
-    if kill_at_us is not None:
-        faults = tuple(
-            sorted(
-                faults + (Fault(BOARD_KILL_KIND, float(kill_at_us)),),
-                key=lambda f: (f.at_us, f.kind, f.params),
-            )
-        )
-    return FaultPlan(
-        fault_seed=derived,
-        horizon_us=float(horizon_us),
-        faults=faults,
-    )
+    return build_fault_plan(derived, horizon_us, fault_count, seu_per_ms)

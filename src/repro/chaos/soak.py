@@ -37,7 +37,6 @@ from ..analysis.stats import nearest_rank
 from ..core import PdrSystem, PdrSystemConfig
 from ..exec import SweepRunner
 from ..resilience import ResilientReconfigurator
-from ..snapshot import fork_system
 from ..verify.fuzz import ASP_KINDS, REGIONS, _make_asp
 from ..verify.invariants import InvariantMonitor
 
@@ -176,9 +175,7 @@ def soak_case(**case_fields: Any) -> Dict[str, Any]:
         die_temp_c=case.temp_c,
         irq_timeout_us=SOAK_IRQ_TIMEOUT_US,
     )
-    # Template fork per config identity (byte-identical to a fresh
-    # build; REPRO_SNAPSHOTS=0 falls back to direct construction).
-    system = fork_system(config)
+    system = PdrSystem(config)
     monitor = InvariantMonitor(raise_on_violation=False).attach(system)
     recoverer = ResilientReconfigurator(system)
     monitor.attach_governor(recoverer.governor)

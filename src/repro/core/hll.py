@@ -15,7 +15,7 @@ workloads (see ``examples/asp_switching.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..axi import AxiHpPort
@@ -23,7 +23,7 @@ from ..clocking import ClockManager
 from ..fabric import Asp
 from ..sim import Channel
 
-from .pdr_system import PdrSystem, PdrSystemConfig
+from .pdr_system import PdrSystem
 from .results import ReconfigResult
 from .rp_channel import RpDataChannel
 from .rp_regs import RpControlInterface
@@ -66,13 +66,8 @@ class JobResult:
 class HllFramework:
     """ASP scheduler over a :class:`PdrSystem`'s four partitions."""
 
-    def __init__(
-        self,
-        system: Optional[PdrSystem] = None,
-        icap_freq_mhz: float = 200.0,
-        config: Optional[PdrSystemConfig] = None,
-    ):
-        self.system = system or PdrSystem(config=config)
+    def __init__(self, icap_freq_mhz: float = 200.0):
+        self.system = PdrSystem()
         self.icap_freq_mhz = icap_freq_mhz
         self.clock_manager = ClockManager(self.system.sim, outputs=5)
         self.region_names: List[str] = sorted(self.system.regions)

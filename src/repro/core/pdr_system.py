@@ -46,7 +46,7 @@ from ..fabric import Asp, ConfigMemory, RpRegion, encode_asp_packed
 from ..icap import IcapController
 from ..obs import TELEMETRY_BOOK, MetricsRegistry, NullMetricsRegistry, SpanRecorder
 from ..obs.profile import attribute_devices, critical_path as _critical_path
-from ..power import CurrentSense, PowerModel, PowerModelParams, PowerSupply
+from ..power import CurrentSense, PowerModel, PowerSupply
 from ..ps import GlobalTimer, InterruptController, Pcap
 from ..sim import ClockDomain, Simulator, Tracer
 from ..thermal import HeatGun, TemperatureSensor, ThermalModel
@@ -54,7 +54,6 @@ from ..timing import (
     FailureMode,
     PDR_CONTROL_PATH,
     PDR_DATA_PATH,
-    TimingModel,
     default_timing_model,
     make_word_corruptor,
 )
@@ -130,12 +129,7 @@ class PdrSystem:
     _BUILD_CACHE: "OrderedDict[tuple, Bitstream]" = OrderedDict()
     _BUILD_CACHE_MAX = 128
 
-    def __init__(
-        self,
-        config: Optional[PdrSystemConfig] = None,
-        timing_model: Optional[TimingModel] = None,
-        power_params: Optional[PowerModelParams] = None,
-    ):
+    def __init__(self, config: Optional[PdrSystemConfig] = None):
         self.config = config or PdrSystemConfig()
         self.sim = Simulator()
         sim = self.sim
@@ -216,7 +210,7 @@ class PdrSystem:
         # never over ``self``: a closure over the system held by one of its
         # own parts is a reference cycle that outlives the run.
         overclock = self.overclock
-        power_model = self.power_model = PowerModel(power_params or PowerModelParams())
+        power_model = self.power_model = PowerModel()
         thermal = self.thermal = ThermalModel(
             sim,
             power_source=lambda: power_model.pdr_power_w(overclock.freq_mhz, 40.0),
@@ -239,7 +233,7 @@ class PdrSystem:
         self.sdcard = SdCard(sim)
 
         # ---- timing / failure model -----------------------------------------
-        self.timing = timing_model or default_timing_model()
+        self.timing = default_timing_model()
 
         #: Firmware/system event trace (bounded ring buffer); retention
         #: follows the telemetry flag (emission is lazy, so a disabled
@@ -272,42 +266,6 @@ class PdrSystem:
         if self.config.telemetry:
             TELEMETRY_BOOK.register(metrics, "pdr_system")
             TELEMETRY_BOOK.register_tracer(self.trace, "pdr_system")
-
-    # ---------------------------------------------------------------- snapshots --
-    @classmethod
-    def fork(
-        cls,
-        snapshot,
-        timing_model: Optional[TimingModel] = None,
-        power_params: Optional[PowerModelParams] = None,
-    ) -> "PdrSystem":
-        """Rebuild a live system from a :class:`~repro.snapshot.SystemSnapshot`.
-
-        The constructor still wires the device graph (simulator,
-        processes and metrics are live objects), but the fork inherits
-        the snapshot's provisioning state — fabric frames, staged DRAM
-        content, the instance bitstream cache and golden CRCs — so no
-        layout decode, bitstream build or re-staging happens.  Timed
-        behaviour is byte-identical to a fresh-built system because
-        snapshots only ever capture untimed state.
-        """
-        from ..snapshot.state import SystemSnapshot
-
-        if not isinstance(snapshot, SystemSnapshot):
-            raise TypeError("fork() needs a SystemSnapshot")
-        system = cls(
-            config=PdrSystemConfig(**snapshot.config_mapping()),
-            timing_model=timing_model,
-            power_params=power_params,
-        )
-        snapshot.restore_into(system)
-        return system
-
-    def snapshot(self):
-        """Capture this system's provisioning state (untimed systems only)."""
-        from ..snapshot.state import SystemSnapshot
-
-        return SystemSnapshot.capture(self)
 
     # ------------------------------------------------------------------ bench --
     def set_die_temperature(self, temp_c: float) -> None:

@@ -320,11 +320,14 @@ class AxiDmaEngine:
     def complete(self) -> None:
         """The stream FIFO has drained: hand the room back and finish the
         buffer — the transfer in direct register mode, or one descriptor
-        of an SG chain, whose STATUS word is then written back."""
+        of an SG chain, whose STATUS word is then written back.  Only a
+        direct-mode transfer leaves the engine Idle here; an SG chain
+        reads Idle once its tail's write-back lands."""
         self._reservation = None
         self.stream.release(self.stream.fifo_words)
         self._active = False
-        self._status |= DMASR_IDLE
+        if self._descriptor is None:
+            self._status |= DMASR_IDLE
         self.counts.transfers_completed += 1
         if self.monitor is not None:
             self.monitor.on_dma_complete(self, self._length, self._pushed_bytes)
@@ -358,6 +361,7 @@ class AxiDmaEngine:
             raise RuntimeError(f"{self.name}: chain started while halted")
         if self._active or self._descriptor is not None:
             raise RuntimeError(f"{self.name}: transfer already in progress")
+        self._status &= ~DMASR_IDLE
         self._fetch_descriptor(head_addr)
 
     def _fetch_descriptor(self, addr: int) -> None:
@@ -381,13 +385,15 @@ class AxiDmaEngine:
 
     def status_written(self, epoch: int, _data: None) -> None:
         """A descriptor's STATUS word is in DRAM: read the next descriptor,
-        or end the chain with its completion interrupt."""
+        or end the chain: the engine reads Idle, then raises the chain's
+        completion interrupt."""
         if epoch != self._epoch:
             return
         if self._next_descriptor is not None:
             self._fetch_descriptor(self._next_descriptor)
             return
         self._descriptor = None
+        self._status |= DMASR_IDLE
         self._raise_ioc()
 
 

@@ -5,9 +5,8 @@ DDR controller's split (and the gram-style decomposition named in
 ROADMAP.md):
 
 * **Bank machines** — per-bank open-row state lives in
-  :class:`~repro.dram.device.DramDevice` (so snapshot fork/restore
-  carries it).  Each access is classified hit / miss / conflict and
-  priced from :class:`BankTiming`:
+  :class:`~repro.dram.device.DramDevice`.  Each access is classified
+  hit / miss / conflict and priced from :class:`BankTiming`:
 
   ==========  =============================  =========================
   outcome     commands                       latency

@@ -58,8 +58,7 @@ class DramDevice:
         ACTIVATE).  Under the closed-page policy every access auto-
         precharges, so no row is ever left open and every access is a
         miss.  The bank-aware controller derives latency from the outcome
-        and counts it; this method owns the state so snapshot
-        fork/restore carries bank/row history with the device.
+        and counts it; this method owns the bank/row state.
         """
         self._bounds(addr, size)
         row = addr // self.timing.row_bytes
@@ -108,27 +107,6 @@ class DramDevice:
                 out[offset : offset + chunk] = page[page_offset : page_offset + chunk]
             offset += chunk
         return bytes(out)
-
-    # -- snapshot support ----------------------------------------------------
-    def capture_state(self):
-        """Plain-data device state for :mod:`repro.snapshot`.
-
-        Bank/row state is part of the state: a forked system must replay
-        the same row-hit sequence (and hence the same access latencies)
-        as the system it was captured from.
-        """
-        return (
-            tuple(sorted(
-                (index, bytes(page)) for index, page in self._pages.items()
-            )),
-            tuple(sorted(self._open_rows.items())),
-        )
-
-    def restore_state(self, state) -> None:
-        """Restore a :meth:`capture_state` result."""
-        pages, open_rows = state
-        self._pages = {index: bytearray(page) for index, page in pages}
-        self._open_rows = dict(open_rows)
 
     # -- internals ----------------------------------------------------------
     def _bounds(self, addr: int, size: int) -> None:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..core import PdrSystem, ReconfigResult
+from ..core import PdrSystem, PdrSystemConfig, ReconfigResult
 from ..exec import SweepRunner, note_events
 from ..fabric import Asp, instantiate_asp
-from ..snapshot import fork_point_system
 
 __all__ = [
     "asp_descriptor",
@@ -47,14 +46,16 @@ def asp_descriptor(asp: Asp) -> Tuple[int, Tuple[int, ...]]:
 def make_point_system(
     region: str, workload: Tuple[int, Tuple[int, ...]], config=None
 ) -> PdrSystem:
-    """A live system with ``workload``'s bitstream pre-staged for ``region``.
+    """A fresh system with ``workload``'s bitstream staged for ``region``.
 
-    The sweep-point fast path: the template built and staged the
-    bitstream once (untimed provisioning), so every point forked from it
-    starts at the timed reconfiguration with warm caches.  Falls back to
-    a fresh build when ``REPRO_SNAPSHOTS`` disables snapshots.
+    ``config`` is an optional mapping of ``PdrSystemConfig`` overrides.
+    Building and staging are untimed provisioning, done here so the
+    point starts at the timed reconfiguration.
     """
-    return fork_point_system(region, workload, config)
+    system = PdrSystem(PdrSystemConfig(**(config or {})))
+    asp = instantiate_asp(workload[0], list(workload[1]))
+    system.stage_bitstream(system.make_bitstream(region, asp))
+    return system
 
 
 def reconfigure_point(

@@ -42,16 +42,13 @@ class ProposedData:
     theoretical_mb_s: float = THEORETICAL_THROUGHPUT_MB_S
 
 
-def run_proposed(
-    pdr_system: Optional[PdrSystem] = None,
-    sram_system: Optional[SramPrSystem] = None,
-) -> ProposedData:
+def run_proposed(pdr_system: Optional[PdrSystem] = None) -> ProposedData:
     """Measure the SectionVI system against the Fig. 2 baseline."""
     pdr_system = pdr_system or PdrSystem()
     pdr_system.set_die_temperature(40.0)
     current = pdr_system.reconfigure("RP1", WORKLOAD_ASP, 200.0)
 
-    sram_system = sram_system or SramPrSystem()
+    sram_system = SramPrSystem()
     plain = sram_system.reconfigure("RP1", Aes128Asp([9, 9, 9, 9]), compress=False)
     compressed = sram_system.reconfigure(
         "RP2", FirFilterAsp([5, 4, 3, 2, 1]), compress=True

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core import PdrSystem
 from ..exec import SweepRunner, note_events
 from ..fabric import instantiate_asp
 from ..resilience import RecoveryOutcome, RecoveryPolicy, ResilientReconfigurator
-from ..snapshot import fork_system
 
 from .points import asp_descriptor
 from .report import ExperimentReport, format_table
@@ -52,7 +52,6 @@ def recovery_point(
     temp_c: float,
     workload: Tuple[int, Tuple[int, ...]],
     policy=None,
-    config=None,
 ) -> RecoveryOutcome:
     """One recovered reconfiguration on a fresh system (sweep point).
 
@@ -60,7 +59,7 @@ def recovery_point(
     ``None`` for defaults) so the point stays plain-data for the worker
     pool and the result cache.
     """
-    system = fork_system(config)
+    system = PdrSystem()
     system.set_die_temperature(temp_c)
     reconfigurator = ResilientReconfigurator(
         system, policy=RecoveryPolicy.from_mapping(policy)

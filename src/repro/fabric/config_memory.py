@@ -171,22 +171,6 @@ class ConfigMemory:
         for i in range(count):
             self._write_packed(first + i, blank)
 
-    # -- snapshot support ----------------------------------------------------
-    def capture_state(self):
-        """Plain-data state for :mod:`repro.snapshot` (slab + generations)."""
-        return (
-            bytes(self._slab),
-            tuple(self._generation),
-            self.total_frame_writes,
-        )
-
-    def restore_state(self, state) -> None:
-        """Restore a :meth:`capture_state` result."""
-        slab, generations, writes = state
-        self._slab[:] = slab
-        self._generation[:] = generations
-        self.total_frame_writes = writes
-
     # -- fault injection -------------------------------------------------------
     def corrupt_word(
         self, frame_index: int, word_index: int, flip_mask: int = 0x1

@@ -47,8 +47,8 @@ class RpRegion:
         """How many configurations this region has held since it was built.
 
         Every load rewrites the region's first frame once, so this is
-        that frame's generation counter (which snapshots restore) less
-        its value when the region was built.
+        that frame's generation counter less its value when the region
+        was built.
         """
         first = self._frame_indices.start
         return self.memory.generation(first) - self._base_generation

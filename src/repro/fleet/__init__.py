@@ -2,8 +2,8 @@
 
 The rest of the repo measures one reconfiguration at a time; this
 package is the ROADMAP's "millions of users" story.  A
-:class:`FleetSpec` describes a fleet of simulated boards (forked cheaply
-from :mod:`repro.snapshot` templates) and an open-loop request workload
+:class:`FleetSpec` describes a fleet of simulated boards and an
+open-loop request workload
 (Poisson or bursty arrivals of reconfiguration requests over mixed ASP
 kinds, sizes and regions).  :func:`run_fleet` drives the requests
 through admission control, bounded per-board queues and same-bitstream

@@ -7,8 +7,8 @@ phases:
    :func:`~repro.fleet.scheduler.plan_fleet` turn ``(seed, duration,
    rate, mode)`` into per-board dispatch schedules.  Pure data.
 2. **Execute** — :func:`board_point` runs each board's schedule on a
-   real :class:`~repro.core.PdrSystem` (forked from the snapshot
-   template) through :class:`~repro.resilience.ResilientReconfigurator`,
+   fresh :class:`~repro.core.PdrSystem` through
+   :class:`~repro.resilience.ResilientReconfigurator`,
    so the per-board retry/backoff/governor loop is *inside* the measured
    service times.  Boards are independent — the only cross-board
    coupling (placement) already happened in the plan — so this phase
@@ -27,7 +27,7 @@ phases:
    (the shared ``RecoveryPolicy.max_attempts`` budget) and exponential
    backoff (``RecoveryPolicy.failover_delay_us``) to the least-loaded
    board whose circuit breaker admits them, in further execute/replay
-   rounds on fresh forked boards.
+   rounds on fresh boards.
 
 The split exists because a board's simulator only knows its own clock
 (each board simulates its dispatch sequence back-to-back from t=0); the
@@ -54,11 +54,11 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..chaos.faults import BOARD_KILL_KIND, FaultPlan, build_board_fault_plan
+from ..chaos.faults import BOARD_KILL_KIND, build_board_fault_plan
 from ..chaos.injector import ChaosInjector
+from ..core import PdrSystem
 from ..exec.runner import SweepRunner, note_events
 from ..resilience import RecoveryPolicy, ResilientReconfigurator
-from ..snapshot.templates import fork_system
 from ..verify.fuzz import _make_asp
 from ..verify.invariants import InvariantMonitor
 from .health import DEAD, DEADLINE_FACTOR, FleetHealthTracker
@@ -167,8 +167,7 @@ def board_point(
     ``groups`` arrives in the runner's canonical form: a tuple of
     dispatch groups, each a tuple of ``(region, asp_kind, asp_param,
     pad_to)`` jobs (``pad_to == 0`` meaning content-sized).  The board is
-    forked from the snapshot template — the fleet's cheap
-    board-provisioning path — and runs its groups back-to-back through
+    a fresh system that runs its groups back-to-back through
     :class:`~repro.resilience.ResilientReconfigurator`, with this board's
     salted :class:`~repro.chaos.faults.FaultPlan` armed when
     ``arm_chaos`` is set (round 0 of a chaos campaign — the storm).
@@ -180,7 +179,7 @@ def board_point(
     sees the kill (it would refuse the unknown kind by design); the
     fleet layer owns that fault end to end.
     """
-    system = fork_system()
+    system = PdrSystem()
     monitor = None
     if verify:
         monitor = InvariantMonitor(raise_on_violation=False).attach(system)
@@ -198,18 +197,10 @@ def board_point(
             for group in groups
             for job in group
         ) or 1.0
-        plan = build_board_fault_plan(
-            fault_seed, board, horizon_us, intensity, seu_per_ms
-        )
-        environmental = tuple(
-            fault for fault in plan.faults if fault.kind != BOARD_KILL_KIND
-        )
         injector = ChaosInjector(
             system,
-            FaultPlan(
-                fault_seed=plan.fault_seed,
-                horizon_us=plan.horizon_us,
-                faults=environmental,
+            build_board_fault_plan(
+                fault_seed, board, horizon_us, intensity, seu_per_ms
             ),
         )
         injector.arm()

@@ -1,31 +1,3 @@
-"""Copy-on-write system snapshots and template forking.
+"""What is left of the deleted snapshot layer: see :mod:`.templates`."""
 
-See :mod:`repro.snapshot.state` for the snapshot contract and
-:mod:`repro.snapshot.templates` for the per-identity template registry
-used by the campaign runners.
-"""
-
-from .state import SnapshotError, SystemSnapshot
-from .templates import (
-    fork_point_system,
-    fork_system,
-    point_template_snapshot,
-    reset_templates,
-    snapshots_enabled,
-    template_count,
-    template_key,
-    template_snapshot,
-)
-
-__all__ = [
-    "SnapshotError",
-    "SystemSnapshot",
-    "fork_point_system",
-    "fork_system",
-    "point_template_snapshot",
-    "reset_templates",
-    "snapshots_enabled",
-    "template_count",
-    "template_key",
-    "template_snapshot",
-]
+__all__ = []

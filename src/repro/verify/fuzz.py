@@ -45,7 +45,6 @@ from ..fabric import (
     encode_asp_frames,
 )
 from ..resilience import ResilientReconfigurator
-from ..snapshot import fork_system
 
 from .invariants import InvariantMonitor
 
@@ -193,9 +192,7 @@ def run_scenario(scenario) -> Dict[str, Any]:
         pad_bitstreams_to=sc.pad_bytes or None,
         dma_burst_bytes=sc.burst_bytes,
     )
-    # Template fork per config identity (byte-identical to a fresh
-    # build; REPRO_SNAPSHOTS=0 falls back to direct construction).
-    system = fork_system(config)
+    system = PdrSystem(config)
     monitor = InvariantMonitor(raise_on_violation=False).attach(system)
     asp = _make_asp(sc.asp_kind, sc.asp_param)
     start_index = REGIONS.index(sc.region)

@@ -58,7 +58,7 @@ scenario can still be shrunk to a minimal reproducer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs import Counts
 
@@ -222,10 +222,14 @@ class InvariantMonitor:
                 f"{engine.name}: programmed {length} bytes but pushed "
                 f"{pushed_bytes} onto the stream",
             )
-        if not engine.idle:
+        # DMASR.Idle is set at a direct-mode completion; between SG
+        # descriptors the write-back and the next fetch are outstanding.
+        direct = engine._descriptor is None
+        if engine.idle != direct:
             self.violate(
                 "dma.complete_transition",
-                f"{engine.name}: transfer completed but engine not idle",
+                f"{engine.name}: buffer done in {'direct' if direct else 'SG'} "
+                f"mode but DMASR.Idle reads {int(engine.idle)}",
             )
 
     def on_dma_reset(self, engine) -> None:

@@ -17,7 +17,6 @@ from repro.experiments.points import asp_descriptor, reconfigure_point
 from repro.fabric import FirFilterAsp
 from repro.fleet import FleetSpec, run_fleet
 from repro.obs import TELEMETRY_BOOK
-from repro.snapshot import fork_system
 from repro.sram_pr import SramPrSystem
 
 
@@ -77,7 +76,7 @@ def test_table1_point_frees_its_system(built, freq_mhz, temp_c):
 
 
 def test_forked_load_of_fresh_content_frees_its_system(built):
-    system = fork_system()
+    system = PdrSystem()
     system.set_die_temperature(40.0)
     result = system.reconfigure("RP2", FirFilterAsp([61, 17, 5, 29, 3]), 200.0)
     assert result.succeeded

@@ -26,6 +26,18 @@ def test_bitstream_cache_returns_same_object(system):
     assert c is not a
 
 
+def test_a_built_bitstream_is_staged_once():
+    """On one system, making a built bitstream again returns the same
+    object, and staging it again returns the same address."""
+    system = PdrSystem()
+    bitstream = system.make_bitstream("RP1", FirFilterAsp([1]))
+    addr = system.stage_bitstream(bitstream)
+    again = system.make_bitstream("RP1", FirFilterAsp([1]))
+    assert again is bitstream
+    assert system.stage_bitstream(again) == addr
+    assert system.dram.load(addr, 16) == bitstream.to_bytes()[:16]
+
+
 def test_nominal_reconfiguration(system):
     system.set_die_temperature(40.0)
     result = system.reconfigure("RP1", FirFilterAsp([2, 1]), 100.0)

@@ -11,6 +11,7 @@ from repro.dma import (
     DMACR_RS,
     DMASR_DMA_INT_ERR,
     DMASR_HALTED,
+    DMASR_IDLE,
     MM2S_DMACR,
     MM2S_DMASR,
     SgDescriptor,
@@ -152,6 +153,33 @@ def test_batch_past_the_control_path_loses_its_interrupt():
     assert system.dma.idle
     assert batch.region_valid == {"RP1": True, "RP2": True}
     assert system.results[-1] is load
+
+
+def test_dmasr_idle_stays_clear_until_the_chain_is_done():
+    """In SG mode DMASR.Idle means the chain is done: it is clear while a
+    STATUS write-back or the next descriptor fetch is outstanding, and
+    set once the batch returns."""
+    system = PdrSystem()
+    dma = system.dma
+    seen = []
+    for stage in ("descriptor_fetched", "status_written"):
+        run_stage = getattr(dma, stage)
+
+        def probe(epoch, data, stage=stage, run_stage=run_stage):
+            seen.append((stage, dma.idle))
+            run_stage(epoch, data)
+
+        setattr(dma, stage, probe)
+    system.reconfigure_batch(
+        [("RP1", FirFilterAsp([5])), ("RP2", FirFilterAsp([6]))], 200.0
+    )
+    assert [stage for stage, _ in seen] == [
+        "descriptor_fetched",
+        "status_written",
+    ] * 2
+    assert [idle for _, idle in seen] == [False] * 4
+    assert dma.idle
+    assert dma.reg_read(MM2S_DMASR) & DMASR_IDLE
 
 
 def test_batch_phases_sum_to_its_latency():

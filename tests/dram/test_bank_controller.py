@@ -2,8 +2,7 @@
 
 Covers the bank-machine latency table (hit/miss/conflict x page
 policy), both refresh modes, the round-robin command multiplexer with
-per-master ledgers, the queue-wait counter, fault hooks, and device
-snapshot round-trips of the extended bank/row state.
+per-master ledgers, the queue-wait counter and fault hooks.
 """
 
 import pytest
@@ -299,24 +298,6 @@ def test_refresh_mode_comes_from_the_config_only(monkeypatch):
     assert PdrSystem(engine).dram_controller.refresh_mode == "engine"
     with pytest.raises(ValueError):
         PdrSystem(PdrSystemConfig(dram_refresh_mode="sometimes"))
-
-
-# ----------------------------------------------------------------- snapshot --
-def test_device_capture_restore_roundtrips_bank_state():
-    device = DramDevice()
-    device.store(0x100, b"payload")
-    outcomes = [
-        device.bank_access(0, 64, "open")[0],
-        device.bank_access(ROW * BANKS, 64, "open")[0],  # conflict in bank 0
-        device.bank_access(0, 64, "open")[0],            # conflict back
-    ]
-    assert outcomes == ["miss", "conflict", "conflict"]
-    state = device.capture_state()
-    clone = DramDevice()
-    clone.restore_state(state)
-    assert clone.load(0x100, 7) == b"payload"
-    assert clone.open_row(0) == device.open_row(0)
-    assert clone.capture_state() == state
 
 
 def test_memory_request_carries_master_tag():

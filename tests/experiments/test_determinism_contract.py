@@ -1,17 +1,16 @@
 """The determinism contract, held for every ``repro-pdr`` command.
 
 Every campaign the CLI runs must print the same bytes however it runs:
-serially, over ``--jobs 2`` worker processes filling a result cache,
-served back from that cache, and with snapshot forking disabled
-(``REPRO_SNAPSHOTS=0``: every system built fresh).  Exit code, stdout
-and the ``--out`` report must be equal across all of those legs.
+serially, over ``--jobs 2`` worker processes filling a result cache, and
+served back from that cache.  Exit code, stdout and the ``--out`` report
+must be equal across all of those legs.
 
 Each row is an argv plus the flags its command takes: only rows whose
 command takes ``--jobs`` get the parallel and cached legs, and only rows
 whose command writes ``--out`` compare a report file.  A row marked
-``--metrics-out`` also exports its telemetry serially with snapshot forking
-on and off: a forked system must export what a fresh one does, so the two
-runs and their files must be equal.
+``--metrics-out`` also exports its telemetry twice serially: a rerun
+must export what the first run did, so the two runs and their files
+must be equal.
 """
 
 import json
@@ -26,7 +25,7 @@ from repro.verify.fuzz import ScenarioGenerator
 SWEEP = ("--jobs", "--cache")
 #: A campaign that also writes its canonical JSON report.
 REPORT = SWEEP + ("--out",)
-#: Also compare the telemetry export with snapshot forking on and off.
+#: Also export the telemetry twice and compare the two files.
 METRICS = ("--metrics-out",)
 
 FUZZ_CASE = json.dumps(ScenarioGenerator(11).generate(0).to_mapping())
@@ -54,7 +53,7 @@ ROWS = {
 
 
 @pytest.mark.parametrize("argv, flags", list(ROWS.values()), ids=list(ROWS))
-def test_contract(argv, flags, tmp_path, capsys, monkeypatch):
+def test_contract(argv, flags, tmp_path, capsys):
     out = tmp_path / "out.json"
 
     def run(*extra):
@@ -68,12 +67,11 @@ def test_contract(argv, flags, tmp_path, capsys, monkeypatch):
 
     if "--metrics-out" in flags:
         metrics = tmp_path / "metrics.json"
-        exports = {}
-        for snapshots in ("0", "1"):
-            monkeypatch.setenv("REPRO_SNAPSHOTS", snapshots)
-            result, _ = run("--metrics-out", str(metrics))
-            exports[snapshots] = result, metrics.read_bytes()
-        assert exports["1"] == exports["0"]
+        exports = []
+        for _ in range(2):
+            result, _err = run("--metrics-out", str(metrics))
+            exports.append((result, metrics.read_bytes()))
+        assert exports[0] == exports[1]
 
     serial, _ = run()
     legs = {}
@@ -82,7 +80,5 @@ def test_contract(argv, flags, tmp_path, capsys, monkeypatch):
         legs["--jobs 2 --cache"], _ = run("--jobs", "2", "--cache", cache)
         legs["--cache rerun"], err = run("--cache", cache)
         assert "served from cache" in err
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
-    legs["REPRO_SNAPSHOTS=0"], _ = run()
     for leg, result in legs.items():
         assert result == serial, f"{leg} diverged from the serial run"

@@ -1,8 +1,7 @@
 """Telemetry exports pinned across commits.
 
-The determinism contract holds a ``--metrics-out`` file to the same
-commit's export with snapshot forking off.  These digests hold it to
-earlier commits: a refactor
+The determinism contract holds a ``--metrics-out`` file to a rerun of
+the same commit.  These digests hold it to earlier commits: a refactor
 of how the devices keep or export their counts must reproduce every
 value and every metric name.  The ``sim.*`` kernel statistics are left
 out, because they move with every kernel change.  A change that moves

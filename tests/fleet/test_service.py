@@ -1,9 +1,9 @@
-"""Fleet execution properties: determinism, forking, batching value.
+"""Fleet execution properties: determinism and batching value.
 
 These are the acceptance properties of the fleet service: a campaign is
 a pure function of its spec (pinned across commits, byte-identical for
-any worker count, unchanged by snapshot forking), and batching actually
-buys queue-wait reduction rather than just existing.  Replay stability
+any worker count), and batching actually buys queue-wait reduction
+rather than just existing.  Replay stability
 of every command is held by
 ``tests/experiments/test_determinism_contract.py``.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.exec import SweepRunner
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.report import render_json
-from repro.snapshot import reset_templates
 
 SPEC = FleetSpec(boards=2, seed=1, duration_ms=10.0)
 
@@ -55,17 +54,6 @@ def test_serial_vs_jobs2_byte_identity():
     serial = render_json(run_fleet(SPEC, runner=SweepRunner(jobs=1)))
     parallel = render_json(run_fleet(SPEC, runner=SweepRunner(jobs=2)))
     assert serial == parallel
-
-
-def test_fork_vs_fresh_boards_byte_identity(monkeypatch):
-    """Snapshot-forked boards are a pure accelerator for the fleet too."""
-    outputs = {}
-    for enabled in ("1", "0"):
-        monkeypatch.setenv("REPRO_SNAPSHOTS", enabled)
-        reset_templates()
-        outputs[enabled] = render_json(run_fleet(SPEC))
-    reset_templates()
-    assert outputs["1"] == outputs["0"]
 
 
 def test_batching_reduces_mean_queue_wait():

@@ -185,11 +185,15 @@ def _port_state(port):
     Reading ``crc.value`` folds the CRC's deferred run buffer, so the
     CRC is only compared once a stream has been fed to the end.
     """
-    slab, generations, writes = port.memory.capture_state()
+    memory = port.memory
     return {
         **_progress(port),
         "crc": (port.crc.value, port.crc.error, port.crc.words_folded),
-        "memory": (hashlib.sha256(slab).hexdigest(), generations, writes),
+        "memory": (
+            hashlib.sha256(memory._slab).hexdigest(),
+            tuple(memory._generation),
+            memory.total_frame_writes,
+        ),
     }
 
 
