@@ -191,14 +191,22 @@ def _zero_operator(length: int) -> Tuple[List[int], ...]:
     return op_power(_ZERO_SQUARINGS, length)
 
 
+@functools.lru_cache(maxsize=64)
+def _zero_operator_np(length: int) -> Tuple["_np.ndarray", ...]:
+    """:func:`_zero_operator` as numpy lookup tables."""
+    return tuple(
+        _np.array(table, dtype=_np.uint32) for table in _zero_operator(length)
+    )
+
+
 def _constants_numpy(blocks: List[bytes], addr: Optional[int]) -> List[int]:
     """Content constants of many equal-length packed blocks at once.
 
     Bit-identical to :func:`_fold_raw` from a zero state per block.  Each
     block splits into ``lanes`` contiguous segments so that all blocks
     together fill about 2,048 vector lanes; each lane folds its segment
-    from zero, and the per-segment partials then combine with the
-    zero-advance operator for the segment's byte length.
+    from zero, and the per-segment partials then combine pairwise with
+    the zero-advance operators for the segments' byte lengths.
     """
     stride = 4 if addr is None else 5
     count, n = len(blocks), len(blocks[0]) // 4
@@ -224,15 +232,27 @@ def _constants_numpy(blocks: List[bytes], addr: Optional[int]) -> List[int]:
             ^ u3[x >> 24]
             ^ addr_one
         )
-    zero = _zero_operator(stride * seg)
-    constants = []
-    for row, partials in enumerate(state.reshape(count, lanes).tolist()):
-        raw = 0
-        for partial in partials:
-            raw = op_apply(zero, raw) ^ partial
-        if lanes * seg < n:
-            raw = _fold_raw(raw, words[row, lanes * seg :].tolist(), addr)
-        constants.append(raw)
+    # Combine neighbouring partials in a tree: the left one advances
+    # through its right neighbour's bytes, doubling the span per level.
+    partials = state.reshape(count, lanes)
+    span = stride * seg
+    while partials.shape[1] > 1:
+        z0, z1, z2, z3 = _zero_operator_np(span)
+        left = partials[:, 0::2]
+        partials = (
+            z0[left & 0xFF]
+            ^ z1[(left >> 8) & 0xFF]
+            ^ z2[(left >> 16) & 0xFF]
+            ^ z3[left >> 24]
+            ^ partials[:, 1::2]
+        )
+        span *= 2
+    constants = partials[:, 0].tolist()
+    if lanes * seg < n:
+        constants = [
+            _fold_raw(raw, words[row, lanes * seg :].tolist(), addr)
+            for row, raw in enumerate(constants)
+        ]
     return constants
 
 
@@ -253,18 +273,24 @@ _CONSTANTS_MAX = 8192
 #: a whole FDRI payload in one call and the ICAP re-folding the same
 #: payload in DMA-burst-sized pieces populate and hit the same entries.
 _RUN_BLOCK_BYTES = 1024
-#: Below this the plain per-word loop wins over packing + hashing.
+#: Shorter runs fold uncached: keying them would cost more than it saves.
 _RUN_FAST_MIN_WORDS = 16
+#: An uncached pending run folds once this many bytes are pending.
+_UNCACHED_FLUSH_BYTES = 64 * 1024
 
 
-def _fold_blocks(raw: int, blocks: List[bytes], addr: Optional[int]) -> int:
-    """Advance a raw CRC state over packed blocks via their cached constants.
+def _fold_blocks(
+    raw: int, blocks: List[bytes], addr: Optional[int], cached: bool = True
+) -> int:
+    """Advance a raw CRC state over packed blocks via their constants.
 
     ``addr`` is as for :func:`_fold_raw`.  Misses are batched through the
     numpy kernel when enough blocks of one length miss, and otherwise
-    folded one block at a time.
+    folded one block at a time.  The constants are read from and kept in
+    the content cache, unless ``cached`` is False (content that never
+    repeats).
     """
-    cache = _CONSTANTS
+    cache = _CONSTANTS if cached else OrderedDict()
     fresh: Dict[bytes, int] = {}
     if _np is not None:
         missing = list(dict.fromkeys(b for b in blocks if (addr, b) not in cache))
@@ -344,8 +370,11 @@ class ConfigCrc:
         # ``_run_addr`` but not yet folded.  Deferring the fold lets
         # consecutive :meth:`update_run` calls (the ICAP's burst-sized
         # pieces of one FDRI payload) realign on run-relative block
-        # boundaries, so their content-cache keys match the builder's.
+        # boundaries, so their content-cache keys match the builder's,
+        # and lets :meth:`fold_run`'s pieces (``_run_cached`` False)
+        # fold in bulk.
         self._run_addr: Optional[int] = None
+        self._run_cached = True
         self._run_buf = bytearray()
 
     @property
@@ -378,51 +407,52 @@ class ConfigCrc:
 
         Semantically identical to calling :meth:`update` per word, but
         with the per-word overhead hoisted out of the loop — FDRI carries
-        >130 k words per partial bitstream.  Runs the caller already holds
-        little-endian packed (``packed``; ``words`` may then be None) — or
-        that pack cleanly — take the linear-operator path: the run
-        constant is content-cached, so re-feeding an already-seen
-        bitstream chunk is O(1) in its length.
+        >130 k words per partial bitstream.  Callers that hold the run
+        little-endian packed pass ``packed`` (``words`` may then be
+        None).  Runs of at least 16 words take the linear-operator path:
+        the run constant is content-cached, so re-feeding an
+        already-seen bitstream chunk is O(1) in its length.
         """
         if not 0 <= register_addr < 32:
             raise ValueError(f"register address {register_addr} out of range")
-        count = len(packed) >> 2 if words is None else len(words)
-        if count == 0:
+        if packed is None:
+            packed = struct.pack(f"<{len(words)}I", *words)
+        if not packed:
             return
-        if count >= _RUN_FAST_MIN_WORDS:
-            if packed is None:
-                try:
-                    packed = struct.pack(f"<{count}I", *words)
-                except struct.error:
-                    packed = None  # an out-of-range word does not pack
-            if packed is not None:
-                if self._run_addr is not None and self._run_addr != register_addr:
-                    self._flush_run()
-                self._run_addr = register_addr
-                buf = self._run_buf
-                buf += packed
-                if len(buf) >= _RUN_BLOCK_BYTES:
-                    self._fold_pending(len(buf) - len(buf) % _RUN_BLOCK_BYTES)
-                self.words_folded += count
-                return
-        if words is None:
-            words = struct.unpack(f"<{count}I", packed)
-        self.fold_run(register_addr, words)
+        if len(packed) < _RUN_FAST_MIN_WORDS * 4:
+            self.fold_run(register_addr, packed)
+            return
+        self._pend(register_addr, packed, cached=True)
+        pending = len(self._run_buf)
+        if pending >= _RUN_BLOCK_BYTES:
+            self._fold_pending(pending - pending % _RUN_BLOCK_BYTES)
 
-    def fold_run(self, register_addr: int, words) -> None:
-        """Fold a run of 32-bit words written to one register, uncached.
+    def fold_run(self, register_addr: int, packed: bytes) -> None:
+        """Fold a run of words written to one register, packed
+        little-endian, uncached.
 
         :meth:`update_run` without the content cache, for runs too short
         to key or whose content never repeats (a corrupted stream's
-        payloads): caching those would only grow the cache.
+        payloads): caching those would only grow the cache.  The words
+        join the pending run, which folds in bulk once 64 KiB are
+        pending, or wherever a cached run flushes.
         """
-        self._flush_run()
-        raw = _fold_raw(self._crc ^ 0xFFFFFFFF, words, register_addr)
-        self._crc = raw ^ 0xFFFFFFFF
-        self.words_folded += len(words)
+        self._pend(register_addr, packed, cached=False)
+        if len(self._run_buf) >= _UNCACHED_FLUSH_BYTES:
+            self._flush_run()
+
+    def _pend(self, register_addr: int, packed: bytes, cached: bool) -> None:
+        """Append run content to the pending run, folding first a
+        pending run to another register or of the other kind."""
+        if self._run_addr != register_addr or self._run_cached != cached:
+            self._flush_run()
+            self._run_addr = register_addr
+            self._run_cached = cached
+        self._run_buf += packed
+        self.words_folded += len(packed) >> 2
 
     def _flush_run(self) -> None:
-        """Fold any pending run tail (shorter than one block)."""
+        """Fold all pending run content."""
         if self._run_addr is not None:
             self._fold_pending(len(self._run_buf))
             self._run_addr = None
@@ -435,7 +465,9 @@ class ConfigCrc:
             for offset in range(0, end, _RUN_BLOCK_BYTES)
         ]
         del buf[:end]
-        raw = _fold_blocks(self._crc ^ 0xFFFFFFFF, blocks, self._run_addr)
+        raw = _fold_blocks(
+            self._crc ^ 0xFFFFFFFF, blocks, self._run_addr, self._run_cached
+        )
         self._crc = raw ^ 0xFFFFFFFF
 
     def check(self, expected: int) -> bool:

@@ -63,15 +63,13 @@ def reconfigure_point(
     freq_mhz: float,
     temp_c: float,
     workload: Tuple[int, Tuple[int, ...]],
-    config=None,
 ) -> ReconfigResult:
     """One complete over-clocked PDR measurement on a fresh system.
 
     The point behind Table I, Table II, Fig. 5, Fig. 6 and the §IV-A
-    stress matrix; ``workload`` is an :func:`asp_descriptor` tuple and
-    ``config`` an optional mapping of ``PdrSystemConfig`` overrides.
+    stress matrix; ``workload`` is an :func:`asp_descriptor` tuple.
     """
-    system = make_point_system(region, workload, config)
+    system = make_point_system(region, workload)
     system.set_die_temperature(temp_c)
     asp = instantiate_asp(workload[0], list(workload[1]))
     result = system.reconfigure(region, asp, freq_mhz)
@@ -110,7 +108,6 @@ def campaign_point(
     freq_mhz: float,
     temp_c: float,
     workload: Tuple[int, Tuple[int, ...]],
-    config=None,
 ) -> dict:
     """A :func:`reconfigure_point` flattened into a campaign record.
 
@@ -121,7 +118,7 @@ def campaign_point(
     their tail segment).  Plain data end to end — it crosses the
     ``--jobs N`` process boundary and caches byte-identically.
     """
-    system = make_point_system(region, workload, config)
+    system = make_point_system(region, workload)
     system.set_die_temperature(temp_c)
     asp = instantiate_asp(workload[0], list(workload[1]))
     result = system.reconfigure(region, asp, freq_mhz)

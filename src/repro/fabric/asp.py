@@ -26,11 +26,12 @@ different (and realistically compressible) bitstreams.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..bitstream.crc import crc32c_words, op_apply, op_power
+from ..bitstream.crc import crc32c_words, op_power
 from ..bitstream.device import FRAME_WORDS
 
 __all__ = [
@@ -265,7 +266,7 @@ def _xorshift32(state: int) -> int:
     return state & _MASK32
 
 
-try:  # optional: vectorised fill when numpy is present (bit-identical)
+try:  # optional: vectorised walk when numpy is present (bit-identical)
     import numpy as _np
 except ImportError:  # pragma: no cover - depends on environment
     _np = None
@@ -275,28 +276,77 @@ except ImportError:  # pragma: no cover - depends on environment
 #: is linear over GF(2), so ``k`` steps compose into one 32x32 bit matrix.
 _XS_SQUARINGS = [[_xorshift32(1 << b) for b in range(32)]]
 
+#: Below this many words the scalar walk beats the vectorised one.
+_WALK_NUMPY_MIN_WORDS = 4096
+#: The vectorised walk advances this many streams (a power of two) in
+#: lock-step.
+_WALK_STREAMS = 2048
 
-def _fill_numpy(header: List[int], words_total: int, seed: int) -> bytes:
-    """Vectorised equivalent of the scalar fill loop in encode_asp_packed.
 
-    The walk consumes one xorshift state per word, plus one more for every
-    written word (states divisible by 4 trigger a second advance whose
-    result is stored).  The orbit itself is generated as 2048 parallel
-    streams — seeded via a jump operator, advanced in lock-step — and the
-    data-dependent consume-1-or-2 pattern is resolved without a scalar
-    loop: within each run of trigger-eligible states, inspections
-    alternate, so run-start indices plus parity give the inspected set.
+@functools.lru_cache(maxsize=64)
+def _xs_jump(steps: int):
+    """numpy lookup tables advancing xorshift32 states by ``steps`` steps."""
+    return tuple(
+        _np.array(table, dtype=_np.uint32)
+        for table in op_power(_XS_SQUARINGS, steps)
+    )
+
+
+def xorshift_walk(state: int, count: int, keep: int, below: int):
+    """Masks for ``count`` words from the xorshift32 walk at ``state``.
+
+    Each word takes one xorshift32 step; if the new state passes the test
+    ``state & keep < below``, the word takes a second step and its mask
+    is that state (never 0: xorshift32 maps no nonzero state to 0),
+    otherwise its mask is 0.  The ASP fill (``keep=3, below=1``: a
+    state divisible by 4) and the over-clock corruptor (``keep`` all
+    ones, ``below`` its threshold) both walk this way.
+
+    Returns ``(masks, state)``: a numpy ``uint32`` array when the
+    vectorised walk ran, else a list, and the state after the last word,
+    from which a later call continues the walk.
     """
-    n = words_total - len(header)
-    m = 2 * n + 64  # worst case: every word triggers the second advance
-    streams = 2048
+    if _np is not None and count >= _WALK_NUMPY_MIN_WORDS:
+        return _walk_numpy(state, count, keep, below)
+    masks = [0] * count
+    mask32 = _MASK32  # localise: three global loads per step add ~20 %
+    # The xorshift steps are inlined: a call per step doubles the cost.
+    for i in range(count):
+        state ^= (state << 13) & mask32
+        state ^= state >> 17
+        state = (state ^ (state << 5)) & mask32
+        if state & keep < below:
+            state ^= (state << 13) & mask32
+            state ^= state >> 17
+            state = (state ^ (state << 5)) & mask32
+            masks[i] = state
+    return masks, state
+
+
+def _walk_numpy(state: int, count: int, keep: int, below: int):
+    """Vectorised :func:`xorshift_walk`.
+
+    The orbit is generated as parallel streams — seeded via a jump
+    operator, advanced in lock-step — and the data-dependent
+    consume-1-or-2 pattern is resolved without a scalar loop.  A word
+    whose state passes the test takes the next state as its mask, so
+    that state is never tested: within a run of consecutive passing
+    states the first, third, ... are tested (*triggers*), and a trigger
+    at walk position ``p`` is word ``p`` minus the triggers before it.
+    """
+    m = 2 * count + 1  # the start, and at most two states per word
+    streams = _WALK_STREAMS
     length = -(-m // streams)
-    jump = op_power(_XS_SQUARINGS, length)
-    starts = [0] * streams
-    state = seed
-    for j in range(streams):
-        starts[j] = state
-        state = op_apply(jump, state)
+    # Stream j starts j * length steps in: double the seeded streams by
+    # jumping the ones so far ahead by their combined length.
+    starts = _np.array([state], dtype=_np.uint32)
+    span = length
+    while starts.size < streams:
+        j0, j1, j2, j3 = _xs_jump(span)
+        ahead = j0[starts & 0xFF] ^ j1[(starts >> 8) & 0xFF]
+        ahead ^= j2[(starts >> 16) & 0xFF] ^ j3[starts >> 24]
+        starts = _np.concatenate((starts, ahead))
+        span *= 2
     orbit = _np.empty((length, streams), dtype=_np.uint32)
     orbit[0] = starts
     for t in range(1, length):
@@ -305,26 +355,28 @@ def _fill_numpy(header: List[int], words_total: int, seed: int) -> bytes:
         y ^= y >> 17
         y ^= y << 5
         orbit[t] = y
-    flat = orbit.T.reshape(-1)[:m]
+    walk = orbit.T.reshape(-1)[1:m]  # the first word tests f(start)
 
-    walk = flat[1:]  # flat[0] is the seed; the first word inspects f(seed)
-    mask = (walk & 3) == 0
-    idx = _np.arange(walk.size)
-    run_start = mask.copy()
-    run_start[1:] &= ~mask[:-1]
-    rs = _np.where(run_start, idx, 0)
-    _np.maximum.accumulate(rs, out=rs)
-    triggers = mask & (((idx - rs) & 1) == 0)  # inspected & divisible by 4
-    prev_trigger = _np.empty_like(mask)
-    prev_trigger[0] = False
-    prev_trigger[1:] = triggers[:-1]
-    inspected = _np.where(mask, triggers, ~prev_trigger)
-    ranks = _np.cumsum(inspected)  # 1-based word number per position
-    write_at = _np.nonzero(triggers & (ranks <= n))[0]
-    out = _np.zeros(words_total, dtype="<u4")
-    out[len(header) + ranks[write_at] - 1] = walk[write_at + 1]
-    out[: len(header)] = header
-    return out.tobytes()
+    passing = (walk & keep) < below
+    # Runs of consecutive passing states, by their first and last state.
+    rise = passing.copy()
+    rise[1:] &= ~passing[:-1]
+    fall = passing.copy()
+    fall[:-1] &= ~passing[1:]
+    first = _np.flatnonzero(rise)
+    per_run = (_np.flatnonzero(fall) - first + 2) >> 1  # triggers per run
+    # Trigger t of a run holding triggers b.. sits at first + 2 (t - b).
+    offset = _np.repeat(first - 2 * (_np.cumsum(per_run) - per_run), per_run)
+    triggers = offset + 2 * _np.arange(offset.size)
+    trigger_words = triggers - _np.arange(triggers.size)
+    hits = int(_np.searchsorted(trigger_words, count))
+    masks = _np.zeros(count, dtype=_np.uint32)
+    masks[trigger_words[:hits]] = walk[triggers[:hits] + 1]
+    # The last word tests the state at count - 1 plus the triggers before
+    # it, and ends on the state after that when it is a trigger itself.
+    before = int(_np.searchsorted(trigger_words, count - 1))
+    last = count - 1 + before + (before < hits)
+    return masks, int(walk[last])
 
 
 _ENCODE_PACKED_CACHE: dict = {}
@@ -349,28 +401,14 @@ def encode_asp_packed(frame_count: int, asp: Asp) -> bytes:
         raise ValueError("parameters do not fit in the region")
 
     words_total = frame_count * FRAME_WORDS
-    # Deterministic sparse fill after the header region, vectorised when
-    # numpy is available (bit-identical to the scalar loop; the tests
-    # compare both).
+    # Deterministic sparse fill after the header region.
     seed = crc32c_words([asp.kind] + params) or 0xDEADBEEF
-    if _np is not None and words_total - len(header) >= 4096:
-        packed = _fill_numpy(header, words_total, seed)
+    fill, _state = xorshift_walk(seed, words_total - len(header), 3, 1)
+    if isinstance(fill, list):
+        fill = struct.pack(f"<{len(fill)}I", *fill)
     else:
-        words = header + [0] * (words_total - len(header))
-        # The xorshift steps are inlined: this loop runs >130 k times per
-        # region encode and a call per step doubles its cost.
-        state = seed
-        mask = _MASK32  # localise: three global loads per word add ~20 %
-        for i in range(len(header), words_total):
-            state ^= (state << 13) & mask
-            state ^= state >> 17
-            state = (state ^ (state << 5)) & mask
-            if not state & 3:  # ~25 % of words configured (state % 4 == 0)
-                state ^= (state << 13) & mask
-                state ^= state >> 17
-                state = (state ^ (state << 5)) & mask
-                words[i] = state
-        packed = struct.pack(f"<{words_total}I", *words)
+        fill = fill.astype("<u4").tobytes()
+    packed = struct.pack(f"<{len(header)}I", *header) + fill
     _ENCODE_PACKED_CACHE[cache_key] = packed
     return packed
 

@@ -11,17 +11,16 @@ is one kernel entry (:meth:`~repro.sim.Simulator.call_later`) ending in
 releases its FIFO room and asks the stream for the next burst.
 
 Over-clocking failure injection happens here: an optional *word corruptor*
-(installed by the PDR system from the timing model's verdict) mangles
-words between the stream and the configuration engine, modelling the
-data-path timing violations that make the paper's ≥320 MHz runs fail
-their CRC.
+(installed by the PDR system from the timing model's verdict) XORs masks
+into a burst's bytes between the stream and the configuration engine,
+modelling the data-path timing violations that make the paper's ≥320 MHz
+runs fail their CRC.
 """
 
 from __future__ import annotations
 
-import operator
 import weakref
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple
 
 from ..axi.stream import AxiStream, StreamBurst
 from ..fabric.config_memory import ConfigMemory
@@ -74,9 +73,10 @@ class IcapController:
         self.done = Signal(sim, initial=False, name=f"{name}.done")
         #: Asserted if the configuration engine latched an error.
         self.error_irq = InterruptLine(sim, name=f"{name}.error")
-        #: Optional fault injector: words -> words (set by the PDR system
-        #: when the timing model says the data path is past its fmax).
-        self.word_corruptor: Optional[Callable[[List[int]], List[int]]] = None
+        #: Optional fault injector: a burst's big-endian bytes ->
+        #: ``(bytes, flipped_words)`` (set by the PDR system when the
+        #: timing model says the data path is past its fmax).
+        self.word_corruptor: Optional[Callable[[bytes], Tuple[bytes, int]]] = None
         #: Optional fault hook (installed by :mod:`repro.chaos`):
         #: extra cycles the ICAPE2 holds busy before accepting the next
         #: burst (a transient busy lock-up).  Backpressure propagates to
@@ -171,18 +171,13 @@ class IcapController:
         back and take the next burst."""
         counts = self.counts
         count = burst.word_count
+        data = burst.data
         if self.word_corruptor is not None:
-            original = burst.words
-            words = self.word_corruptor(original)
-            counts.corrupted_words += sum(map(operator.ne, original, words))
-            count = len(words)
-            if self.monitor is not None:
-                self.monitor.on_icap_words(self, count)
-            self.port.feed_words(words)
-        else:
-            if self.monitor is not None:
-                self.monitor.on_icap_words(self, count)
-            self.port.feed_bytes(burst.data)
+            data, flipped = self.word_corruptor(data)
+            counts.corrupted_words += flipped
+        if self.monitor is not None:
+            self.monitor.on_icap_words(self, count)
+        self.port.feed_bytes(data)
         counts.words_consumed += count
         counts.bursts_consumed += 1
         if burst.last:

@@ -162,16 +162,13 @@ class ConfigPort:
                 self._payload_remaining -= count
                 self.words_consumed += count
                 index += count
-                if register == _FDRI:
-                    try:
-                        packed = struct.pack(f"<{count}I", *run)
-                    except struct.error:
-                        packed = struct.pack(
-                            f"<{count}I", *[word & _MASK32 for word in run]
-                        )
-                    self._fdri_run(packed)
-                else:
-                    self._register_run(register, run)
+                try:
+                    packed = struct.pack(f"<{count}I", *run)
+                except struct.error:
+                    packed = struct.pack(
+                        f"<{count}I", *[word & _MASK32 for word in run]
+                    )
+                self._payload_run(register, packed)
                 continue
             self.feed_word(words[index])
             index += 1
@@ -180,13 +177,18 @@ class ConfigPort:
         """Consume words packed big-endian (a DMA burst as read from DRAM);
         identical to :meth:`feed_words` on the unpacked words.
 
-        An FDRI payload run at the head of ``data`` — all of it, for
-        every burst inside a bitstream's frame data — folds and writes
-        from one byteswapped copy, with no word unpacked.  Whatever
-        follows (packet headers, other registers, the next payload) goes
+        A payload run at the head of ``data`` — all of it, for every
+        burst inside a bitstream's frame data or a corrupted header's
+        long payload — goes through from one byteswapped copy.  Whatever
+        follows (packet headers, CRC/CMD writes, the next payload) goes
         through :meth:`feed_words`.
         """
-        if self.synced and self._payload_register == _FDRI and self._payload_remaining:
+        register = self._payload_register
+        if (
+            self.synced
+            and self._payload_remaining
+            and register not in _PER_WORD_REGISTERS
+        ):
             count = min(self._payload_remaining, len(data) >> 2)
             self._payload_remaining -= count
             self.words_consumed += count
@@ -194,9 +196,17 @@ class ConfigPort:
                 run, data = data[: count << 2], data[count << 2 :]
             else:
                 run, data = data, b""
-            self._fdri_run(_swap_words(run))
+            self._payload_run(register, _swap_words(run))
         if data:
             self.feed_words(list(struct.unpack(f">{len(data) >> 2}I", data)))
+
+    def _payload_run(self, register: int, packed: bytes) -> None:
+        """Bulk :meth:`_handle_write` for a payload run packed
+        little-endian, to any register but CRC and CMD."""
+        if register == _FDRI:
+            self._fdri_run(packed)
+        else:
+            self._register_run(register, packed)
 
     def _fdri_run(self, packed: bytes) -> None:
         """Bulk :meth:`_handle_write` for a run of FDRI data words, packed
@@ -213,26 +223,28 @@ class ConfigPort:
                 self._commit_frame(self._held_frame)
             self._held_frame = completed
 
-    def _register_run(self, register: int, words) -> None:
+    def _register_run(self, register: int, packed: bytes) -> None:
         """Bulk :meth:`_handle_write` for a run to FAR, IDCODE or a
-        register without side effects.
+        register without side effects, packed little-endian.
 
-        The run folds into the CRC in one pass.  As word-by-word writes
-        would, the last mapped FAR word sets the frame index, and any
-        unmapped FAR word or wrong IDCODE latches its error.
+        The run folds into the CRC uncached.  As word-by-word writes
+        would, any unmapped FAR word or wrong IDCODE latches its error
+        and the last mapped FAR word sets the frame index: a forward scan
+        stops at the first unmapped word, a backward one at the last
+        mapped word.
         """
-        if max(words) > _MASK32 or min(words) < 0:
-            words = [word & _MASK32 for word in words]
-        self.crc.fold_run(register, words)
+        self.crc.fold_run(register, packed)
         if register == _FAR:
-            indices = [
-                i for i in map(self.layout.far_word_index, words) if i is not None
-            ]
-            if len(indices) < len(words):
+            words = struct.unpack(f"<{len(packed) >> 2}I", packed)
+            far_index = self.layout.far_word_index
+            if None in map(far_index, words):
                 self.crc_error = True
-            if indices:
-                self._far_index = indices[-1]
+            for index in map(far_index, reversed(words)):
+                if index is not None:
+                    self._far_index = index
+                    break
         elif register == _IDCODE:
+            words = struct.unpack(f"<{len(packed) >> 2}I", packed)
             if words.count(self.layout.idcode) < len(words):
                 self.idcode_error = True
 

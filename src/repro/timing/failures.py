@@ -11,11 +11,23 @@ over-clocked silicon.
 
 from __future__ import annotations
 
-from typing import Callable, List
+import struct
+from typing import Callable, List, Tuple
 
 from ..bitstream.crc import crc32c_words
+from ..fabric.asp import xorshift_walk
+
+try:  # the walk hands out numpy masks when numpy is present
+    import numpy as _np
+except ImportError:  # pragma: no cover - depends on environment
+    _np = None
 
 __all__ = ["make_word_corruptor", "corruption_rate"]
+
+#: Masks the corruptor draws from its vectorised walk at a time.  The
+#: walk's state carries from chunk to chunk, so the size moves no mask;
+#: it bounds the memory one load's draw holds.
+_CHUNK_WORDS = 16384
 
 
 def corruption_rate(freq_mhz: float, fmax_mhz: float) -> float:
@@ -49,8 +61,15 @@ def make_word_corruptor(
     temp_c: float,
     region: str = "",
     attempt: int = 0,
-) -> Callable[[List[int]], List[int]]:
-    """A deterministic ``words -> words`` fault injector.
+) -> Callable[[bytes], Tuple[bytes, int]]:
+    """A deterministic fault injector over big-endian packed words.
+
+    The injector maps a burst's bytes to ``(bytes, flipped_words)``: it
+    XORs each word with the next mask of an xorshift32 walk
+    (:func:`~repro.fabric.asp.xorshift_walk`), whose state carries from
+    burst to burst.  A word's mask depends only on the seed, the rate
+    and the word's place in the stream, never on the word.  Within fmax
+    the injector returns its input unchanged and 0.
 
     The RNG seed combines the operating point with the target region and
     the retry attempt index, so the *same* (point, region, attempt) run
@@ -63,9 +82,9 @@ def make_word_corruptor(
         raise ValueError("attempt index cannot be negative")
     rate = corruption_rate(freq_mhz, fmax_mhz)
     if rate <= 0.0:
-        return lambda words: words
+        return lambda data: (data, 0)
     threshold = int(rate * 0xFFFFFFFF)
-    seed = crc32c_words(
+    state = crc32c_words(
         [
             int(freq_mhz * 1000) & 0xFFFFFFFF,
             int(temp_c * 1000) & 0xFFFFFFFF,
@@ -73,24 +92,47 @@ def make_word_corruptor(
             *_salt_words(region),
         ]
     ) or 0x1234ABCD
-    state_box = [seed]
+    masks = []  # the drawn chunk; ``used`` of it went to earlier bursts
+    used = 0
 
-    def corrupt(words: List[int]) -> List[int]:
-        # The xorshift32 steps are inlined, as in encode_asp_packed: the
-        # walk takes one step per word of every over-clocked transfer.
-        state = state_box[0]
-        mask = 0xFFFFFFFF
-        out = list(words)
-        for i in range(len(out)):
-            state ^= (state << 13) & mask
-            state ^= state >> 17
-            state = (state ^ (state << 5)) & mask
-            if state < threshold:
-                state ^= (state << 13) & mask
-                state ^= state >> 17
-                state = (state ^ (state << 5)) & mask
-                out[i] ^= state or 0x1
-        state_box[0] = state
-        return out
+    def corrupt(data: bytes) -> Tuple[bytes, int]:
+        nonlocal masks, used, state
+        count = len(data) >> 2
+        if used == len(masks):
+            # The scalar walk costs the same per word however it is cut,
+            # so without numpy it draws only what the burst needs.
+            chunk = _CHUNK_WORDS if _np is not None else count
+            masks, state = xorshift_walk(state, chunk, 0xFFFFFFFF, threshold)
+            used = 0
+        window = masks[used : used + count]
+        used += len(window)
+        if len(window) == count:
+            return _xor_masks(data, window)
+        # The burst runs past the drawn chunk: the rest comes from the next.
+        split = len(window) << 2
+        head, flips = _xor_masks(data[:split], window)
+        tail, more = corrupt(data[split:])
+        return head + tail, flips + more
 
     return corrupt
+
+
+def _xor_masks(data: bytes, masks) -> Tuple[bytes, int]:
+    """XOR ``masks`` (a walk's numpy array or list) into big-endian
+    packed ``data``; returns the bytes and how many words changed.
+
+    Words with a zero mask are left as they are, and a window without a
+    nonzero mask returns ``data`` itself.
+    """
+    if isinstance(masks, list):
+        flips = len(masks) - masks.count(0)
+        if flips:
+            mask = struct.pack(f">{len(masks)}I", *masks)
+            data = (
+                int.from_bytes(data, "big") ^ int.from_bytes(mask, "big")
+            ).to_bytes(len(data), "big")
+        return data, flips
+    flips = int(_np.count_nonzero(masks))
+    if flips:
+        data = (_np.frombuffer(data, ">u4") ^ masks).astype(">u4").tobytes()
+    return data, flips

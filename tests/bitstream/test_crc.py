@@ -216,3 +216,82 @@ def test_crc32c_packed_identical_with_and_without_numpy(monkeypatch):
     crc_mod._CONSTANTS.clear()
 
     assert with_numpy == without_numpy == joined
+
+
+@pytest.mark.parametrize("numpy", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_deferred_fold_run_matches_word_at_a_time(monkeypatch, seed, numpy):
+    """Uncached runs wait in the pending buffer and fold in bulk; the
+    value, the check verdicts and the error flag are those of per-word
+    :meth:`ConfigCrc.update`, whatever comes between the runs."""
+    import random
+    import struct
+
+    from repro.bitstream import crc as crc_mod
+
+    if not numpy:
+        monkeypatch.setattr(crc_mod, "_np", None)
+    elif crc_mod._np is None:
+        pytest.skip("numpy unavailable")
+    rng = random.Random(seed)
+    crc, reference = ConfigCrc(), ConfigCrc()
+    # Lengths around a run block, and past the bulk and flush bounds.
+    lengths = [1, 5, 15, 16, 255, 256, 257, 2100, 17000]
+    for _ in range(40):
+        op = rng.choice(
+            ["fold", "fold", "fold", "cached", "update", "value", "check", "reset"]
+        )
+        if op in ("fold", "cached"):
+            addr = rng.choice([2, 2, 1, 13, 30])
+            words = [rng.getrandbits(32) for _ in range(rng.choice(lengths))]
+            packed = struct.pack(f"<{len(words)}I", *words)
+            if op == "fold":
+                crc.fold_run(addr, packed)
+            else:
+                crc.update_run(addr, words)
+            for word in words:
+                reference.update(addr, word)
+        elif op == "update":
+            addr, word = rng.randrange(32), rng.getrandbits(32)
+            crc.update(addr, word)
+            reference.update(addr, word)
+        elif op == "value":
+            assert crc.value == reference.value
+        elif op == "check":
+            expected = reference.value if rng.random() < 0.5 else rng.getrandbits(32)
+            assert crc.check(expected) == reference.check(expected)
+            assert crc.error == reference.error
+        else:
+            crc.reset()
+            reference.reset()
+        assert crc.words_folded == reference.words_folded
+    assert crc.value == reference.value
+    assert crc.error == reference.error
+
+
+def test_fold_run_pending_is_bounded_and_never_cached(monkeypatch):
+    """Burst-sized uncached pieces fold at the pending bound, and none of
+    their content enters the content cache, even after a cached run to
+    the same register."""
+    import random
+    import struct
+    from collections import OrderedDict
+
+    from repro.bitstream import crc as crc_mod
+
+    monkeypatch.setattr(crc_mod, "_CONSTANTS", OrderedDict())
+    rng = random.Random(3)
+    crc, reference = ConfigCrc(), ConfigCrc()
+    cached = [rng.getrandbits(32) for _ in range(300)]
+    crc.update_run(13, cached)
+    for word in cached:
+        reference.update(13, word)
+    for _ in range(300):
+        words = [rng.getrandbits(32) for _ in range(256)]
+        crc.fold_run(13, struct.pack("<256I", *words))
+        assert len(crc._run_buf) < crc_mod._UNCACHED_FLUSH_BYTES
+        for word in words:
+            reference.update(13, word)
+    assert crc.value == reference.value
+    packed = struct.pack("<300I", *cached)
+    assert set(crc_mod._CONSTANTS) == {(13, packed[:1024]), (13, packed[1024:])}

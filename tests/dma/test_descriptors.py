@@ -200,8 +200,13 @@ def _corrupted_positions(jobs):
     system = PdrSystem()
     fed = []
     port = system.icap.port
-    feed_words = port.feed_words
-    port.feed_words = lambda words: (fed.extend(words), feed_words(words))[1]
+    feed_bytes = port.feed_bytes
+
+    def tap(data):
+        fed.extend(struct.unpack(f">{len(data) >> 2}I", data))
+        feed_bytes(data)
+
+    port.feed_bytes = tap
     system.reconfigure_batch(jobs, 360.0)
     sent = b"".join(system.make_bitstream(region, asp).to_bytes() for region, asp in jobs)
     expected = struct.unpack(f">{len(sent) // 4}I", sent)

@@ -105,7 +105,9 @@ def _corrupted(words, freq, fmax, temp, region):
     corrupt = make_word_corruptor(freq, fmax, temp, region=region)
     out = []
     for start in range(0, len(words), 256):
-        out.extend(corrupt(words[start : start + 256]))
+        burst = words[start : start + 256]
+        data, _flipped = corrupt(struct.pack(f">{len(burst)}I", *burst))
+        out.extend(struct.unpack(f">{len(burst)}I", data))
     return out
 
 
@@ -293,6 +295,30 @@ def test_far_beyond_device_flags_error(setup):
     ]
     port.feed_words(words)
     assert port.crc_error
+
+
+@pytest.mark.parametrize("pattern", ["mmuu", "umu", "uuu", "mmm"])
+def test_far_run_takes_its_last_mapped_word(setup, pattern):
+    """In a FAR run, any unmapped word latches ``crc_error`` and the last
+    mapped word sets the frame index, wherever the two sit in the run:
+    word by word, through the bulk path and through the byte path."""
+    layout, _memory, _port, _builder = setup
+    first, _count = layout.region_span("RP2")
+    run = [
+        layout.frame_address(first + k).encode() if kind == "m" else 0x00FFFFFF
+        for k, kind in enumerate(pattern)
+    ]
+    words = [SYNC_WORD, _write(ConfigRegister.FAR, 0), type2(OP_WRITE, len(run)), *run]
+    scalar, bulk, packed = (ConfigPort(ConfigMemory(layout)) for _ in range(3))
+    for word in words:
+        scalar.feed_word(word)
+    bulk.feed_words(words)
+    packed.feed_bytes(struct.pack(f">{len(words)}I", *words))
+    mapped = [first + k for k, kind in enumerate(pattern) if kind == "m"]
+    for port in (scalar, bulk, packed):
+        assert port._far_index == (mapped[-1] if mapped else None)
+        assert port.crc_error == ("u" in pattern)
+        assert port.crc.value == scalar.crc.value
 
 
 def test_rcrc_clears_crc_error(setup):

@@ -1,5 +1,7 @@
 """Integration tests: DRAM -> interconnect -> DMA -> stream -> ICAP."""
 
+import struct
+
 import pytest
 
 from repro.axi import AxiHpPort, AxiInterconnect, AxiStream
@@ -91,7 +93,12 @@ def test_throughput_saturates_at_high_frequency():
 def test_word_corruptor_breaks_load():
     rig = TransferRig()
     bitstream, frames = rig.load("RP2")
-    rig.icap.word_corruptor = lambda words: [w ^ 0x1 for w in words]
+
+    def flip_low_bits(data):
+        words = [w ^ 0x1 for w in struct.unpack(f">{len(data) >> 2}I", data)]
+        return struct.pack(f">{len(words)}I", *words), len(words)
+
+    rig.icap.word_corruptor = flip_low_bits
     rig.icap.begin_transfer()
     rig.start(bitstream.size_bytes)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())

@@ -18,9 +18,15 @@ FREQ, FMAX, TEMP = 330.0, 300.0, 40.0
 WORDS = list(range(4096))
 
 
+def _through(corruptor, words):
+    """``words`` through ``corruptor`` as one big-endian packed burst."""
+    data, _flipped = corruptor(struct.pack(f">{len(words)}I", *words))
+    return list(struct.unpack(f">{len(words)}I", data))
+
+
 def _corrupt(**kwargs):
     corruptor = make_word_corruptor(FREQ, FMAX, TEMP, **kwargs)
-    return corruptor(list(WORDS))
+    return _through(corruptor, WORDS)
 
 
 def test_same_point_region_attempt_is_reproducible():
@@ -58,7 +64,7 @@ def test_negative_attempt_rejected():
 
 def test_within_fmax_is_identity_regardless_of_salt():
     corruptor = make_word_corruptor(100.0, 300.0, TEMP, region="RP2", attempt=7)
-    assert corruptor(list(WORDS)) == WORDS
+    assert _through(corruptor, WORDS) == WORDS
 
 
 @pytest.mark.parametrize(
@@ -83,6 +89,6 @@ def test_corruption_pattern_is_pinned(freq, fmax, region, attempt, sha256, flips
     corruptor = make_word_corruptor(freq, fmax, TEMP, region=region, attempt=attempt)
     out = []
     for start in range(0, len(WORDS), 256):
-        out.extend(corruptor(WORDS[start : start + 256]))
+        out.extend(_through(corruptor, WORDS[start : start + 256]))
     assert sum(a != b for a, b in zip(WORDS, out)) == flips
     assert hashlib.sha256(struct.pack(f"<{len(out)}I", *out)).hexdigest() == sha256

@@ -1,5 +1,7 @@
 """Tests for the over-clocking timing model and fault injectors."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,12 @@ from repro.timing import (
     default_timing_model,
     make_word_corruptor,
 )
+
+
+def _through(corruptor, words):
+    """``words`` through ``corruptor`` as one big-endian packed burst."""
+    data, _flipped = corruptor(struct.pack(f">{len(words)}I", *words))
+    return list(struct.unpack(f">{len(words)}I", data))
 
 
 @pytest.fixture()
@@ -95,27 +103,27 @@ def test_corruption_rate_grows_with_violation():
 
 def test_corruptor_identity_when_safe():
     corruptor = make_word_corruptor(280.0, 315.0, 40.0)
-    words = [1, 2, 3]
-    assert corruptor(words) is words
+    data = struct.pack(">3I", 1, 2, 3)
+    assert corruptor(data)[0] is data
 
 
 def test_corruptor_deterministic():
     a = make_word_corruptor(360.0, 315.0, 40.0)
     b = make_word_corruptor(360.0, 315.0, 40.0)
     words = list(range(10_000))
-    assert a(words) == b(words)
+    assert _through(a, words) == _through(b, words)
 
 
 def test_corruptor_differs_across_operating_points():
     words = list(range(10_000))
-    a = make_word_corruptor(360.0, 315.0, 40.0)(words)
-    b = make_word_corruptor(340.0, 315.0, 40.0)(words)
+    a = _through(make_word_corruptor(360.0, 315.0, 40.0), words)
+    b = _through(make_word_corruptor(340.0, 315.0, 40.0), words)
     assert a != b
 
 
 def test_corruptor_density_tracks_rate():
     words = [0] * 100_000
-    corrupted = make_word_corruptor(360.0, 315.0, 40.0)(words)
+    corrupted = _through(make_word_corruptor(360.0, 315.0, 40.0), words)
     flipped = sum(1 for w in corrupted if w)
     expected = corruption_rate(360.0, 315.0) * len(words)
     assert flipped == pytest.approx(expected, rel=0.2)
