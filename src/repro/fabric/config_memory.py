@@ -57,22 +57,30 @@ class ConfigMemory:
             packed = _FRAME_STRUCT.pack(*words)
         except struct.error:
             packed = _FRAME_STRUCT.pack(*(w & 0xFFFFFFFF for w in words))
-        self._write_packed(index, packed)
+        self.write_frame_packed(index, packed)
 
     def write_frame_packed(self, index: int, packed) -> None:
-        """Write one frame from ``FRAME_BYTES`` of little-endian words."""
-        self._check(index)
-        if len(packed) != FRAME_BYTES:
-            raise ValueError(
-                f"frame write needs {FRAME_BYTES} bytes, got {len(packed)}"
-            )
-        self._write_packed(index, packed)
+        """Write consecutive whole frames from little-endian words,
+        ``FRAME_BYTES`` per frame, starting at frame ``index``.
 
-    def _write_packed(self, index: int, packed) -> None:
-        offset = index * FRAME_BYTES
-        self._slab[offset : offset + FRAME_BYTES] = packed
-        self._generation[index] += 1
-        self.total_frame_writes += 1
+        One slice assignment into the slab; every frame written counts
+        one generation and one frame write, as a frame-at-a-time write
+        would.
+        """
+        self._check(index)
+        count, ragged = divmod(len(packed), FRAME_BYTES)
+        if ragged or not count:
+            raise ValueError(
+                f"frame write needs whole {FRAME_BYTES}-byte frames, "
+                f"got {len(packed)} bytes"
+            )
+        end = index + count
+        if end > self.total_frames:
+            raise ValueError(f"frame range [{index}, {end}) out of range")
+        self._slab[index * FRAME_BYTES : end * FRAME_BYTES] = packed
+        generation = self._generation
+        generation[index:end] = [g + 1 for g in generation[index:end]]
+        self.total_frame_writes += count
 
     def read_frames_packed(self, index: int, count: int) -> bytes:
         """``count`` consecutive frames as packed little-endian bytes."""
@@ -167,9 +175,7 @@ class ConfigMemory:
 
     def clear_region(self, name: str) -> None:
         first, count = self.layout.region_span(name)
-        blank = bytes(FRAME_BYTES)
-        for i in range(count):
-            self._write_packed(first + i, blank)
+        self.write_frame_packed(first, bytes(count * FRAME_BYTES))
 
     # -- fault injection -------------------------------------------------------
     def corrupt_word(

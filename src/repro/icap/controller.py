@@ -7,8 +7,15 @@ raises — and feeds them to the :class:`~repro.icap.primitive.ConfigPort`.
 The consumer is a callback chain, not a process: the stream hands each
 burst to :meth:`IcapController.receive`, the drain at one word per cycle
 is one kernel entry (:meth:`~repro.sim.Simulator.call_later`) ending in
-:meth:`~IcapController.drained`, which configures the burst's bytes,
-releases its FIFO room and asks the stream for the next burst.
+:meth:`~IcapController.drained`, which queues the burst's bytes for the
+configuration port, releases its FIFO room and asks the stream for the
+next burst.  The port decodes the queued bytes in batches of up to
+64 KiB: when that much is queued, at a stream's last burst (before
+``busy``, ``done`` and ``error_irq`` move) and before every port reset.
+So mid-stream the port and the configuration memory may lag the ICAP by
+less than a batch; they are exact at every TLAST, before every port
+reset and at the end of every abort, and nothing reads them in between
+(SEU delivery and the scrubber wait for ``busy`` to fall).
 
 Over-clocking failure injection happens here: an optional *word corruptor*
 (installed by the PDR system from the timing model's verdict) XORs masks
@@ -20,7 +27,7 @@ runs fail their CRC.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..axi.stream import AxiStream, StreamBurst
 from ..fabric.config_memory import ConfigMemory
@@ -30,6 +37,12 @@ from ..sim import ClockDomain, InterruptLine, Signal, Simulator
 from .primitive import ConfigPort
 
 __all__ = ["IcapController"]
+
+#: Undecoded bytes that make the ICAP feed the configuration port
+#: before the stream's last burst.  It bounds the copies a decode holds
+#: at once (the joined batch, its byteswap, the CRC's pending run and
+#: the frame buffer).
+_BATCH_BYTES = 64 * 1024
 
 
 class IcapController:
@@ -93,6 +106,9 @@ class IcapController:
         self.monitor = None
         #: When the controller last asked the stream for a burst.
         self._wait_started_ns = sim.now
+        #: Drained bursts' bytes (after the corruptor), not yet decoded.
+        self._pending: List[bytes] = []
+        self._pending_bytes = 0
         stream.take(self.receive)
 
     @property
@@ -102,6 +118,7 @@ class IcapController:
 
     def begin_transfer(self) -> None:
         """Arm the controller for a new configuration stream."""
+        self._decode_pending()
         self.port.reset()
         self.done.set(False)
         self._aborted = False
@@ -116,9 +133,10 @@ class IcapController:
 
         The producer (DMA) must already be halted.  Whatever it pushed
         before dying is consumed and discarded at stream rate — the
-        configuration port is reset *afterwards*, so stale words cannot
-        leave a partially decoded packet state behind — then the busy and
-        done flags are cleared so the scrubber's busy gate reopens.
+        queued bursts are decoded and the configuration port is reset
+        *afterwards*, so stale words cannot leave a partially decoded
+        packet state behind — then the busy and done flags are cleared
+        so the scrubber's busy gate reopens.
         """
         polls = 0
         stream = self._stream()
@@ -130,6 +148,7 @@ class IcapController:
                     f"(producer still running?)"
                 )
             yield self.clock.wait_cycles(16)
+        self._decode_pending()
         self.port.reset()
         self.idle_since_ns = self.sim.now
         self.busy.set(False)
@@ -167,8 +186,8 @@ class IcapController:
         )
 
     def drained(self, burst: StreamBurst) -> None:
-        """The burst has passed the ICAP: configure it, hand its FIFO room
-        back and take the next burst."""
+        """The burst has passed the ICAP: queue it for the configuration
+        port, hand its FIFO room back and take the next burst."""
         counts = self.counts
         count = burst.word_count
         data = burst.data
@@ -177,9 +196,12 @@ class IcapController:
             counts.corrupted_words += flipped
         if self.monitor is not None:
             self.monitor.on_icap_words(self, count)
-        self.port.feed_bytes(data)
+        self._pending.append(data)
+        self._pending_bytes += len(data)
         counts.words_consumed += count
         counts.bursts_consumed += 1
+        if burst.last or self._pending_bytes >= _BATCH_BYTES:
+            self._decode_pending()
         if burst.last:
             self.idle_since_ns = self.sim.now
             self.busy.set(False)
@@ -188,6 +210,14 @@ class IcapController:
             if self.port.has_error:
                 self.error_irq.assert_()
         stream = self._stream()
-        stream.release(burst.word_count)
+        stream.release(count)
         self._wait_started_ns = self.sim.now
         stream.take(self.receive)
+
+    def _decode_pending(self) -> None:
+        """Feed the queued bursts to the configuration port as one batch."""
+        if self._pending:
+            data = b"".join(self._pending)
+            self._pending.clear()
+            self._pending_bytes = 0
+            self.port.feed_bytes(data)

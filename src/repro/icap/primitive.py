@@ -27,6 +27,8 @@ from ..fabric.config_memory import ConfigMemory
 __all__ = ["ConfigPort"]
 
 _WORD_STRUCT = struct.Struct("<I")
+_BIG_WORD = struct.Struct(">I")
+_SYNC_BYTES = _BIG_WORD.pack(SYNC_WORD)
 _MASK32 = 0xFFFFFFFF
 #: An ``array`` typecode with 4-byte items ("I" on every common ABI).
 _U32 = "I" if array("I").itemsize == 4 else "L"
@@ -129,99 +131,88 @@ class ConfigPort:
     def feed_words(self, words) -> None:
         """Consume a word sequence; identical to :meth:`feed_word` per word.
 
-        Words before the sync word are skipped in one search, and every
-        payload run goes through in bulk: FDRI data packs into frames
-        and folds through the content-cached CRC; FAR, IDCODE and
+        The words, masked to 32 bits, are packed big-endian and decoded
+        by :meth:`feed_bytes`.
+        """
+        try:
+            data = struct.pack(f">{len(words)}I", *words)
+        except struct.error:
+            data = struct.pack(
+                f">{len(words)}I", *[word & _MASK32 for word in words]
+            )
+        self.feed_bytes(data)
+
+    def feed_bytes(self, data: bytes) -> None:
+        """Consume words packed big-endian (DMA bursts as read from DRAM,
+        one or many); identical to :meth:`feed_word` per word.
+
+        Words before the sync word are skipped with one search.  Every
+        payload run to a register but CRC and CMD goes through in bulk
+        from one byteswapped slice: FDRI data packs into frames and
+        folds through the content-cached CRC; FAR, IDCODE and
         side-effect-free registers fold uncached (corrupted streams never
         repeat) and apply their effect once per run.  Packet headers,
         NOOPs and CRC/CMD writes go word by word.
         """
-        index = 0
-        total = len(words)
-        while index < total:
+        end = len(data)
+        if end & 3:
+            raise ValueError(f"{end} bytes are not whole 32-bit words")
+        offset = 0
+        while offset < end:
             if not self.synced:
-                try:
-                    stop = words.index(SYNC_WORD, index)
-                except ValueError:
-                    stop = total
-                skipped = words[index:stop]
-                if skipped and (max(skipped) > _MASK32 or min(skipped) < 0):
-                    # An out-of-range word could mask to the sync word.
-                    words = [word & _MASK32 for word in words]
-                    continue
-                self.words_consumed += stop - index
-                index = stop
-                if index < total:
-                    self.feed_word(words[index])
-                    index += 1
+                stop = data.find(_SYNC_BYTES, offset)
+                while stop > 0 and stop & 3:  # a match across words
+                    stop = data.find(_SYNC_BYTES, stop + 1)
+                if stop < 0:
+                    stop = end
+                self.words_consumed += (stop - offset) >> 2
+                offset = stop
+                if offset < end:
+                    self.feed_word(SYNC_WORD)
+                    offset += 4
                 continue
             register = self._payload_register
             if self._payload_remaining and register not in _PER_WORD_REGISTERS:
-                count = min(self._payload_remaining, total - index)
-                run = words[index : index + count]
+                count = min(self._payload_remaining, (end - offset) >> 2)
                 self._payload_remaining -= count
                 self.words_consumed += count
-                index += count
-                try:
-                    packed = struct.pack(f"<{count}I", *run)
-                except struct.error:
-                    packed = struct.pack(
-                        f"<{count}I", *[word & _MASK32 for word in run]
-                    )
-                self._payload_run(register, packed)
+                stop = offset + (count << 2)
+                self._payload_run(register, _swap_words(data[offset:stop]))
+                offset = stop
                 continue
-            self.feed_word(words[index])
-            index += 1
-
-    def feed_bytes(self, data: bytes) -> None:
-        """Consume words packed big-endian (a DMA burst as read from DRAM);
-        identical to :meth:`feed_words` on the unpacked words.
-
-        A payload run at the head of ``data`` — all of it, for every
-        burst inside a bitstream's frame data or a corrupted header's
-        long payload — goes through from one byteswapped copy.  Whatever
-        follows (packet headers, CRC/CMD writes, the next payload) goes
-        through :meth:`feed_words`.
-        """
-        register = self._payload_register
-        if (
-            self.synced
-            and self._payload_remaining
-            and register not in _PER_WORD_REGISTERS
-        ):
-            count = min(self._payload_remaining, len(data) >> 2)
-            self._payload_remaining -= count
-            self.words_consumed += count
-            if count << 2 < len(data):
-                run, data = data[: count << 2], data[count << 2 :]
-            else:
-                run, data = data, b""
-            self._payload_run(register, _swap_words(run))
-        if data:
-            self.feed_words(list(struct.unpack(f">{len(data) >> 2}I", data)))
+            self.feed_word(_BIG_WORD.unpack_from(data, offset)[0])
+            offset += 4
 
     def _payload_run(self, register: int, packed: bytes) -> None:
         """Bulk :meth:`_handle_write` for a payload run packed
         little-endian, to any register but CRC and CMD."""
         if register == _FDRI:
+            self.crc.update_run(_FDRI, None, packed=packed)
             self._fdri_run(packed)
         else:
             self._register_run(register, packed)
 
     def _fdri_run(self, packed: bytes) -> None:
-        """Bulk :meth:`_handle_write` for a run of FDRI data words, packed
-        little-endian."""
-        self.crc.update_run(_FDRI, None, packed=packed)
+        """Frame data, packed little-endian, through the FDRI pipeline.
+
+        The held frame and every frame the data completes but the last
+        commit in one write; the last completed frame is held.
+        """
         if not self.wcfg_active or self.idcode_error:
-            return
+            return  # writes are ignored until WCFG, or after an ID failure
         buffer = self._frame_buffer
         buffer += packed
-        while len(buffer) >= FRAME_BYTES:
-            completed = bytes(buffer[:FRAME_BYTES])
-            del buffer[:FRAME_BYTES]
-            if self._held_frame is not None:
-                self._commit_frame(self._held_frame)
-            self._held_frame = completed
+        whole = len(buffer) - len(buffer) % FRAME_BYTES
+        if not whole:
+            return
+        held = self._held_frame
+        last = whole - FRAME_BYTES
+        if held is not None:
+            self._commit_frames(held + buffer[:last])
+        elif last:
+            self._commit_frames(buffer[:last])
+        self._held_frame = bytes(buffer[last:whole])
+        del buffer[:whole]
 
     def _register_run(self, register: int, packed: bytes) -> None:
         """Bulk :meth:`_handle_write` for a run to FAR, IDCODE or a
@@ -269,32 +260,28 @@ class ConfigPort:
             else:
                 self._far_index = index
         elif register == _FDRI:
-            self._fdri_word(word)
+            self._fdri_run(_WORD_STRUCT.pack(word))
         elif register == _CMD:
             self._command(word)
 
-    def _fdri_word(self, word: int) -> None:
-        if not self.wcfg_active or self.idcode_error:
-            return  # writes are ignored until WCFG, or after an ID failure
-        self._frame_buffer += _WORD_STRUCT.pack(word)
-        if len(self._frame_buffer) < FRAME_BYTES:
-            return
-        completed = bytes(self._frame_buffer)
-        self._frame_buffer = bytearray()
-        if self._held_frame is not None:
-            self._commit_frame(self._held_frame)
-        self._held_frame = completed
-
-    def _commit_frame(self, frame: bytes) -> None:
-        if self._far_index is None:
+    def _commit_frames(self, packed: bytes) -> None:
+        """Write whole frames at the frame index, which advances past
+        them.  An unset index, or frames past the end of the device,
+        latch ``crc_error`` and are dropped."""
+        index = self._far_index
+        if index is None:
             self.crc_error = True
             return
-        if self._far_index >= self.layout.total_frames:
+        count = len(packed) // FRAME_BYTES
+        room = self.layout.total_frames - index
+        if count > room:
             self.crc_error = True  # ran off the end of the device
-            return
-        self.memory.write_frame_packed(self._far_index, frame)
-        self._far_index += 1
-        self.frames_committed += 1
+            count = room
+            packed = packed[: room * FRAME_BYTES]
+        if count:
+            self.memory.write_frame_packed(index, packed)
+            self._far_index = index + count
+            self.frames_committed += count
 
     # -- read-back (FDRO) -----------------------------------------------------
     def read_frames(self, far_index: int, frame_count: int) -> list:

@@ -1,5 +1,7 @@
 """Tests for ASP functional models and their frame encoding."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,7 +244,7 @@ def test_numpy_fill_matches_scalar_loop(monkeypatch):
     asps = [FirFilterAsp([3, -1, 4]), Aes128Asp([5, 6, 7, 8]), VectorScaleAsp(3, 11)]
 
     def encode_all():
-        monkeypatch.setattr(asp_mod, "_ENCODE_PACKED_CACHE", {})
+        monkeypatch.setattr(asp_mod, "_ENCODE_PACKED_CACHE", OrderedDict())
         return [
             asp_mod.encode_asp_packed(count, asp)
             for count in sorted(counts)
@@ -252,3 +254,20 @@ def test_numpy_fill_matches_scalar_loop(monkeypatch):
     vectorised = encode_all()
     monkeypatch.setattr(asp_mod, "_np", None)
     assert encode_all() == vectorised
+
+
+def test_encode_memo_is_a_bounded_lru(monkeypatch):
+    """The encode memo never holds more than its bound: the least
+    recently used region goes first, and a hit refreshes its entry."""
+    from repro.fabric import asp as asp_mod
+
+    monkeypatch.setattr(asp_mod, "_ENCODE_PACKED_CACHE", OrderedDict())
+    memo, bound = asp_mod._ENCODE_PACKED_CACHE, asp_mod._ENCODE_PACKED_MAX
+    asps = [FirFilterAsp([k]) for k in range(2 * bound)]
+    keys = [(4, asp.kind, tuple(asp.params())) for asp in asps]
+    encoded = asp_mod.encode_asp_packed(4, asps[0])
+    for asp in asps[1:]:
+        asp_mod.encode_asp_packed(4, asp)
+        assert asp_mod.encode_asp_packed(4, asps[0]) is encoded  # kept warm
+        assert len(memo) <= bound
+    assert list(memo) == keys[bound + 1 :] + keys[:1]

@@ -1,8 +1,10 @@
 """Tests for the configuration memory."""
 
+import struct
+
 import pytest
 
-from repro.bitstream import FRAME_WORDS, FrameAddress, make_z7020_layout
+from repro.bitstream import FRAME_BYTES, FRAME_WORDS, FrameAddress, make_z7020_layout
 from repro.fabric import ConfigMemory
 
 
@@ -38,6 +40,23 @@ def test_words_masked_to_32_bits(memory):
 def test_wrong_frame_size_rejected(memory):
     with pytest.raises(ValueError, match="words"):
         memory.write_frame(0, [0] * 10)
+
+
+def test_packed_write_takes_whole_frames(memory):
+    """One packed write of k frames is k frame writes: each frame's
+    generation goes up by one and the write count by k."""
+    frames = [[k] * FRAME_WORDS for k in range(1, 4)]
+    packed = b"".join(struct.pack(f"<{FRAME_WORDS}I", *f) for f in frames)
+    memory.write_frame(8, frames[0])
+    memory.write_frame_packed(7, packed)
+    assert [memory.read_frame(i) for i in (7, 8, 9)] == frames
+    assert memory.generation_span(6, 5) == [0, 1, 2, 1, 0]
+    assert memory.total_frame_writes == 4
+    last = memory.total_frames - 1
+    for index, data in ((0, packed[:-4]), (0, b""), (last, packed[: 2 * FRAME_BYTES])):
+        with pytest.raises(ValueError):
+            memory.write_frame_packed(index, data)
+    assert memory.total_frame_writes == 4
 
 
 def test_out_of_range_rejected(memory):

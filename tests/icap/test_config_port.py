@@ -126,6 +126,8 @@ def _hand_built(layout):
     frames = list(range(1, 2 * FRAME_WORDS + 6))
     frames[3] |= 1 << 33  # out of range: the port masks it to 32 bits
     head = [
+        # The sync word's bytes across a word boundary: not a sync.
+        SYNC_WORD >> 16, (SYNC_WORD & 0xFFFF) << 16,
         DUMMY_WORD, BUS_WIDTH_SYNC_WORD, BUS_WIDTH_DETECT_WORD, DUMMY_WORD,
         SYNC_WORD | (1 << 32),  # masks to the sync word
         NOOP_WORD,
@@ -199,6 +201,12 @@ def _port_state(port):
     }
 
 
+#: Feed sizes in words: a DMA burst, a size that splits every packet
+#: and frame, the ICAP's 64 KiB decode batch, and the whole stream in
+#: one call (None).
+_FEED_SIZES = (256, 7, 16384, None)
+
+
 def test_bulk_and_scalar_paths_equivalent(setup):
     """feed_words' bulk runs must match word-at-a-time feeding exactly.
 
@@ -206,7 +214,9 @@ def test_bulk_and_scalar_paths_equivalent(setup):
     sparse (320/315 MHz) and a dense (360/315 MHz) rate — which derails
     the packet decoder into long runs to IDCODE, CMD, unassigned and
     never-synced states — over the 320 MHz @ 80 °C grid point's long
-    FAR run, and over hand-built runs to every kind of register.
+    FAR run, over hand-built runs to every kind of register and over a
+    frame run past the device's last frame; in DMA bursts, 7-word
+    pieces, 64 KiB batches and one call.
     """
     layout, _memory, _port, builder = setup
     table1, _ = _build(layout, builder, "RP1", WORKLOAD_ASP)
@@ -215,6 +225,16 @@ def test_bulk_and_scalar_paths_equivalent(setup):
         for region in ("RP1", "RP2", "RP3")
     }
     streams = {"clean": table1.words, "hand-built": _hand_built(layout)}
+    # From the second-last frame: of the 4 frames that commit (the 5th
+    # is held), 2 land and 2 run off the end.
+    streams["past the device end"] = [
+        SYNC_WORD,
+        _write(ConfigRegister.FAR, 1),
+        layout.frame_address(layout.total_frames - 2).encode(),
+        _write(ConfigRegister.CMD, 1), int(Command.WCFG),
+        _write(ConfigRegister.FDRI, 0), type2(OP_WRITE, 5 * FRAME_WORDS),
+        *range(1, 5 * FRAME_WORDS + 1),
+    ]
     for freq, temp, region in (
         (320.0, 40.0, "RP2"),
         (320.0, 65.0, "RP3"),  # long IDCODE run, mismatched
@@ -232,9 +252,9 @@ def test_bulk_and_scalar_paths_equivalent(setup):
         table1.words, 320.0, 311.22, 80.0, "RP1"
     )
 
-    bursts = (256, 7)
     states = {}
     for name, words in streams.items():
+        bursts = [size or len(words) for size in _FEED_SIZES]
         scalar = ConfigPort(ConfigMemory(layout))
         checkpoints = {}
         for offset, word in enumerate(words, 1):
@@ -262,6 +282,8 @@ def test_bulk_and_scalar_paths_equivalent(setup):
     assert hand["frame_index"] == layout.region_span("RP2")[0] + 1
     grid = states["grid 320 MHz @ 80 C"]
     assert grid["flags"][3] and grid["counts"][0] == 0
+    end = states["past the device end"]
+    assert end["flags"][3] and end["counts"][0] == 2
 
 
 def test_fdri_without_wcfg_is_ignored(setup):
@@ -333,7 +355,8 @@ def test_byte_path_matches_feed_words(setup):
     """feed_bytes on big-endian burst bytes (the DMA's stream payload)
     matches feed_words on the same bursts, burst by burst: whole-burst
     FDRI runs through the byteswapped copy, headers and other registers
-    through the word path, and runs shorter than the CRC's cached block."""
+    word by word, runs shorter than the CRC's cached block, the ICAP's
+    64 KiB batches and the whole stream in one call."""
     layout, _memory, _port, builder = setup
     table1, _ = _build(layout, builder, "RP1", WORKLOAD_ASP)
     fir = _build(layout, builder, "RP2")[0].words
@@ -347,7 +370,7 @@ def test_byte_path_matches_feed_words(setup):
         ],
     }
     for name, words in streams.items():
-        for burst in (256, 7):
+        for burst in (size or len(words) for size in _FEED_SIZES):
             by_words = ConfigPort(ConfigMemory(layout))
             by_bytes = ConfigPort(ConfigMemory(layout))
             for start in range(0, len(words), burst):
@@ -358,6 +381,17 @@ def test_byte_path_matches_feed_words(setup):
                     f"{name}: burst at word {start} of {burst}-word bursts"
                 )
             assert _port_state(by_bytes) == _port_state(by_words), name
+
+
+def test_byte_path_rejects_a_partial_word(setup):
+    """A ragged tail is refused before anything is decoded, even inside
+    a payload run."""
+    layout, _memory, port, _builder = setup
+    port.feed_words([SYNC_WORD, _write(ConfigRegister.FDRI, 4)])
+    state = _port_state(port)
+    with pytest.raises(ValueError, match="6 bytes"):
+        port.feed_bytes(bytes(6))
+    assert _port_state(port) == state
 
 
 def test_swap_words_is_host_independent():

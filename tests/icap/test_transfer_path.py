@@ -19,8 +19,10 @@ from repro.dma import (
 )
 from repro.dram import BankDramController, DramDevice
 from repro.fabric import ConfigMemory, FirFilterAsp, encode_asp_frames
-from repro.icap import IcapController
+from repro.icap import ConfigPort, IcapController
 from repro.sim import ClockDomain, Simulator
+
+from .test_config_port import _port_state
 
 
 class TransferRig:
@@ -175,8 +177,9 @@ def test_unaligned_length_rejected_at_length_write():
 def test_soft_reset_mid_burst_abandons_the_transfer():
     """A DMACR soft reset 5 us into a 200 MHz load, with 3 bursts moved
     and a 4th in flight: the in-flight burst never reaches the stream,
-    its FIFO room comes back, no IOC is raised, and the next transfer
-    runs normally."""
+    its FIFO room comes back, no IOC is raised, the 3 bursts reach the
+    configuration memory before the next transfer resets the port, and
+    the next transfer runs normally."""
     rig = TransferRig(freq_mhz=200.0)
     bitstream, frames = rig.load("RP1")
     rig.icap.begin_transfer()
@@ -192,8 +195,67 @@ def test_soft_reset_mid_burst_abandons_the_transfer():
     assert rig.stream.free_words == rig.stream.fifo_words
 
     rig.icap.begin_transfer()
+    # The 3 bursts complete 7 frames: 6 commit, and the 7th is still
+    # held in the FDRI pipeline when the port resets.
+    assert rig.memory.total_frame_writes == 6
     rig.start(bitstream.size_bytes)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
     assert rig.dma.counts.transfers_completed == 1
     assert rig.dma.counts.bytes_moved == 3 * 1024 + bitstream.size_bytes
+    assert rig.memory.region_frames("RP1") == frames
+
+
+def test_abort_mid_stream_decodes_what_was_drained():
+    """An ICAP abort after a DMACR soft reset 5 us into a 200 MHz load:
+    the 3 bursts drained before it reach the configuration memory
+    before the abort resets the port."""
+    rig = TransferRig(freq_mhz=200.0)
+    bitstream, _frames = rig.load("RP1")
+    rig.icap.begin_transfer()
+    rig.start(bitstream.size_bytes)
+    rig.sim.run(until=5e3)
+    rig.dma.reg_write(MM2S_DMACR, DMACR_RESET)
+    rig.sim.run_until(rig.sim.process(rig.icap.abort()))
+    assert rig.icap.aborted and not rig.icap.busy.value
+    assert rig.icap.counts.bursts_consumed == 3
+    assert rig.memory.total_frame_writes == 6
+    assert not rig.icap.port.synced
+
+
+def test_icap_decodes_in_bounded_batches():
+    """A 200 MHz load reaches the configuration port in batches: the
+    ICAP never holds more than 64 KiB plus one burst undecoded, and at
+    TLAST the port and the configuration memory equal a word-at-a-time
+    pass over the same words."""
+    rig = TransferRig(freq_mhz=200.0)
+    bitstream, frames = rig.load("RP1")
+    icap, port = rig.icap, rig.icap.port
+    batches, undecoded, at_tlast = [], [], []
+    feed_bytes, drained = port.feed_bytes, icap.drained
+
+    def tap(data):
+        batches.append(len(data))
+        feed_bytes(data)
+
+    def watch(burst):
+        undecoded.append(icap.counts.words_consumed * 4 - sum(batches))
+        drained(burst)
+        if burst.last:
+            at_tlast.append(_port_state(port))
+
+    port.feed_bytes = tap
+    icap.drained = watch
+    icap.begin_transfer()
+    rig.start(bitstream.size_bytes)
+    rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
+
+    burst_bytes = rig.dma.max_burst_bytes
+    assert sum(batches) == bitstream.size_bytes
+    assert 1 < len(batches) < icap.counts.bursts_consumed
+    assert max(batches) <= 64 * 1024 + burst_bytes
+    assert max(undecoded) < 64 * 1024
+    reference = ConfigPort(ConfigMemory(rig.layout))
+    for word in bitstream.words:
+        reference.feed_word(word)
+    assert at_tlast == [_port_state(reference)]
     assert rig.memory.region_frames("RP1") == frames

@@ -55,6 +55,26 @@ def test_program_waits_for_lock(wizard):
     assert wiz.reprogram_count == 1
 
 
+def test_repeat_program_reuses_the_cached_search(wizard):
+    """A second ``program`` at the same frequency takes its setting from
+    the shared search memo, without a new search."""
+    from repro.clocking import wizard as wizard_mod
+
+    sim, _domain, wiz = wizard
+    search = wizard_mod._best_setting
+    search.cache_clear()
+    wiz.program(240.0)
+    sim.run()
+    first = wiz.current_setting
+    assert search.cache_info().misses == 1
+    wiz.program(240.0)
+    sim.run()
+    assert wiz.current_setting == first
+    assert wiz.current_setting is first
+    info = search.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_lock_deasserts_during_reprogram(wizard):
     sim, _domain, wiz = wizard
     wiz.program(150.0)
