@@ -127,6 +127,18 @@ class AxiInterconnect:
         the only one; with more, one zero-delay entry later, as
         :meth:`~repro.dram.BankDramController.accept` picks.
         """
+        lane = self.admit(request)
+        lane.queue.append((request, then))
+        if not lane.busy:
+            lane.busy = True
+            if len(self._lanes) == 1:
+                self.forward(lane)
+            else:
+                self.sim.call_later(0.0, self.forward, lane)
+
+    def admit(self, request: MemoryRequest) -> _Lane:
+        """Account ``request`` entering its master's lane now (the master
+        is registered on its first request); returns the lane."""
         master = request.master
         lane = self._lanes.get(master)
         if lane is None:
@@ -137,19 +149,31 @@ class AxiInterconnect:
             ledger.transactions = 0
         self._m_outstanding.add(1)
         request.submitted_ns = self.sim.now
-        lane.queue.append((request, then))
-        if not lane.busy:
-            lane.busy = True
-            if len(self._lanes) == 1:
-                self.forward(lane)
-            else:
-                self.sim.call_later(0.0, self.forward, lane)
+        return lane
+
+    def quiet(self, master: str) -> bool:
+        """True when ``master`` alone may use the crossbar, back to back,
+        with nothing else to account: no fault hook is armed, no other
+        master is registered and its lane is empty."""
+        return (
+            self.fault_stall_ns is None
+            and self.fault_error is None
+            and all(
+                name == master and not lane.busy
+                for name, lane in self._lanes.items()
+            )
+        )
 
     # -- lane stages (kernel entries) ------------------------------------------
     def forward(self, lane: _Lane) -> None:
-        """Take the lane's head now: account its wait, then pay the forward
-        path (decode + arbitration + slices) as one entry."""
+        """Take the lane's head now and pay its forward path (decode +
+        arbitration + slices) as one entry."""
         request = lane.queue[0][0]
+        self.sim.call_later(self.route(request), self.forwarded, lane, request)
+
+    def route(self, request: MemoryRequest) -> float:
+        """Account ``request`` taking the forward path now, after its wait
+        in the lane; returns the path's delay."""
         wait_ns = self.sim.now - request.submitted_ns
         counts = self.counts
         counts.transactions += 1
@@ -161,9 +185,7 @@ class AxiInterconnect:
         stall_ns = 0.0
         if self.fault_stall_ns is not None:
             stall_ns = max(0.0, self.fault_stall_ns())
-        self.sim.call_later(
-            self.forward_latency_ns + stall_ns, self.forwarded, lane, request
-        )
+        return self.forward_latency_ns + stall_ns
 
     def forwarded(self, lane: _Lane, request: MemoryRequest) -> None:
         """The head has crossed the forward path: an error response ends
@@ -183,13 +205,17 @@ class AxiInterconnect:
     def served(self, request: MemoryRequest) -> None:
         """The controller has served the head: close its accounting, start
         the lane's next request, then hand this one back to its issuer."""
-        master = request.master
-        lane = self._lanes[master]
+        lane = self._lanes[request.master]
         then = lane.queue.popleft()[1]
-        self.masters[master].bytes += request.size
-        self._m_outstanding.add(-1)
+        self.retire(request)
         self._next(lane)
         then(request)
+
+    def retire(self, request: MemoryRequest) -> None:
+        """Close the accounting of ``request``, served by the controller
+        now."""
+        self.masters[request.master].bytes += request.size
+        self._m_outstanding.add(-1)
 
     def _next(self, lane: _Lane) -> None:
         if lane.queue:

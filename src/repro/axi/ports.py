@@ -47,8 +47,9 @@ class AxiHpPort:
     def stream_ns(self, size: int) -> float:
         return size / self.raw_bandwidth_bytes_per_ns
 
-    def _stream_tail_ns(self, size: int) -> float:
-        """Port streaming time left once the DDR has transferred ``size``."""
+    def tail_ns(self, size: int) -> float:
+        """Port streaming time left once the DDR has transferred ``size``
+        bytes (not positive when the DDR transfer covers it all)."""
         ddr_transfer = self.interconnect.controller.device.transfer_ns(size)
         return self.stream_ns(size) - ddr_transfer
 
@@ -76,7 +77,7 @@ class AxiHpPort:
     def deliver(self, request: MemoryRequest) -> None:
         """A read has been served: stream what the DDR transfer did not
         cover, then :meth:`streamed` completes it."""
-        extra = self._stream_tail_ns(request.size)
+        extra = self.tail_ns(request.size)
         if extra > 0:
             self.sim.call_later(extra, self.streamed, request)
         else:
@@ -101,7 +102,7 @@ class AxiHpPort:
             master=self.name,
             done=done,
         )
-        extra = self._stream_tail_ns(request.size)
+        extra = self.tail_ns(request.size)
         if extra > 0:
             self.sim.call_later(
                 extra, self.interconnect.submit, request, self.streamed
@@ -112,8 +113,12 @@ class AxiHpPort:
 
     def streamed(self, request: MemoryRequest) -> None:
         """A burst has crossed the port: count it and complete its issuer."""
-        self.bytes_transferred += request.size
+        self.carried(request)
         request.complete()
+
+    def carried(self, request: MemoryRequest) -> None:
+        """Count ``request``'s bytes, which have crossed the port now."""
+        self.bytes_transferred += request.size
 
 
 class AxiAcpPort:

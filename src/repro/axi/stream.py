@@ -93,6 +93,9 @@ class AxiStream:
         #: Optional :class:`~repro.verify.InvariantMonitor`; ``None`` costs a
         #: single identity check per stream operation.
         self.monitor = None
+        #: The block draining this stream, when one registered itself (the
+        #: ICAP does).
+        self.consumer = None
         #: Conservation ledgers for the invariant monitor.  ``granted`` /
         #: ``released`` track FIFO space reservations; ``queued`` /
         #: ``consumed`` track words pushed onto vs handed off the stream
@@ -191,6 +194,10 @@ class AxiStream:
         else:
             self._takers.append(receive)
 
+    def cancel_take(self, receive: Callable[[StreamBurst], None]) -> None:
+        """Withdraw a consumer's :meth:`take` that no burst has met yet."""
+        self._takers.remove(receive)
+
     def pop(self) -> Event:
         """Wait for the next burst; value is the :class:`StreamBurst`."""
         event = self.sim.event(name=self._pop_event_name)
@@ -231,6 +238,20 @@ class AxiStream:
             granted()
 
     # -- inspection ---------------------------------------------------------------
+    def quiet(self, held_words: int) -> bool:
+        """True when the stream holds nothing but ``held_words`` of granted
+        room, no producer is blocked and no monitor is attached."""
+        return (
+            self.monitor is None
+            and not self._bursts
+            and not self._space_waiters
+            and self._free_words + held_words == self.fifo_words
+        )
+
+    def waits_alone(self, receive: Callable[[StreamBurst], None]) -> bool:
+        """True when ``receive`` alone waits for the next burst."""
+        return len(self._takers) == 1 and self._takers[0] == receive
+
     @property
     def queued_bursts(self) -> int:
         return len(self._bursts)

@@ -18,6 +18,9 @@ entry (:meth:`~repro.sim.Simulator.call_later`) ending in
 :meth:`~AxiDmaEngine.fetched` with the burst's bytes, which go onto the
 stream as read from DRAM.  A soft reset moves the transfer epoch on, so
 an entry or port access of the abandoned transfer drops out when it lands.
+A buffer whose datapath is quiet runs the same stages, with the same
+accounting, inside the ``issue`` entry of its first burst
+(:meth:`~AxiDmaEngine._run_buffer`).
 
 Scatter-gather (SG) mode adds two stages to the chain, through the same
 HP port as the data: :meth:`~AxiDmaEngine.start_chain` reads a
@@ -39,6 +42,7 @@ from typing import Callable, Optional, Tuple
 
 from ..axi.ports import AxiHpPort
 from ..axi.stream import AxiStream, StreamBurst
+from ..dram import MemoryRequest
 from ..obs import MetricsRegistry
 from ..sim import ClockDomain, InterruptLine, Simulator
 
@@ -62,6 +66,10 @@ __all__ = ["AxiDmaEngine", "S2mmDmaEngine"]
 
 #: The STATUS word an SG descriptor's write-back stores.
 _STATUS_COMPLETE = struct.pack(">I", STAT_CMPLT)
+
+#: A quiet buffer's memory-path stages, one kernel entry each on the
+#: chain (:meth:`AxiDmaEngine._run_buffer`).
+_ISSUE, _FORWARD, _SERVE, _STREAM = 1, 2, 3, 4
 
 
 class _PortTarget:
@@ -252,13 +260,14 @@ class AxiDmaEngine:
         self._pushed_bytes = 0
         if self.monitor is not None:
             self.monitor.on_dma_start(self)
-        self._reserve_next()
+        self._reserve_next(self.granted)
 
-    def _reserve_next(self) -> None:
-        """Claim FIFO room for the next burst, or for the final drain."""
+    def _reserve_next(self, granted: Callable[[], None]) -> None:
+        """Claim FIFO room for the next burst (``granted()`` runs once it
+        is ours), or for the final drain (:meth:`complete` runs then)."""
         if self._remaining:
             self._burst_bytes = min(self.max_burst_bytes, self._remaining)
-            words, granted = self._burst_bytes >> 2, self.granted
+            words = self._burst_bytes >> 2
         else:
             # Completion means the stream slave accepted the last beat:
             # wait for the FIFO to drain fully before declaring it done.
@@ -275,18 +284,32 @@ class AxiDmaEngine:
         )
 
     def issue(self, epoch: int) -> None:
-        """The command gap is over: read the burst through the HP port."""
+        """The command gap is over: read the burst through the HP port.
+
+        A buffer's first burst runs the whole buffer inside this entry
+        when its datapath is quiet (:meth:`_run_buffer`).
+        """
         if epoch != self._epoch:
             return
-        self.counts.cmd_overhead_cycles += self.cmd_overhead_cycles
+        if self._remaining == self._length and self._run_buffer():
+            return
+        self._issued()
         self.port.read(
             self._cursor, self._burst_bytes, _PortTarget(self, self.fetched, epoch)
         )
+
+    def _issued(self) -> None:
+        self.counts.cmd_overhead_cycles += self.cmd_overhead_cycles
 
     def fetched(self, epoch: int, data: bytes) -> None:
         """The burst has left the HP port: push its bytes onto the stream."""
         if epoch != self._epoch:
             return
+        self._push(data)
+        self._reserve_next(self.granted)
+
+    def _push(self, data: bytes) -> None:
+        """Push the burst's bytes onto the stream and count them."""
         burst_bytes = self._burst_bytes
         self.stream.push(StreamBurst(data, self._remaining == burst_bytes))
         self._reservation = None
@@ -296,7 +319,167 @@ class AxiDmaEngine:
         counts = self.counts
         counts.bursts_issued += 1
         counts.bytes_moved += burst_bytes
-        self._reserve_next()
+
+    def _run_buffer(self) -> bool:
+        """Run the buffer whose first burst issues now inside this entry,
+        if its datapath is quiet; returns whether it ran (DESIGN §16).
+
+        Quiet: each device on the path says so, and a bound on the
+        buffer's duration ends before the next heap entry and within the
+        dispatch in progress.  Per burst the bound is the command gap,
+        the forward path, the longest DDR service, the port's streaming
+        tail and the ICAP drain: the DMA has room for the next burst by
+        the time the ICAP has drained the last.
+
+        The run holds the two stages the chain would have pending — the
+        burst's memory path and the ICAP's drain — and takes them in the
+        kernel's order: by time, then by when they were queued.  Each
+        stage enters at the time the chain computes, counts as the entry
+        it stands for and runs the accounting the chain's stage runs.
+        The run stands in for the ICAP as the stream's taker until the
+        last drain, whose release completes the buffer in
+        :meth:`complete`, as on the chain.
+        """
+        sim = self.sim
+        port = self.port
+        interconnect = port.interconnect
+        controller = interconnect.controller
+        stream = self.stream
+        icap = stream.consumer
+        master = port.name
+        if not (
+            self.monitor is None
+            and icap is not None
+            and stream.quiet(self._burst_bytes >> 2)
+            and icap.quiet()
+            and interconnect.quiet(master)
+            and controller.quiet(master)
+        ):
+            return False
+        # The delays every full burst shares.
+        size = self.max_burst_bytes
+        gap = self.clock.cycles_to_ns(self.cmd_overhead_cycles)
+        tail = port.tail_ns(size)
+        drain = icap.drain_ns(size >> 2)
+
+        def bound(nbytes: int) -> float:
+            return (
+                gap
+                + interconnect.forward_latency_ns
+                + controller.service_bound_ns(nbytes)
+                + max(0.0, port.tail_ns(nbytes))
+                + icap.drain_ns(nbytes >> 2)
+            )
+
+        full, rest = divmod(self._length, size)
+        end = sim.now + full * bound(size) + (bound(rest) if rest else 0.0)
+        # The allowance covers the rounding of the chain's added delays.
+        if not sim.quiet_until(end + end * 1e-9):
+            return False
+
+        # The pending stages: the memory path's (``mem``: 0 while the DMA
+        # waits for FIFO room) and the drain's (``drained``: the burst,
+        # or None), each with its time and the order it was queued in;
+        # ``now`` is the time of the stage being run.
+        now = mem_at = sim.now
+        mem = _ISSUE
+        mem_seq = seq = 0
+        drained = None
+        drain_at = 0.0
+        drain_seq = 0
+        most = 1  # stages pending at once, at most
+
+        def granted() -> None:
+            nonlocal mem, mem_at, mem_seq, seq
+            seq += 1
+            mem, mem_at, mem_seq = _ISSUE, now + gap, seq
+
+        def receive(burst: StreamBurst) -> None:
+            nonlocal drained, drain_at, drain_seq, seq
+            start_burst()
+            seq += 1
+            drained, drain_seq = burst, seq
+            drain_at = now + (
+                drain if len(burst.data) == size else icap.drain_ns(burst.word_count)
+            )
+
+        # The loop runs a stage per pass; its calls are bound once.
+        advance = sim.advance_to
+        admit, route, retire = interconnect.admit, interconnect.route, interconnect.retire
+        queue, begin_service, finish_service = (
+            controller.admit,
+            controller.begin_service,
+            controller.finish_service,
+        )
+        carried = port.carried
+        start_burst, finish_burst = icap.start_burst, icap.finish_burst
+        release, take = stream.release, stream.take
+        issued, push, reserve_next = self._issued, self._push, self._reserve_next
+
+        stream.cancel_take(icap.receive)
+        take(receive)
+        request = MemoryRequest(self._cursor, self._burst_bytes, master=master)
+        while True:
+            # The memory path's stage is due first; ``crossed`` once the
+            # burst has left the port.
+            crossed = False
+            if mem == _ISSUE:
+                if seq:
+                    now = mem_at
+                    advance(now)
+                issued()
+                request.addr = self._cursor
+                request.size = self._burst_bytes
+                admit(request)
+                mem, mem_at = _FORWARD, now + route(request)
+            elif mem == _FORWARD:
+                now = mem_at
+                advance(now)
+                queue(request)
+                mem, mem_at = _SERVE, now + begin_service(request)
+            elif mem == _SERVE:
+                now = mem_at
+                advance(now)
+                finish_service(request)
+                retire(request)
+                extra = tail if request.size == size else port.tail_ns(request.size)
+                if extra > 0:
+                    mem, mem_at = _STREAM, now + extra
+                else:
+                    crossed = True
+            else:
+                now = mem_at
+                advance(now)
+                crossed = True
+            if crossed:
+                carried(request)
+                mem = 0
+                push(request.read_data)
+                reserve_next(granted)
+            else:
+                seq += 1
+                mem_seq = seq
+            # Then every drain due before it, as the heap orders them:
+            # by time, then by when they were queued.
+            while drained is not None and (
+                not mem
+                or drain_at < mem_at
+                or (drain_at == mem_at and drain_seq < mem_seq)
+            ):
+                if mem:
+                    most = 2
+                burst, drained = drained, None
+                if burst.last:
+                    sim.note_pending(most)
+                now = drain_at
+                advance(now)
+                release(finish_burst(burst))
+                if burst.last:
+                    take(icap.receive)
+                    return True
+                take(receive)
+            if drained is not None:
+                most = 2
 
     def failed(self, epoch: int, exc: BaseException) -> None:
         """AXI error response on a burst, a descriptor read or a status

@@ -255,6 +255,17 @@ class BankDramController:
         reaches the free bus in this instant is queued before it and the
         round-robin pointer, not arrival order, decides who goes first.
         """
+        self.admit(request).append((request, then))
+        if not self._busy:
+            self._busy = True
+            if len(self._rr_order) == 1:
+                self.pick()
+            else:
+                self.sim.call_later(0.0, self.pick)
+
+    def admit(self, request: MemoryRequest) -> Deque:
+        """Account ``request`` reaching the multiplexer now (its master is
+        registered on its first request); returns its master's queue."""
         request.submitted_ns = self.sim.now
         master = request.master
         queue = self._queues.get(master)
@@ -265,29 +276,47 @@ class BankDramController:
                 f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
             )
             ledger.requests = 0
-        queue.append((request, then))
         self._pending += 1
         self._m_queue_depth.set(self._pending)
-        if not self._busy:
-            self._busy = True
-            if len(self._rr_order) == 1:
-                self.pick()
-            else:
-                self.sim.call_later(0.0, self.pick)
+        return queue
+
+    def quiet(self, master: str) -> bool:
+        """True when ``master`` alone may use the bus, back to back, with
+        nothing else to account: no fault hook or monitor is attached,
+        the refresh mode bounds each burst's stall by tRFC (the engine
+        stacks refreshes that fell due during a long service, so it does
+        not), no other master is registered and the bus is free."""
+        return (
+            self.fault_latency_ns is None
+            and self.fault_read_tamper is None
+            and self.monitor is None
+            and self.refresh_mode != "engine"
+            and not self._busy
+            and all(name == master for name in self._rr_order)
+        )
+
+    def service_bound_ns(self, size: int) -> float:
+        """An upper bound on how long a quiet master's burst of ``size``
+        bytes holds the bus: a refresh, the slowest bank access and the
+        data transfer."""
+        timing = self.timing
+        return (
+            timing.trfc_ns
+            + max(timing.hit_ns, timing.miss_ns, timing.conflict_ns)
+            + self.device.transfer_ns(size)
+        )
 
     # -- command multiplexer -------------------------------------------------
     def pick(self) -> None:
         """Put the round-robin pick on the bus; its service is one entry."""
         request, then = self._next_request()
-        self.sim.call_later(
-            self._start_service(request), self.served, request, then
-        )
+        self.sim.call_later(self.begin_service(request), self.served, request, then)
 
     def served(
         self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
     ) -> None:
         """The burst on the bus is done: complete it, then pick again."""
-        self._finish_service(request)
+        self.finish_service(request)
         then(request)
         if self._pending:
             self.pick()
@@ -354,7 +383,7 @@ class BankDramController:
             self._refresh_stall(self.sim.now if now_ns is None else now_ns)
 
     # -- service -------------------------------------------------------------
-    def _start_service(self, request: MemoryRequest) -> float:
+    def begin_service(self, request: MemoryRequest) -> float:
         """Put the picked ``request`` on the bus now: account its queue
         wait, charge refresh, classify the bank access.  Returns how long
         the burst occupies the bus (ns)."""
@@ -393,7 +422,7 @@ class BankDramController:
             fault_ns = max(0.0, self.fault_latency_ns(request))
         return stall_ns + access + transfer + fault_ns
 
-    def _finish_service(self, request: MemoryRequest) -> None:
+    def finish_service(self, request: MemoryRequest) -> None:
         """Complete the burst on the bus now: move its data and close its
         accounting (``request.read_data`` holds a read's bytes)."""
         device = self.device

@@ -97,6 +97,13 @@ class DramDevice:
 
     def load(self, addr: int, size: int) -> bytes:
         self._bounds(addr, size)
+        page_index, page_offset = divmod(addr, self._PAGE)
+        if page_offset + size <= self._PAGE:
+            # The common case: a burst inside one page.
+            page = self._pages.get(page_index)
+            if page is None:
+                return bytes(size)
+            return bytes(page[page_offset : page_offset + size])
         out = bytearray(size)
         offset = 0
         while offset < size:

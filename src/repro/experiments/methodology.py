@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..core import PdrSystem
 from ..fabric import Asp, FirFilterAsp
 from ..power import PowerModel
 
+from .points import asp_descriptor, reconfigure_point
 from .report import ExperimentReport, fmt, format_table
 
 __all__ = [
@@ -122,18 +122,20 @@ def characterize_block(
 
 
 def characterize_pdr_system(
-    system: Optional[PdrSystem] = None,
     frequencies: Sequence[float] = (100, 140, 180, 200, 240, 280, 310),
     region: str = "RP1",
     asp: Optional[Asp] = None,
 ) -> Characterization:
-    """The methodology applied to the paper's own PDR block."""
-    system = system or PdrSystem()
-    system.set_die_temperature(40.0)
-    workload = asp or FirFilterAsp([1, 2, 3])
+    """The methodology applied to the paper's own PDR block.
+
+    Each frequency is measured on a fresh system at 40 °C, as every
+    sweep point is: a load on a system that has run before would start
+    at another phase of the global timer's tick.
+    """
+    workload = asp_descriptor(asp or FirFilterAsp([1, 2, 3]))
 
     def measure(freq: float) -> Optional[float]:
-        result = system.reconfigure(region, workload, freq)
+        result = reconfigure_point(region, freq, 40.0, workload)
         if not result.succeeded:
             return None
         return result.throughput_mb_s
@@ -141,7 +143,7 @@ def characterize_pdr_system(
     return characterize_block(
         "over-clocked DMA+ICAP PDR",
         measure,
-        system.power_model,
+        PowerModel(),
         frequencies,
     )
 

@@ -109,6 +109,9 @@ class IcapController:
         #: Drained bursts' bytes (after the corruptor), not yet decoded.
         self._pending: List[bytes] = []
         self._pending_bytes = 0
+        #: The ICAP is its stream's consumer: a producer whose datapath is
+        #: quiet runs its bursts through this controller's accounting.
+        stream.consumer = self
         stream.take(self.receive)
 
     @property
@@ -156,8 +159,36 @@ class IcapController:
         self.counts.aborts += 1
         self._aborted = True
 
+    def quiet(self) -> bool:
+        """True when the ICAP waits alone for its stream's next burst and
+        its bursts need nothing but their own accounting: no monitor or
+        lock-up hook is attached and nothing waits on or watches
+        ``busy`` or ``done`` (the background scrubber's busy gate
+        would)."""
+        return (
+            self.monitor is None
+            and self.fault_lockup_cycles is None
+            and not self.busy.observed
+            and not self.done.observed
+            and self._stream().waits_alone(self.receive)
+        )
+
     def receive(self, burst: StreamBurst) -> None:
         """The stream hands over the next burst: clock it in."""
+        self.start_burst()
+        if self.fault_lockup_cycles is not None:
+            lockup = max(0, int(self.fault_lockup_cycles()))
+            if lockup:
+                self.counts.lockup_cycles += lockup
+                self.sim.call_later(
+                    self.clock.cycles_to_ns(lockup), self.clock_in, burst
+                )
+                return
+        self.clock_in(burst)
+
+    def start_burst(self) -> None:
+        """Account a burst reaching the ICAP now: a mid-transfer wait for
+        it is a stall, ``busy`` rises and ``done`` falls."""
         if self.busy.value:
             # Mid-transfer wait for the next burst: the stream side
             # starved the ICAP — count it in over-clock cycles.
@@ -169,25 +200,27 @@ class IcapController:
         # chain starts its next bitstream without a begin_transfer,
         # so the previous segment's desync flag drops here.
         self.done.set(False)
-        if self.fault_lockup_cycles is not None:
-            lockup = max(0, int(self.fault_lockup_cycles()))
-            if lockup:
-                self.counts.lockup_cycles += lockup
-                self.sim.call_later(
-                    self.clock.cycles_to_ns(lockup), self.clock_in, burst
-                )
-                return
-        self.clock_in(burst)
 
     def clock_in(self, burst: StreamBurst) -> None:
         """Drain the burst through the ICAP, one word per clock cycle."""
-        self.sim.call_later(
-            self.clock.cycles_to_ns(burst.word_count), self.drained, burst
-        )
+        self.sim.call_later(self.drain_ns(burst.word_count), self.drained, burst)
+
+    def drain_ns(self, words: int) -> float:
+        """How long ``words`` words take through the ICAP."""
+        return self.clock.cycles_to_ns(words)
 
     def drained(self, burst: StreamBurst) -> None:
         """The burst has passed the ICAP: queue it for the configuration
         port, hand its FIFO room back and take the next burst."""
+        stream = self._stream()
+        stream.release(self.finish_burst(burst))
+        stream.take(self.receive)
+
+    def finish_burst(self, burst: StreamBurst) -> int:
+        """Account a burst that has passed the ICAP now: queue its bytes
+        (after the corruptor) for the configuration port, and at the
+        stream's last burst decode them and move ``busy``, ``done`` and
+        ``error_irq``.  Returns the words whose FIFO room it frees."""
         counts = self.counts
         count = burst.word_count
         data = burst.data
@@ -209,10 +242,8 @@ class IcapController:
                 self.done.set(True)
             if self.port.has_error:
                 self.error_irq.assert_()
-        stream = self._stream()
-        stream.release(count)
         self._wait_started_ns = self.sim.now
-        stream.take(self.receive)
+        return count
 
     def _decode_pending(self) -> None:
         """Feed the queued bursts to the configuration port as one batch."""

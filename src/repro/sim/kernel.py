@@ -382,9 +382,15 @@ class Simulator:
         #: inspection even after :meth:`step` raised the first failure.
         self.unhandled_failures: List[Process] = []
         #: Execution statistics (exported by the observability layer).
+        #: ``events_processed`` counts the entries the model's timing
+        #: went through: every heap entry dispatched, plus every entry a
+        #: device ran in place of one (:meth:`advance_to`).
         self.events_processed = 0
         self.heap_high_water = 0
         self.processes_spawned = 0
+        #: How far the latest dispatch may run (``step`` only to its own
+        #: entry): entries later than this stay on the heap.
+        self._until = float("-inf")
         #: Optional :class:`~repro.verify.InvariantMonitor` probing every
         #: step (time monotonicity, single-fire).  ``None`` costs one
         #: identity check per event.
@@ -455,6 +461,34 @@ class Simulator:
         if len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
+    # -- entries run in place -------------------------------------------------
+    def quiet_until(self, end_ns: float) -> bool:
+        """True when the entry being processed may run the model on to
+        ``end_ns`` by itself: no monitor watches the entries, the
+        dispatch in progress reaches ``end_ns`` and the next heap entry
+        lies after it (an entry at ``end_ns`` itself was queued first,
+        so it would run first)."""
+        return (
+            self.monitor is None
+            and end_ns <= self._until
+            and (not self._heap or self._heap[0][0] > end_ns)
+        )
+
+    def advance_to(self, when: float) -> None:
+        """Enter, at ``when``, an entry its caller runs in place of a heap
+        entry: ``now`` moves there and the entry is counted in
+        ``events_processed``.  Only for a caller that
+        :meth:`quiet_until` cleared that far."""
+        self._now = when
+        self.events_processed += 1
+
+    def note_pending(self, entries: int) -> None:
+        """Count ``entries`` that a caller holds in place of heap entries
+        toward ``heap_high_water``, as if they were queued beside the
+        heap's own."""
+        if len(self._heap) + entries > self.heap_high_water:
+            self.heap_high_water = len(self._heap) + entries
+
     # -- execution -------------------------------------------------------------
     def step(self) -> None:
         """Process the single next event on the heap."""
@@ -467,6 +501,7 @@ class Simulator:
             raise SimulationError("time ran backwards")
         self._now = when
         self.events_processed += 1
+        self._until = when
         event._process()
         if self._unhandled:
             self._raise_unhandled()
@@ -554,6 +589,7 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         monitor = self.monitor
+        self._until = until
         while heap and heap[0][0] <= until:
             when, _seq, entry = pop(heap)
             if monitor is not None:

@@ -35,6 +35,11 @@ class Signal:
     def value(self) -> Any:
         return self._value
 
+    @property
+    def observed(self) -> bool:
+        """True while a watcher or a waiter would act on a change."""
+        return bool(self._watchers or self._waiters)
+
     def set(self, value: Any) -> None:
         """Drive a new value; waiters and watchers fire only on change."""
         if value == self._value:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import PdrSystem
 from repro.experiments.methodology import (
     Characterization,
     OperatingPoint,
@@ -73,10 +72,7 @@ def test_no_working_points_raises():
 
 
 def test_pdr_system_characterization_matches_table2():
-    system = PdrSystem()
-    result = characterize_pdr_system(
-        system=system, frequencies=(100, 200, 280, 310)
-    )
+    result = characterize_pdr_system(frequencies=(100, 200, 280, 310))
     # 310 MHz is not a working point (no completion interrupt).
     assert len(result.working_points()) == 3
     best = result.best_efficiency()

@@ -231,20 +231,23 @@ def test_icap_decodes_in_bounded_batches():
     bitstream, frames = rig.load("RP1")
     icap, port = rig.icap, rig.icap.port
     batches, undecoded, at_tlast = [], [], []
-    feed_bytes, drained = port.feed_bytes, icap.drained
+    feed_bytes, finish_burst = port.feed_bytes, icap.finish_burst
 
     def tap(data):
         batches.append(len(data))
         feed_bytes(data)
 
     def watch(burst):
+        # Every drain, on the callback chain or in a quiet buffer's run,
+        # goes through the ICAP's per-burst accounting.
         undecoded.append(icap.counts.words_consumed * 4 - sum(batches))
-        drained(burst)
+        words = finish_burst(burst)
         if burst.last:
             at_tlast.append(_port_state(port))
+        return words
 
     port.feed_bytes = tap
-    icap.drained = watch
+    icap.finish_burst = watch
     icap.begin_transfer()
     rig.start(bitstream.size_bytes)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())
