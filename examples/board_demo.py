@@ -1,9 +1,10 @@
 """The paper's bench flow, end to end (Figs. 3 and 4).
 
-Reproduces the physical test procedure: the application and two partial
-bitstreams live on the SD card; the board boots; the 8 slide switches
-select the over-clocking frequency; the push buttons start the ICAP
-operation with one of the two bitstreams; results appear on the OLED.
+Reproduces the physical test procedure through the test application of
+:mod:`repro.ps.firmware`: two partial bitstreams live on the SD card;
+the board boots and stages them in DRAM; the 8 slide switches select the
+over-clocking frequency; the push buttons start the ICAP operation with
+one of the two bitstreams; results appear on the OLED.
 
 Run:  python examples/board_demo.py
 """
@@ -11,55 +12,25 @@ Run:  python examples/board_demo.py
 from repro.board import DEFAULT_FREQUENCY_TABLE
 from repro.core import PdrSystem
 from repro.fabric import Aes128Asp, FirFilterAsp
-
-
-def boot_from_sd(system: PdrSystem):
-    """Stage the two test bitstreams from SD into DRAM (timed)."""
-    bitstream_a = system.make_bitstream("RP1", FirFilterAsp([1, 2, 3, 2, 1]))
-    bitstream_b = system.make_bitstream("RP1", Aes128Asp([9, 8, 7, 6]))
-    system.sdcard.store_file("partial_fir.bin", bitstream_a.to_bytes())
-    system.sdcard.store_file("partial_aes.bin", bitstream_b.to_bytes())
-
-    staged = {}
-
-    def boot():
-        for name, bitstream in (
-            ("partial_fir.bin", bitstream_a),
-            ("partial_aes.bin", bitstream_b),
-        ):
-            data = yield system.sdcard.read_file(name)
-            address = system.stage_bitstream(bitstream)
-            staged[name] = (address, bitstream)
-            print(
-                f"  boot: staged {name} ({len(data)} bytes) "
-                f"at {address:#010x}, t = {system.sim.now_us / 1e3:.1f} ms"
-            )
-
-    system.sim.run_until(system.sim.process(boot()))
-    return staged
+from repro.ps import ZedboardTestApp
 
 
 def main() -> None:
     system = PdrSystem()
+    app = ZedboardTestApp(system)
+    app.provision_image("partial_fir", "RP1", FirFilterAsp([1, 2, 3, 2, 1]))
+    app.provision_image("partial_aes", "RP1", Aes128Asp([9, 8, 7, 6]))
+    # As in the test firmware: BTNL loads bitstream A, BTNR bitstream B,
+    # each at the switch-selected clock.
+    app.bind_button("BTNL", "partial_fir")
+    app.bind_button("BTNR", "partial_aes")
+
     print("booting from SD card ...")
-    staged = boot_from_sd(system)
-
-    # Wire the push buttons exactly like the test firmware: BTNL loads
-    # bitstream A, BTNR loads bitstream B, at the switch-selected clock.
-    def load(name):
-        _addr, bitstream = staged[name]
-        freq = system.switches.selected_frequency_mhz()
-        result = system.reconfigure(
-            "RP1",
-            asp=None,  # unused when an explicit bitstream is given
-            freq_mhz=freq,
-            bitstream=bitstream,
-        )
-        print(f"\n  [{name} @ {freq:g} MHz] {result.summary()}")
-        print("\n".join("  " + line for line in system.oled.render().splitlines()))
-
-    system.buttons.on_press("BTNL", lambda: load("partial_fir.bin"))
-    system.buttons.on_press("BTNR", lambda: load("partial_aes.bin"))
+    app.boot()
+    print(
+        f"  staged {', '.join(app.image_names())} in DRAM, "
+        f"t = {system.sim.now_us / 1e3:.1f} ms"
+    )
 
     for code in (0, 3, 5):  # 100 MHz, 200 MHz, 280 MHz
         print(
@@ -67,11 +38,18 @@ def main() -> None:
             f"({DEFAULT_FREQUENCY_TABLE[code]:g} MHz) and pressing BTNL/BTNR"
         )
         system.switches.set_code(code)
-        system.buttons.press("BTNL")
-        system.buttons.press("BTNR")
+        for button in ("BTNL", "BTNR"):
+            system.buttons.press(button)
+            load = app.load_log[-1]
+            print(
+                f"\n  [{load['image']} @ {load['freq_mhz']:g} MHz] "
+                f"latency {load['latency_us']:.1f} us, "
+                f"critical path: {load['critical_path']}"
+            )
+            print("\n".join("  " + line for line in system.oled.render().splitlines()))
 
     print(
-        f"\ntotal reconfigurations: {len(system.results)}, "
+        f"\ntotal reconfigurations: {app.loads_performed}, "
         f"all CRC-valid: {all(r.crc_valid for r in system.results)}"
     )
 

@@ -58,7 +58,8 @@ def preload_hiding(system: SramPrSystem) -> None:
                 system.scheduler.enqueue(pendings[index + 1])
                 t0 = system.sim.now
                 preload = system.sim.process(system.scheduler.preload_next())
-                yield system.sim.all_of([compute, preload])
+                yield compute
+                yield preload
                 timeline.append((f"preload #{index + 1} (hidden)", t0, system.sim.now))
             else:
                 yield compute

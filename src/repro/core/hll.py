@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from ..axi import AxiHpPort
 from ..clocking import ClockManager
 from ..fabric import Asp
-from ..sim import Channel
+from ..sim import Signal
 
 from .pdr_system import PdrSystem
 from .results import ReconfigResult
@@ -103,8 +103,8 @@ class HllFramework:
             name: None for name in self.region_names
         }
         self._lru: List[str] = list(self.region_names)
-        self._icap_lock = Channel(self.system.sim, capacity=1, name="icap_lock")
-        self._icap_lock.try_put(object())  # one token: the single ICAP
+        #: High while a job reconfigures through the single ICAP.
+        self._icap_busy = Signal(self.system.sim, initial=False, name="icap_busy")
         self.jobs_run = 0
         self.hits = 0
         self.misses = 0
@@ -163,7 +163,9 @@ class HllFramework:
 
         if region is None:
             region = self._victim()
-            token = yield self._icap_lock.get()  # serialise on the one ICAP
+            while self._icap_busy.value:  # serialise on the one ICAP
+                yield self._icap_busy.wait_for(False)
+            self._icap_busy.set(True)
             started = sim.now
             reconfig_result = yield sim.process(
                 self.system.reconfigure_process(
@@ -171,7 +173,7 @@ class HllFramework:
                 ),
                 name=f"hll.reconfig:{region}",
             )
-            yield self._icap_lock.put(token)
+            self._icap_busy.set(False)
             reconfig_us = (sim.now - started) / 1e3
             if not reconfig_result.succeeded:
                 raise RuntimeError(

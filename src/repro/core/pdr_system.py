@@ -584,10 +584,9 @@ class PdrSystem:
                     self.dma.start_chain(head)
 
                 # 5. Wait for the completion interrupt (or give up).
-                irq_event = self.dma.ioc_irq.wait_assert()
-                timeout_event = self.sim.timeout(config.irq_timeout_us * 1e3)
-                fired = yield self.sim.any_of([irq_event, timeout_event])
-                interrupt_seen = irq_event in fired
+                interrupt_seen = yield self.dma.ioc_irq.wait_assert(
+                    config.irq_timeout_us * 1e3
+                )
                 self.trace.emit(
                     self.sim.now,
                     "fw",

@@ -12,26 +12,25 @@ breaks heap ties), which makes simulations fully deterministic.
 Typical use::
 
     sim = Simulator()
+    ready = sim.event()
 
-    def producer(sim, chan):
-        for i in range(4):
-            yield sim.timeout(10.0)
-            yield chan.put(i)
+    def producer(sim):
+        yield sim.timeout(10.0)
+        ready.succeed("data")
 
-    def consumer(sim, chan):
-        while True:
-            item = yield chan.get()
-            ...
+    def consumer(sim):
+        item = yield ready
+        ...
 
-    sim.process(producer(sim, chan))
-    sim.process(consumer(sim, chan))
+    sim.process(producer(sim))
+    sim.process(consumer(sim))
     sim.run(until=1000.0)
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from .errors import Deadlock, SchedulingError, SimulationError
 
@@ -39,9 +38,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AllOf",
-    "AnyOf",
     "Simulator",
 ]
 
@@ -96,7 +92,8 @@ class Event:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        # Not ``triggered``: a pending Timeout already holds its value.
+        if self._value is not _PENDING or self._exc is not None:
             raise SchedulingError(f"event {self!r} already triggered")
         self._value = value
         self.sim._enqueue(0.0, self)
@@ -107,7 +104,7 @@ class Event:
 
         The exception propagates into every waiting process.
         """
-        if self.triggered:
+        if self._value is not _PENDING or self._exc is not None:
             raise SchedulingError(f"event {self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
@@ -148,6 +145,12 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         self.sim._enqueue(delay, self)
+
+    @property
+    def triggered(self) -> bool:
+        """True once the timeout has fired.  It holds its value from
+        creation, so only reaching its time (being processed) counts."""
+        return self._processed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -295,73 +298,6 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-class Condition(Event):
-    """Base class for composite wait conditions (:class:`AllOf`/:class:`AnyOf`)."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str):
-        super().__init__(sim, name=name)
-        self.events: Tuple[Event, ...] = tuple(events)
-        for event in self.events:
-            if event.sim is not sim:
-                raise SimulationError("condition mixes events from different simulators")
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event._processed:
-                self._on_child(event)
-                if self.triggered:
-                    break
-            else:
-                event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        # ``_processed`` (not ``triggered``) is the "has fired" notion here:
-        # a Timeout carries its value from creation, so it is "triggered"
-        # long before its scheduled time arrives.
-        return {
-            event: event._value
-            for event in self.events
-            if event._processed and event._exc is None
-        }
-
-
-class AllOf(Condition):
-    """Fires when every child event has fired; value maps event -> value."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, name="all_of")
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Fires as soon as any child event fires; value maps event -> value."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, name="any_of")
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self.succeed(self._collect())
-
-
 class Simulator:
     """The event loop: a time-ordered heap of triggered events.
 
@@ -379,7 +315,7 @@ class Simulator:
         self._running = False
         self._unhandled: List[Process] = []
         #: Every process that died unobserved, kept for post-mortem
-        #: inspection even after :meth:`step` raised the first failure.
+        #: inspection even after :meth:`run` raised the first failure.
         self.unhandled_failures: List[Process] = []
         #: Execution statistics (exported by the observability layer).
         #: ``events_processed`` counts the entries the model's timing
@@ -388,11 +324,11 @@ class Simulator:
         self.events_processed = 0
         self.heap_high_water = 0
         self.processes_spawned = 0
-        #: How far the latest dispatch may run (``step`` only to its own
-        #: entry): entries later than this stay on the heap.
+        #: How far the latest dispatch may run: entries later than this
+        #: stay on the heap.
         self._until = float("-inf")
         #: Optional :class:`~repro.verify.InvariantMonitor` probing every
-        #: step (time monotonicity, single-fire).  ``None`` costs one
+        #: heap entry (time monotonicity, single-fire).  ``None`` costs one
         #: identity check per event.
         self.monitor = None
 
@@ -433,24 +369,31 @@ class Simulator:
 
     def call_later(
         self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> None:
+    ) -> _Call:
         """Call ``fn(*args)`` ``delay`` ns from now, as one heap entry.
 
         The entry orders with events exactly like a :class:`Timeout`
         created at this point (same time, FIFO among equal times), is
         counted in ``events_processed`` and is seen by an attached
         monitor.  Nothing can wait on it; an exception raised by ``fn``
-        propagates out of :meth:`run`/:meth:`step`.
+        propagates out of :meth:`run`.  Returns the entry, which
+        :meth:`cancel` can withdraw until it runs.
         """
-        self._enqueue(delay, _Call(fn, args))
+        entry = _Call(fn, args)
+        self._enqueue(delay, entry)
+        return entry
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when every one of ``events`` has fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
+    def cancel(self, entry: _Call) -> None:
+        """Take the queued ``entry`` off the heap unrun: it is never
+        counted in ``events_processed`` nor shown to a monitor, and
+        ``heap_high_water`` keeps the peak it already recorded."""
+        heap = self._heap
+        for index, item in enumerate(heap):
+            if item[2] is entry:
+                del heap[index]
+                heapq.heapify(heap)
+                return
+        raise SchedulingError(f"{entry!r} is not queued")
 
     # -- scheduling ----------------------------------------------------------
     def _enqueue(self, delay: float, event: Any) -> None:
@@ -490,22 +433,6 @@ class Simulator:
             self.heap_high_water = len(self._heap) + entries
 
     # -- execution -------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event on the heap."""
-        if not self._heap:
-            raise Deadlock(self._live_processes)
-        when, _seq, event = heapq.heappop(self._heap)
-        if self.monitor is not None:
-            self.monitor.on_kernel_event(self, when, event)
-        if when < self._now:  # pragma: no cover - guarded by _enqueue
-            raise SimulationError("time ran backwards")
-        self._now = when
-        self.events_processed += 1
-        self._until = when
-        event._process()
-        if self._unhandled:
-            self._raise_unhandled()
-
     def _raise_unhandled(self) -> None:
         # One event can cascade into several unobserved process deaths
         # (e.g. a failing event with multiple waiters at the same
@@ -578,10 +505,9 @@ class Simulator:
             self._running = False
 
     def _dispatch(self, until: float, target: Optional[Event]) -> None:
-        """Process heap entries in order, exactly as repeated :meth:`step`
-        calls would, until the heap drains, the next entry lies past
-        ``until`` or ``target`` has triggered (later entries at the same
-        time stay on the heap).
+        """Process heap entries in (time, enqueue) order until the heap
+        drains, the next entry lies past ``until`` or ``target`` has
+        triggered (later entries at the same time stay on the heap).
 
         The monitor is read once per call; it sees each entry before
         ``now`` advances to it.

@@ -121,12 +121,48 @@ class InterruptLine(Signal):
     def asserted(self) -> bool:
         return bool(self._value)
 
-    def wait_assert(self) -> Event:
+    def wait_assert(self, timeout_ns: Optional[float] = None) -> Event:
         """Event firing on the next rising edge.
 
         Unlike :meth:`Signal.wait_for`, a currently-high level does *not*
-        satisfy the wait — interrupt consumers are edge-triggered.
+        satisfy the wait — interrupt consumers are edge-triggered.  With
+        ``timeout_ns`` the event fires ``True`` on the edge or ``False``
+        ``timeout_ns`` ns from now, whichever comes first, and the one
+        that comes first withdraws the other: a finished wait leaves no
+        entry on the heap and no waiter on the line.
         """
-        event = self.sim.event(name=f"{self.name}.rise")
-        self._waiters.append((lambda v: bool(v), event))
+        if timeout_ns is None:
+            event = self.sim.event(name=f"{self.name}.rise")
+        else:
+            event = _RiseOrDeadline(self, timeout_ns)
+        self._waiters.append((bool, event))
         return event
+
+
+class _RiseOrDeadline(Event):
+    """A rising-edge wait that gives up at a deadline.
+
+    It is the line's waiter and holds the deadline's heap entry.  The
+    edge (:meth:`Signal.set` calling :meth:`succeed`) cancels the entry;
+    the entry, if it runs first, takes the waiter off the line.  Either
+    way both links are dropped, so a fired wait holds no reference cycle.
+    """
+
+    __slots__ = ("_line", "_deadline")
+
+    def __init__(self, line: InterruptLine, timeout_ns: float):
+        super().__init__(line.sim, name=f"{line.name}.rise")
+        self._line: Optional[InterruptLine] = line
+        self._deadline = line.sim.call_later(timeout_ns, self._expire)
+
+    def succeed(self, value: Any = True) -> Event:
+        """The rising edge: fire ``value`` and withdraw the deadline."""
+        self.sim.cancel(self._deadline)
+        self._line = self._deadline = None
+        return super().succeed(value)
+
+    def _expire(self) -> None:
+        line = self._line
+        line._waiters = [w for w in line._waiters if w[1] is not self]
+        self._line = self._deadline = None
+        super().succeed(False)

@@ -19,8 +19,8 @@ stream (:class:`~repro.axi.stream.AxiStream`)
     Word conservation: every word pushed is either still queued or was
     consumed; reservation accounting is exact
     (``granted - released == occupancy``) and never negative; the FIFO
-    occupancy stays within ``[0, fifo_words]``; burst conservation on
-    the underlying channel (``put == got + level``).
+    occupancy stays within ``[0, fifo_words]``; burst conservation
+    (bursts pushed = bursts taken + bursts queued).
 dma (:class:`~repro.dma.engine.AxiDmaEngine`)
     Legal state-machine transitions only (start from idle, reset lands
     in ``HALTED|IDLE`` with no reservation and the IRQ deasserted); on

@@ -443,8 +443,13 @@ def _s2mm_beside_mm2s(page_policy):
     sim.process(producer())
     mm2s_done = mm2s.ioc_irq.wait_assert()
     s2mm_done = s2mm.ioc_irq.wait_assert()
+
+    def both_done():
+        yield mm2s_done
+        yield s2mm_done
+
     mm2s.reg_write(MM2S_LENGTH, 8192)
-    sim.run_until(sim.all_of([mm2s_done, s2mm_done]))
+    sim.run_until(sim.process(both_done()))
     seen = _accounts(sim, interconnect, controller)
     seen["popped"] = popped
     counts = controller.counts

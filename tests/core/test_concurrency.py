@@ -40,7 +40,8 @@ def test_concurrent_jobs_all_complete_with_correct_results():
     processes = [
         sim.process(job(region, asp)) for region, asp in asps.items()
     ]
-    sim.run_until(sim.all_of(processes))
+    for process in processes:
+        sim.run_until(process)
 
     for region, asp in asps.items():
         output, _times = outcomes[region]
@@ -82,7 +83,8 @@ def test_contention_slows_but_preserves_fairness():
         sim.process(job(region, index * 0x10_0000))
         for index, region in enumerate(sorted(asps))
     ]
-    sim.run_until(sim.all_of(processes))
+    for process in processes:
+        sim.run_until(process)
 
     ratios = {region: finish[region] / solo_ns[region] for region in asps}
     # Under 4-way contention nothing gets faster, and round-robin keeps
@@ -111,7 +113,8 @@ def test_icap_serialises_concurrent_misses():
         windows.append((start, start + result.reconfig_us * 1e3))
 
     processes = [sim.process(miss_job(1)), sim.process(miss_job(2))]
-    sim.run_until(sim.all_of(processes))
+    for process in processes:
+        sim.run_until(process)
     (a0, a1), (b0, b1) = sorted(windows)
     # The second reconfiguration starts only after the first finished
     # (single shared ICAP): its window is at least one transfer long

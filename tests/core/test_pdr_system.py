@@ -154,3 +154,17 @@ def test_firmware_trace_records_milestones():
     messages = [r.message for r in system.trace.records]
     assert any("TIMEOUT" in m for m in messages)
     assert any("NOT VALID" in m for m in messages)
+
+
+def test_a_finished_load_leaves_nothing_behind():
+    """Neither the interrupt nor its 20 ms deadline outlives a load: the
+    one that fires first withdraws the other, whether the interrupt comes
+    (200 MHz) or not (310 MHz)."""
+    system = PdrSystem()
+    system.set_die_temperature(40.0)
+    sim = system.sim
+    for freq_mhz in (200.0, 200.0, 310.0, 200.0, 200.0):
+        result = system.reconfigure("RP1", FirFilterAsp([2, 1]), freq_mhz)
+        assert result.interrupt_seen == (freq_mhz < 310.0)
+        assert [when for when, _seq, _entry in sim._heap if when > sim.now] == []
+        assert system.dma.ioc_irq._waiters == []

@@ -29,6 +29,7 @@ from repro.dma import (
 from repro.dram import BankDramController, DdrTiming, DramDevice
 from repro.experiments.calibration import PAPER_TABLE1
 from repro.fabric import Aes128Asp, ConfigMemory, FirFilterAsp, VectorScaleAsp
+from repro.fleet import FleetSpec, run_fleet
 from repro.icap import IcapController
 from repro.obs import MetricsRegistry
 from repro.sim import ClockDomain, Simulator
@@ -178,6 +179,22 @@ def test_quiet_loads_push_few_heap_entries():
     chain = _system(chain=True)
     assert _pushed(chain, table1) > 5 * 517
     assert _pushed(chain, batch) > 2 * 5 * 517
+
+
+def test_every_fleet_knee_buffer_takes_the_quiet_run(monkeypatch):
+    """A finished load leaves nothing of its own on the heap, so no later
+    buffer of the seed-1 knee campaign meets a stray entry in its window."""
+    outcomes = []
+    run_buffer = AxiDmaEngine._run_buffer
+
+    def counted(engine):
+        outcomes.append(run_buffer(engine))
+        return outcomes[-1]
+
+    monkeypatch.setattr(AxiDmaEngine, "_run_buffer", counted)
+    run_fleet(FleetSpec(boards=4, seed=1, duration_ms=20.0, rate_per_ms=4.0))
+    assert len(outcomes) == 61
+    assert all(outcomes)
 
 
 # -- the run's boundaries ------------------------------------------------------------

@@ -146,7 +146,8 @@ def test_preload_hiding():
                 if index + 1 < len(pendings):
                     system.scheduler.enqueue(pendings[index + 1])
                     preload = system.sim.process(system.scheduler.preload_next())
-                    yield system.sim.all_of([compute, preload])
+                    yield compute
+                    yield preload
                 else:
                     yield compute
 

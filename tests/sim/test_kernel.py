@@ -270,52 +270,6 @@ def test_deadlock_detected():
         sim.run()
 
 
-def test_all_of_collects_values():
-    sim = Simulator()
-    got = {}
-
-    def proc(sim):
-        t1 = sim.timeout(5.0, value="a")
-        t2 = sim.timeout(10.0, value="b")
-        values = yield sim.all_of([t1, t2])
-        got["values"] = sorted(values.values())
-        got["t"] = sim.now
-
-    sim.process(proc(sim))
-    sim.run()
-    assert got["values"] == ["a", "b"]
-    assert got["t"] == 10.0
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    got = {}
-
-    def proc(sim):
-        slow = sim.timeout(100.0, value="slow")
-        fast = sim.timeout(2.0, value="fast")
-        values = yield sim.any_of([slow, fast])
-        got["values"] = list(values.values())
-        got["t"] = sim.now
-
-    sim.process(proc(sim))
-    sim.run()
-    assert got["values"] == ["fast"]
-    assert got["t"] == 2.0
-
-
-def test_empty_all_of_fires_immediately():
-    sim = Simulator()
-    got = {}
-
-    def proc(sim):
-        got["values"] = yield sim.all_of([])
-
-    sim.process(proc(sim))
-    sim.run()
-    assert got["values"] == {}
-
-
 def test_yield_non_event_is_error():
     sim = Simulator()
 

@@ -179,8 +179,7 @@ def test_call_later_entries_count_fire_fifo_and_pass_the_monitor():
     timeout.callbacks.append(lambda _event: calls.append((sim.now, "timeout")))
     sim.call_later(5.0, record, "b")
     sim.call_later(1.0, record, "early")
-    while sim.peek() != float("inf"):
-        sim.step()
+    sim.run()
     # Equal times fire in scheduling order, timeouts included.
     assert calls == [(1.0, "early"), (5.0, "a"), (5.0, "timeout"), (5.0, "b")]
     assert sim.events_processed == 4
@@ -204,3 +203,38 @@ def test_call_later_chains_without_processes_and_rejects_negative_delay():
     assert sim.events_processed == 3  # run_until stops once done triggers
     with pytest.raises(SchedulingError):
         sim.call_later(-1.0, stage, 0)
+
+
+def test_cancelled_entry_never_runs_counts_or_meets_the_monitor():
+    sim = Simulator()
+    monitor = sim.monitor = _RecordingMonitor()
+    calls = []
+    entries = {
+        delay: sim.call_later(delay, calls.append, delay)
+        for delay in (1.0, 4.0, 2.0, 3.0)
+    }
+    sim.cancel(entries[1.0])
+    sim.run()
+    # The rest still fire in time order: the heap stays a heap.
+    assert calls == [2.0, 3.0, 4.0]
+    assert sim.events_processed == 3
+    assert [when for when, _ in monitor.seen] == calls
+    assert sim.heap_high_water == 4
+    with pytest.raises(SchedulingError):
+        sim.cancel(entries[2.0])
+
+
+def test_run_until_a_timeout_runs_to_its_time():
+    sim = Simulator()
+    assert sim.run_until(sim.timeout(1000.0, "x")) == "x"
+    assert sim.now == 1000.0
+    assert sim.events_processed == 1
+
+
+def test_pending_timeout_refuses_succeed_and_fail():
+    sim = Simulator()
+    timeout = sim.timeout(10.0)
+    with pytest.raises(SchedulingError):
+        timeout.succeed(1)
+    with pytest.raises(SchedulingError):
+        timeout.fail(RuntimeError("early"))

@@ -1,5 +1,10 @@
 """Tests for signals and interrupt lines."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.sim import InterruptLine, Signal, Simulator
 
 
@@ -173,3 +178,74 @@ def test_interrupt_pulse_wakes_waiter():
     assert seen["t"] == 2.0
     assert not irq.asserted
     assert irq.last_assert_ns == 2.0
+
+
+def test_wait_assert_edge_before_deadline_fires_true_and_withdraws_it():
+    sim = Simulator()
+    irq = InterruptLine(sim)
+    seen = {}
+
+    def waiter(sim):
+        seen["v"] = yield irq.wait_assert(timeout_ns=100.0)
+        seen["t"] = sim.now
+        seen["next"] = sim.peek()
+
+    sim.process(waiter(sim))
+    sim.call_later(30.0, irq.assert_)
+    sim.run()
+    assert seen == {"v": True, "t": 30.0, "next": float("inf")}
+    assert sim.now == 30.0
+    assert not irq.observed
+
+
+def test_wait_assert_deadline_first_fires_false_and_leaves_the_line():
+    sim = Simulator()
+    irq = InterruptLine(sim)
+    seen = {}
+
+    def waiter(sim):
+        seen["v"] = yield irq.wait_assert(timeout_ns=100.0)
+        seen["t"] = sim.now
+
+    sim.process(waiter(sim))
+    sim.run()
+    assert seen == {"v": False, "t": 100.0}
+    assert not irq.observed
+    queued = sim._sequence
+    irq.assert_()
+    assert sim._sequence == queued
+    assert sim.peek() == float("inf")
+
+
+def test_wait_assert_without_deadline_waits_for_the_edge():
+    sim = Simulator()
+    irq = InterruptLine(sim)
+    wait = irq.wait_assert()
+    sim.run()
+    assert not wait.triggered
+    assert irq.observed
+    irq.assert_()
+    assert sim.run_until(wait) is True
+    assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("edge_ns", [30.0, None], ids=["edge", "deadline"])
+def test_a_fired_deadline_wait_holds_no_cycle(edge_ns):
+    """With the cyclic collector off, dropping the last references to a
+    finished wait frees its simulator at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        irq = InterruptLine(sim)
+        wait = irq.wait_assert(timeout_ns=100.0)
+        if edge_ns is not None:
+            sim.call_later(edge_ns, irq.assert_)
+        sim.run()
+        assert wait.value is (edge_ns is not None)
+        freed = weakref.ref(sim)
+        del sim, irq, wait
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
