@@ -41,17 +41,9 @@ class AxiSlaveError(RuntimeError):
     """
 
 
-class _Lane:
-    """One master's command lane: a FIFO of ``(request, then)`` whose head
-    is in flight while ``busy``."""
-
-    __slots__ = ("queue", "busy")
-
-    def __init__(self):
-        self.queue: Deque[
-            Tuple[MemoryRequest, Callable[[MemoryRequest], None]]
-        ] = deque()
-        self.busy = False
+#: One master's command lane: a FIFO of ``(request, then)`` whose head is
+#: in flight while it is not empty.
+_Lane = Deque[Tuple[MemoryRequest, Callable[[MemoryRequest], None]]]
 
 
 class AxiInterconnect:
@@ -128,9 +120,8 @@ class AxiInterconnect:
         :meth:`~repro.dram.BankDramController.accept` picks.
         """
         lane = self.admit(request)
-        lane.queue.append((request, then))
-        if not lane.busy:
-            lane.busy = True
+        lane.append((request, then))
+        if len(lane) == 1:
             if len(self._lanes) == 1:
                 self.forward(lane)
             else:
@@ -142,7 +133,7 @@ class AxiInterconnect:
         master = request.master
         lane = self._lanes.get(master)
         if lane is None:
-            lane = self._lanes[master] = _Lane()
+            lane = self._lanes[master] = deque()
             ledger = self.masters[master] = self.metrics.counts(
                 f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
             )
@@ -152,23 +143,23 @@ class AxiInterconnect:
         return lane
 
     def quiet(self, master: str) -> bool:
-        """True when ``master`` alone may use the crossbar, back to back,
-        with nothing else to account: no fault hook is armed, no other
-        master is registered and its lane is empty."""
-        return (
-            self.fault_stall_ns is None
-            and self.fault_error is None
-            and all(
-                name == master and not lane.busy
-                for name, lane in self._lanes.items()
-            )
-        )
+        """True when ``master`` alone is registered and its lane is idle."""
+        return all(name == master and not lane for name, lane in self._lanes.items())
+
+    def occupy(
+        self, request: MemoryRequest, then: Callable[[MemoryRequest], None]
+    ) -> _Lane:
+        """Put ``request``, admitted and past its wait, on its idle lane
+        as :meth:`submit` leaves it in flight; returns the lane."""
+        lane = self._lanes[request.master]
+        lane.append((request, then))
+        return lane
 
     # -- lane stages (kernel entries) ------------------------------------------
     def forward(self, lane: _Lane) -> None:
         """Take the lane's head now and pay its forward path (decode +
         arbitration + slices) as one entry."""
-        request = lane.queue[0][0]
+        request = lane[0][0]
         self.sim.call_later(self.route(request), self.forwarded, lane, request)
 
     def route(self, request: MemoryRequest) -> float:
@@ -190,23 +181,34 @@ class AxiInterconnect:
     def forwarded(self, lane: _Lane, request: MemoryRequest) -> None:
         """The head has crossed the forward path: an error response ends
         it here, otherwise it goes on to the DDR multiplexer."""
-        if self.fault_error is not None:
-            kind = "w" if request.is_write else "r"
-            error = self.fault_error(kind, request.addr, request.size)
-            if error is not None:
-                lane.queue.popleft()
-                self.counts.error_responses += 1
-                request.done.fail(error)
-                self._m_outstanding.add(-1)
-                self._next(lane)
-                return
-        self.controller.accept(request, self.served)
+        error = self.error_response(request)
+        if error is None:
+            self.controller.accept(request, self.served)
+        else:
+            self.refuse(lane, request, error)
+
+    def error_response(self, request: MemoryRequest) -> Optional[Exception]:
+        """The error :attr:`fault_error` answers ``request`` with at the
+        end of its forward path, if any."""
+        if self.fault_error is None:
+            return None
+        kind = "w" if request.is_write else "r"
+        return self.fault_error(kind, request.addr, request.size)
+
+    def refuse(self, lane: _Lane, request: MemoryRequest, error: Exception) -> None:
+        """End the lane's head ``request`` with ``error`` and start the
+        lane's next."""
+        lane.popleft()
+        self.counts.error_responses += 1
+        request.done.fail(error)
+        self._m_outstanding.add(-1)
+        self._next(lane)
 
     def served(self, request: MemoryRequest) -> None:
         """The controller has served the head: close its accounting, start
         the lane's next request, then hand this one back to its issuer."""
         lane = self._lanes[request.master]
-        then = lane.queue.popleft()[1]
+        then = lane.popleft()[1]
         self.retire(request)
         self._next(lane)
         then(request)
@@ -218,7 +220,5 @@ class AxiInterconnect:
         self._m_outstanding.add(-1)
 
     def _next(self, lane: _Lane) -> None:
-        if lane.queue:
+        if lane:
             self.forward(lane)
-        else:
-            lane.busy = False

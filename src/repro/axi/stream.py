@@ -194,10 +194,6 @@ class AxiStream:
         else:
             self._takers.append(receive)
 
-    def cancel_take(self, receive: Callable[[StreamBurst], None]) -> None:
-        """Withdraw a consumer's :meth:`take` that no burst has met yet."""
-        self._takers.remove(receive)
-
     def pop(self) -> Event:
         """Wait for the next burst; value is the :class:`StreamBurst`."""
         event = self.sim.event(name=self._pop_event_name)
@@ -237,20 +233,27 @@ class AxiStream:
         for granted in grants:
             granted()
 
+    def swap(self, old: Callable, new: Callable) -> None:
+        """Put ``new`` in the place of ``old`` wherever the stream holds it
+        waiting: as a taker, or as a blocked producer's grant."""
+        self._takers = deque(new if t == old else t for t in self._takers)
+        self._space_waiters = deque(
+            (words, new if granted == old else granted, since_ns)
+            for words, granted, since_ns in self._space_waiters
+        )
+
     # -- inspection ---------------------------------------------------------------
     def quiet(self, held_words: int) -> bool:
         """True when the stream holds nothing but ``held_words`` of granted
-        room, no producer is blocked and no monitor is attached."""
+        room, no producer is blocked and its consumer alone waits for the
+        next burst."""
         return (
-            self.monitor is None
+            self.consumer is not None
             and not self._bursts
             and not self._space_waiters
             and self._free_words + held_words == self.fifo_words
+            and list(self._takers) == [self.consumer.receive]
         )
-
-    def waits_alone(self, receive: Callable[[StreamBurst], None]) -> bool:
-        """True when ``receive`` alone waits for the next burst."""
-        return len(self._takers) == 1 and self._takers[0] == receive
 
     @property
     def queued_bursts(self) -> int:

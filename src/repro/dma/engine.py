@@ -19,8 +19,8 @@ entry (:meth:`~repro.sim.Simulator.call_later`) ending in
 stream as read from DRAM.  A soft reset moves the transfer epoch on, so
 an entry or port access of the abandoned transfer drops out when it lands.
 A buffer whose datapath is quiet runs the same stages, with the same
-accounting, inside the ``issue`` entry of its first burst
-(:meth:`~AxiDmaEngine._run_buffer`).
+accounting, inside the ``issue`` entry of its first burst while the
+kernel's order lets it (:meth:`~AxiDmaEngine._run_buffer`).
 
 Scatter-gather (SG) mode adds two stages to the chain, through the same
 HP port as the data: :meth:`~AxiDmaEngine.start_chain` reads a
@@ -286,8 +286,9 @@ class AxiDmaEngine:
     def issue(self, epoch: int) -> None:
         """The command gap is over: read the burst through the HP port.
 
-        A buffer's first burst runs the whole buffer inside this entry
-        when its datapath is quiet (:meth:`_run_buffer`).
+        A buffer's first burst runs its stages inside this entry while
+        its datapath is quiet and the kernel's order lets it
+        (:meth:`_run_buffer`).
         """
         if epoch != self._epoch:
             return
@@ -322,23 +323,18 @@ class AxiDmaEngine:
 
     def _run_buffer(self) -> bool:
         """Run the buffer whose first burst issues now inside this entry,
-        if its datapath is quiet; returns whether it ran (DESIGN §16).
+        stage by stage, while the kernel's order allows; returns whether
+        it started, and so took the burst's issue (DESIGN §16).
 
-        Quiet: each device on the path says so, and a bound on the
-        buffer's duration ends before the next heap entry and within the
-        dispatch in progress.  Per burst the bound is the command gap,
-        the forward path, the longest DDR service, the port's streaming
-        tail and the ICAP drain: the DMA has room for the next burst by
-        the time the ICAP has drained the last.
-
-        The run holds the two stages the chain would have pending — the
-        burst's memory path and the ICAP's drain — and takes them in the
-        kernel's order: by time, then by when they were queued.  Each
-        stage enters at the time the chain computes, counts as the entry
-        it stands for and runs the accounting the chain's stage runs.
-        The run stands in for the ICAP as the stream's taker until the
-        last drain, whose release completes the buffer in
-        :meth:`complete`, as on the chain.
+        It starts when no monitor watches the kernel, the port's master
+        alone uses an idle lane and bus, and the ICAP alone waits on an
+        empty stream.  The chain's two pending stages, the burst's memory
+        path and the ICAP's drain, are held under the numbers the chain
+        would queue them with; each runs in place, through the chain's
+        accounting and fault hooks, while it is the kernel's next entry.
+        The run is the stream's taker until the last drain, whose release
+        completes the buffer in :meth:`complete`.  A stage that is not
+        next, an SLVERR or an ICAP lock-up hands the rest to the chain.
         """
         sim = self.sim
         port = self.port
@@ -348,10 +344,8 @@ class AxiDmaEngine:
         icap = stream.consumer
         master = port.name
         if not (
-            self.monitor is None
-            and icap is not None
+            sim.monitor is None
             and stream.quiet(self._burst_bytes >> 2)
-            and icap.quiet()
             and interconnect.quiet(master)
             and controller.quiet(master)
         ):
@@ -362,49 +356,38 @@ class AxiDmaEngine:
         tail = port.tail_ns(size)
         drain = icap.drain_ns(size >> 2)
 
-        def bound(nbytes: int) -> float:
-            return (
-                gap
-                + interconnect.forward_latency_ns
-                + controller.service_bound_ns(nbytes)
-                + max(0.0, port.tail_ns(nbytes))
-                + icap.drain_ns(nbytes >> 2)
-            )
-
-        full, rest = divmod(self._length, size)
-        end = sim.now + full * bound(size) + (bound(rest) if rest else 0.0)
-        # The allowance covers the rounding of the chain's added delays.
-        if not sim.quiet_until(end + end * 1e-9):
-            return False
-
-        # The pending stages: the memory path's (``mem``: 0 while the DMA
-        # waits for FIFO room) and the drain's (``drained``: the burst,
-        # or None), each with its time and the order it was queued in;
-        # ``now`` is the time of the stage being run.
+        # The held stages: the memory path's (``mem``: 0 while the DMA
+        # waits for FIFO room) and the drain's (``drained``: the burst, or
+        # None; ``lockup``: the lock-up holding it back), each with its
+        # time and sequence number; ``now`` is the time of the stage being
+        # run, which for the first is this entry.
         now = mem_at = sim.now
         mem = _ISSUE
-        mem_seq = seq = 0
+        mem_seq = 0
         drained = None
-        drain_at = 0.0
+        drain_at = lockup = 0.0
         drain_seq = 0
-        most = 1  # stages pending at once, at most
 
+        # A stage is held under the number its ``call_later`` would take.
         def granted() -> None:
-            nonlocal mem, mem_at, mem_seq, seq
-            seq += 1
-            mem, mem_at, mem_seq = _ISSUE, now + gap, seq
+            nonlocal mem, mem_at, mem_seq
+            mem, mem_at = _ISSUE, now + gap
+            mem_seq = sim.sequence = sim.sequence + 1
 
         def receive(burst: StreamBurst) -> None:
-            nonlocal drained, drain_at, drain_seq, seq
+            nonlocal drained, drain_at, drain_seq, lockup
             start_burst()
-            seq += 1
-            drained, drain_seq = burst, seq
-            drain_at = now + (
-                drain if len(burst.data) == size else icap.drain_ns(burst.word_count)
-            )
+            lockup = icap.lockup_ns()
+            drained = burst
+            drain_seq = sim.sequence = sim.sequence + 1
+            if lockup:
+                drain_at = now + lockup
+            else:
+                full = len(burst.data) == size
+                drain_at = now + (drain if full else icap.drain_ns(burst.word_count))
 
         # The loop runs a stage per pass; its calls are bound once.
-        advance = sim.advance_to
+        enter = sim.enter
         admit, route, retire = interconnect.admit, interconnect.route, interconnect.retire
         queue, begin_service, finish_service = (
             controller.admit,
@@ -416,30 +399,46 @@ class AxiDmaEngine:
         release, take = stream.release, stream.take
         issued, push, reserve_next = self._issued, self._push, self._reserve_next
 
-        stream.cancel_take(icap.receive)
-        take(receive)
+        stream.swap(icap.receive, receive)
         request = MemoryRequest(self._cursor, self._burst_bytes, master=master)
-        while True:
-            # The memory path's stage is due first; ``crossed`` once the
-            # burst has left the port.
+        error = None
+        while not lockup:
+            # The drain runs first when the heap would order it first: by
+            # time, then by sequence number.
+            if drained is not None and (
+                not mem
+                or drain_at < mem_at
+                or (drain_at == mem_at and drain_seq < mem_seq)
+            ):
+                if not enter(drain_at, drain_seq):
+                    break
+                now = drain_at
+                burst, drained = drained, None
+                release(finish_burst(burst))
+                if burst.last:
+                    take(icap.receive)
+                    return True
+                take(receive)
+                continue
+            if mem_seq:
+                if not enter(mem_at, mem_seq):
+                    break
+                now = mem_at
+            # ``crossed`` once the burst has left the port.
             crossed = False
             if mem == _ISSUE:
-                if seq:
-                    now = mem_at
-                    advance(now)
                 issued()
                 request.addr = self._cursor
                 request.size = self._burst_bytes
                 admit(request)
                 mem, mem_at = _FORWARD, now + route(request)
             elif mem == _FORWARD:
-                now = mem_at
-                advance(now)
+                error = interconnect.error_response(request)
+                if error is not None:
+                    break
                 queue(request)
                 mem, mem_at = _SERVE, now + begin_service(request)
             elif mem == _SERVE:
-                now = mem_at
-                advance(now)
                 finish_service(request)
                 retire(request)
                 extra = tail if request.size == size else port.tail_ns(request.size)
@@ -448,8 +447,6 @@ class AxiDmaEngine:
                 else:
                     crossed = True
             else:
-                now = mem_at
-                advance(now)
                 crossed = True
             if crossed:
                 carried(request)
@@ -457,29 +454,34 @@ class AxiDmaEngine:
                 push(request.read_data)
                 reserve_next(granted)
             else:
-                seq += 1
-                mem_seq = seq
-            # Then every drain due before it, as the heap orders them:
-            # by time, then by when they were queued.
-            while drained is not None and (
-                not mem
-                or drain_at < mem_at
-                or (drain_at == mem_at and drain_seq < mem_seq)
-            ):
-                if mem:
-                    most = 2
-                burst, drained = drained, None
-                if burst.last:
-                    sim.note_pending(most)
-                now = drain_at
-                advance(now)
-                release(finish_burst(burst))
-                if burst.last:
-                    take(icap.receive)
-                    return True
-                take(receive)
-            if drained is not None:
-                most = 2
+                mem_seq = sim.sequence = sim.sequence + 1
+
+        # The handoff: the stream's taker and the FIFO grant go back to
+        # the chain's, a burst past its issue goes on its lane, then the
+        # held stages are queued as the chain's entries.
+        stream.swap(receive, icap.receive)
+        stream.swap(granted, self.granted)
+        if self._reservation is not None and self._reservation[1] is granted:
+            self._reservation = (self._reservation[0], self.granted)
+        request.done = _PortTarget(self, self.fetched, self._epoch)
+        if mem == _FORWARD or mem == _SERVE:
+            lane = interconnect.occupy(request, port.deliver)
+        if error is not None:
+            interconnect.refuse(lane, request, error)
+        elif mem == _ISSUE:
+            sim.queue_held(mem_at, mem_seq, self.issue, self._epoch)
+        elif mem == _FORWARD:
+            sim.queue_held(mem_at, mem_seq, interconnect.forwarded, lane, request)
+        elif mem == _SERVE:
+            controller.occupy()
+            served = interconnect.served
+            sim.queue_held(mem_at, mem_seq, controller.served, request, served)
+        elif mem == _STREAM:
+            sim.queue_held(mem_at, mem_seq, port.streamed, request)
+        if drained is not None:
+            stage = icap.clock_in if lockup else icap.drained
+            sim.queue_held(drain_at, drain_seq, stage, drained)
+        return True
 
     def failed(self, epoch: int, exc: BaseException) -> None:
         """AXI error response on a burst, a descriptor read or a status

@@ -281,30 +281,13 @@ class BankDramController:
         return queue
 
     def quiet(self, master: str) -> bool:
-        """True when ``master`` alone may use the bus, back to back, with
-        nothing else to account: no fault hook or monitor is attached,
-        the refresh mode bounds each burst's stall by tRFC (the engine
-        stacks refreshes that fell due during a long service, so it does
-        not), no other master is registered and the bus is free."""
-        return (
-            self.fault_latency_ns is None
-            and self.fault_read_tamper is None
-            and self.monitor is None
-            and self.refresh_mode != "engine"
-            and not self._busy
-            and all(name == master for name in self._rr_order)
-        )
+        """True when ``master`` alone is registered and the bus is free."""
+        return not self._busy and all(name == master for name in self._rr_order)
 
-    def service_bound_ns(self, size: int) -> float:
-        """An upper bound on how long a quiet master's burst of ``size``
-        bytes holds the bus: a refresh, the slowest bank access and the
-        data transfer."""
-        timing = self.timing
-        return (
-            timing.trfc_ns
-            + max(timing.hit_ns, timing.miss_ns, timing.conflict_ns)
-            + self.device.transfer_ns(size)
-        )
+    def occupy(self) -> None:
+        """Hold the bus for a burst its caller put in service, as
+        :meth:`accept` leaves it."""
+        self._busy = True
 
     # -- command multiplexer -------------------------------------------------
     def pick(self) -> None:

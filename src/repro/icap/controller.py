@@ -159,32 +159,25 @@ class IcapController:
         self.counts.aborts += 1
         self._aborted = True
 
-    def quiet(self) -> bool:
-        """True when the ICAP waits alone for its stream's next burst and
-        its bursts need nothing but their own accounting: no monitor or
-        lock-up hook is attached and nothing waits on or watches
-        ``busy`` or ``done`` (the background scrubber's busy gate
-        would)."""
-        return (
-            self.monitor is None
-            and self.fault_lockup_cycles is None
-            and not self.busy.observed
-            and not self.done.observed
-            and self._stream().waits_alone(self.receive)
-        )
-
     def receive(self, burst: StreamBurst) -> None:
-        """The stream hands over the next burst: clock it in."""
+        """The stream hands over the next burst: clock it in, after the
+        lock-up the fault hook holds it back for, if any."""
         self.start_burst()
-        if self.fault_lockup_cycles is not None:
-            lockup = max(0, int(self.fault_lockup_cycles()))
-            if lockup:
-                self.counts.lockup_cycles += lockup
-                self.sim.call_later(
-                    self.clock.cycles_to_ns(lockup), self.clock_in, burst
-                )
-                return
-        self.clock_in(burst)
+        lockup_ns = self.lockup_ns()
+        if lockup_ns:
+            self.sim.call_later(lockup_ns, self.clock_in, burst)
+        else:
+            self.clock_in(burst)
+
+    def lockup_ns(self) -> float:
+        """Account the lock-up :attr:`fault_lockup_cycles` holds the burst
+        reaching the ICAP now back for; returns its length (0 if none)."""
+        hook = self.fault_lockup_cycles
+        lockup = 0 if hook is None else max(0, int(hook()))
+        if not lockup:
+            return 0.0
+        self.counts.lockup_cycles += lockup
+        return self.clock.cycles_to_ns(lockup)
 
     def start_burst(self) -> None:
         """Account a burst reaching the ICAP now: a mid-transfer wait for

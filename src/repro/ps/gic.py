@@ -29,13 +29,28 @@ class InterruptController:
         self.counts: Dict[str, int] = {}
 
     def connect(self, irq_id: str, line: InterruptLine) -> None:
-        """Attach a PL interrupt line under a software-visible id."""
+        """Attach a PL interrupt line under a software-visible id.
+
+        The line's watcher holds the id's count and handlers, not the
+        controller, so the controller and its lines form no reference
+        cycle.
+        """
         if irq_id in self._sources:
             raise ValueError(f"irq id {irq_id!r} already connected")
         self._sources[irq_id] = line
-        self._handlers[irq_id] = []
+        handlers = self._handlers[irq_id] = []
         self.counts[irq_id] = 0
-        line.watch(lambda old, new: self._on_edge(irq_id, old, new))
+        counts, sim, latency_ns = self.counts, self.sim, self.ENTRY_LATENCY_NS
+        name = f"{self.name}.isr:{irq_id}"
+
+        def on_edge(old, new) -> None:
+            if old or not new:  # only rising edges
+                return
+            counts[irq_id] += 1
+            if handlers:
+                sim.process(_dispatch(sim, latency_ns, list(handlers)), name=name)
+
+        line.watch(on_edge)
 
     def register_handler(self, irq_id: str, handler: Callable[[], None]) -> None:
         self._check(irq_id)
@@ -51,23 +66,15 @@ class InterruptController:
         return self._sources[irq_id].wait_assert()
 
     # -- internals ----------------------------------------------------------
-    def _on_edge(self, irq_id: str, old, new) -> None:
-        if old or not new:  # only rising edges
-            return
-        self.counts[irq_id] += 1
-        handlers = list(self._handlers[irq_id])
-        if not handlers:
-            return
-
-        def dispatch():
-            yield self.sim.timeout(self.ENTRY_LATENCY_NS)
-            for handler in handlers:
-                handler()
-
-        self.sim.process(dispatch(), name=f"{self.name}.isr:{irq_id}")
-
     def _check(self, irq_id: str) -> None:
         if irq_id not in self._sources:
             raise KeyError(
                 f"no irq {irq_id!r} connected; have {sorted(self._sources)}"
             )
+
+
+def _dispatch(sim: Simulator, latency_ns: float, handlers: List[Callable[[], None]]):
+    """Run ``handlers`` after the interrupt entry latency (process body)."""
+    yield sim.timeout(latency_ns)
+    for handler in handlers:
+        handler()

@@ -306,11 +306,16 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulation time in nanoseconds; only the kernel moves it.
+        self.now: float = 0.0
         # Heap entries hold Events or lightweight _Resume/_Call records;
         # the sequence number breaks ties so entries are never compared.
         self._heap: List[Tuple[float, int, Any]] = []
-        self._sequence = 0
+        #: The number of the latest entry queued or held (a held entry takes
+        #: the next: ``sim.sequence += 1``); ``sequence - events_processed
+        #: - _cancelled`` entries are pending, on the heap or held.
+        self.sequence = 0
+        self._cancelled = 0
         self._live_processes = 0
         self._running = False
         self._unhandled: List[Process] = []
@@ -319,14 +324,18 @@ class Simulator:
         self.unhandled_failures: List[Process] = []
         #: Execution statistics (exported by the observability layer).
         #: ``events_processed`` counts the entries the model's timing
-        #: went through: every heap entry dispatched, plus every entry a
-        #: device ran in place of one (:meth:`advance_to`).
+        #: went through: every heap entry dispatched, plus every held
+        #: entry run in place of one (:meth:`enter`).
         self.events_processed = 0
         self.heap_high_water = 0
         self.processes_spawned = 0
-        #: How far the latest dispatch may run: entries later than this
-        #: stay on the heap.
+        #: The dispatch in progress: entries later than ``_until`` stay
+        #: on the heap, and it ends once ``_target`` has triggered.
         self._until = float("-inf")
+        self._target: Optional[Event] = None
+        #: A held entry due before this is next (:meth:`enter`); queueing
+        #: an entry resets it to 0.0, unchecked.
+        self._clear = 0.0
         #: Optional :class:`~repro.verify.InvariantMonitor` probing every
         #: heap entry (time monotonicity, single-fire).  ``None`` costs one
         #: identity check per event.
@@ -334,19 +343,14 @@ class Simulator:
 
     # -- time ---------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
-    @property
     def now_us(self) -> float:
         """Current simulation time in microseconds."""
-        return self._now / 1e3
+        return self.now / 1e3
 
     @property
     def now_s(self) -> float:
         """Current simulation time in seconds."""
-        return self._now / 1e9
+        return self.now / 1e9
 
     # -- event construction ---------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -387,11 +391,13 @@ class Simulator:
         """Take the queued ``entry`` off the heap unrun: it is never
         counted in ``events_processed`` nor shown to a monitor, and
         ``heap_high_water`` keeps the peak it already recorded."""
+        self._note_pending()
         heap = self._heap
         for index, item in enumerate(heap):
             if item[2] is entry:
                 del heap[index]
                 heapq.heapify(heap)
+                self._cancelled += 1
                 return
         raise SchedulingError(f"{entry!r} is not queued")
 
@@ -399,38 +405,49 @@ class Simulator:
     def _enqueue(self, delay: float, event: Any) -> None:
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay!r} ns in the past")
-        self._sequence += 1
-        heapq.heappush(self._heap, (self._now + delay, self._sequence, event))
-        if len(self._heap) > self.heap_high_water:
-            self.heap_high_water = len(self._heap)
+        self.sequence += 1
+        self._clear = 0.0
+        heapq.heappush(self._heap, (self.now + delay, self.sequence, event))
+        pending = self.sequence - self.events_processed - self._cancelled
+        if pending > self.heap_high_water:
+            self.heap_high_water = pending
 
-    # -- entries run in place -------------------------------------------------
-    def quiet_until(self, end_ns: float) -> bool:
-        """True when the entry being processed may run the model on to
-        ``end_ns`` by itself: no monitor watches the entries, the
-        dispatch in progress reaches ``end_ns`` and the next heap entry
-        lies after it (an entry at ``end_ns`` itself was queued first,
-        so it would run first)."""
-        return (
-            self.monitor is None
-            and end_ns <= self._until
-            and (not self._heap or self._heap[0][0] > end_ns)
-        )
+    def _note_pending(self) -> None:
+        pending = self.sequence - self.events_processed - self._cancelled
+        if pending > self.heap_high_water:
+            self.heap_high_water = pending
 
-    def advance_to(self, when: float) -> None:
-        """Enter, at ``when``, an entry its caller runs in place of a heap
-        entry: ``now`` moves there and the entry is counted in
-        ``events_processed``.  Only for a caller that
-        :meth:`quiet_until` cleared that far."""
-        self._now = when
+    # -- entries held in place -------------------------------------------------
+    def enter(self, when: float, seq: int) -> bool:
+        """Run the held entry ``(when, seq)`` in place if the dispatch in
+        progress would run it next: ``when`` within its ``until``, ahead
+        of the heap's head, and not in the instant its target triggered
+        in (the dispatch returns there; a later instant trails the
+        target's own entry).  ``now`` then moves to ``when`` and the
+        entry counts in ``events_processed``.  Until an entry is queued,
+        one due before the heap's head needs no second look at the heap.
+        """
+        if not when < self._clear:
+            heap = self._heap
+            if when > self._until or (heap and heap[0] < (when, seq)):
+                return False
+            target = self._target
+            if when == self.now and target is not None and target.triggered:
+                return False
+            self._clear = min(heap[0][0], self._until) if heap else self._until
+        pending = self.sequence - self.events_processed - self._cancelled
+        if pending > self.heap_high_water:
+            self.heap_high_water = pending
+        self.now = when
         self.events_processed += 1
+        return True
 
-    def note_pending(self, entries: int) -> None:
-        """Count ``entries`` that a caller holds in place of heap entries
-        toward ``heap_high_water``, as if they were queued beside the
-        heap's own."""
-        if len(self._heap) + entries > self.heap_high_water:
-            self.heap_high_water = len(self._heap) + entries
+    def queue_held(self, when: float, seq: int, fn: Callable, *args: Any) -> None:
+        """Queue the held entry ``(when, seq)`` as the ``call_later(fn,
+        *args)`` it stands for."""
+        self._note_pending()
+        self._clear = 0.0
+        heapq.heappush(self._heap, (when, seq, _Call(fn, args)))
 
     # -- execution -------------------------------------------------------------
     def _raise_unhandled(self) -> None:
@@ -441,7 +458,7 @@ class Simulator:
         # them too, then raise the first but keep every casualty
         # inspectable instead of silently dropping the rest.
         same_time = []
-        while self._heap and self._heap[0][0] == self._now:
+        while self._heap and self._heap[0][0] == self.now:
             same_time.append(heapq.heappop(self._heap))
         for item in same_time:
             sibling = item[2]
@@ -480,8 +497,8 @@ class Simulator:
             if until is None:
                 if self._live_processes > 0:
                     raise Deadlock(self._live_processes)
-            elif self._now < until:
-                self._now = until
+            elif self.now < until:
+                self.now = until
         finally:
             self._running = False
 
@@ -503,6 +520,7 @@ class Simulator:
             return event.value
         finally:
             self._running = False
+            self._target = None
 
     def _dispatch(self, until: float, target: Optional[Event]) -> None:
         """Process heap entries in (time, enqueue) order until the heap
@@ -515,12 +533,13 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         monitor = self.monitor
-        self._until = until
+        self._until, self._target = until, target
+        self._clear = 0.0
         while heap and heap[0][0] <= until:
             when, _seq, entry = pop(heap)
             if monitor is not None:
                 monitor.on_kernel_event(self, when, entry)
-            self._now = when
+            self.now = when
             self.events_processed += 1
             entry._process()
             if self._unhandled:

@@ -35,11 +35,6 @@ class Signal:
     def value(self) -> Any:
         return self._value
 
-    @property
-    def observed(self) -> bool:
-        """True while a watcher or a waiter would act on a change."""
-        return bool(self._watchers or self._waiters)
-
     def set(self, value: Any) -> None:
         """Drive a new value; waiters and watchers fire only on change."""
         if value == self._value:
@@ -60,21 +55,12 @@ class Signal:
         """Register ``callback(old, new)`` on every change."""
         self._watchers.append(callback)
 
-    def unwatch(self, callback: Callable[[Any, Any], None]) -> None:
-        self._watchers.remove(callback)
-
     def wait_for(self, target: Any) -> Event:
         """Event firing when the signal next equals ``target``.
 
         Fires immediately (same timestamp) if it already does.
         """
         return self.wait_until(lambda v: v == target)
-
-    def wait_change(self) -> Event:
-        """Event firing on the next change, whatever the new value."""
-        event = self.sim.event(name=f"{self.name}.change")
-        self._waiters.append((lambda _v: True, event))
-        return event
 
     def wait_until(self, predicate: Callable[[Any], bool]) -> Event:
         """Event firing when ``predicate(value)`` next holds (or holds now)."""

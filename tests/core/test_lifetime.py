@@ -28,6 +28,11 @@ def _parts(system):
         "dram_controller": system.dram_controller,
         "icap": system.icap,
         "metrics": system.metrics,
+        # The GIC and the three lines it watches.
+        "gic": system.gic,
+        "dma_ioc": system.dma.ioc_irq,
+        "crc_error": system.scrubber.error_irq,
+        "icap_error": system.icap.error_irq,
     }
 
 

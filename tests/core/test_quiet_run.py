@@ -1,26 +1,35 @@
 """A quiet DMA buffer runs inside its first kernel entry, as the chain would.
 
-When the HP port's master has the memory path to itself and nothing
-else is scheduled before a buffer must end, the DMA runs the buffer's
-bursts inside the entry that issues its first one
-(``AxiDmaEngine._run_buffer``).  The callback chain stays the reference:
-arming fault hooks that inject nothing forces every burst onto it, and
-each case below compares the two paths value for value — results,
-exported metrics with the kernel statistics, DDR and crossbar ledgers,
-row outcomes, port bytes, ICAP and stream counts, the configuration
-memory and the simulated clock.
+When the HP port's master has the memory path to itself, the DMA runs
+the buffer's stages inside the entry that issues its first burst, each
+while it is the kernel's next entry, and hands the rest to the chain
+when one is not (``AxiDmaEngine._run_buffer``).  The callback chain
+stays the reference: a ``_run_buffer`` that declines forces every burst
+onto it, and each case below compares the two paths value for value —
+results, exported metrics with the kernel statistics, DDR and crossbar
+ledgers, row outcomes, port bytes, ICAP and stream counts, the
+configuration memory and the simulated clock.
 """
 
 import hashlib
 
 import pytest
 
-from repro.axi import AxiHpPort, AxiInterconnect, AxiStream, AxiTrafficGenerator
+from repro.axi import (
+    AxiHpPort,
+    AxiInterconnect,
+    AxiSlaveError,
+    AxiStream,
+    AxiTrafficGenerator,
+)
 from repro.bitstream import make_z7020_layout
+from repro.chaos import ChaosInjector
+from repro.chaos.faults import Fault, FaultPlan
 from repro.core import PdrSystem, PdrSystemConfig
 from repro.dma import (
     AxiDmaEngine,
     DMACR_IOC_IRQ_EN,
+    DMACR_RESET,
     DMACR_RS,
     MM2S_DMACR,
     MM2S_LENGTH,
@@ -42,11 +51,16 @@ _ASP = FirFilterAsp([1, 2, 3, 4])
 _BATCH = [("RP1", FirFilterAsp([1, 2, 3, 4])), ("RP2", FirFilterAsp([9, 8, 7, 6]))]
 
 
+def _force_the_chain(dma):
+    """Decline the quiet run, so every burst takes the chain."""
+    dma._run_buffer = lambda: False
+
+
 def _system(chain, temp_c=40.0, **config):
     system = PdrSystem(PdrSystemConfig(**config))
     system.set_die_temperature(temp_c)
     if chain:
-        _arm_noop_fault_hooks(system)
+        _force_the_chain(system.dma)
     return system
 
 
@@ -162,10 +176,25 @@ def test_fresh_content_load_matches_the_chain(region, asp):
 
 # -- the run is taken -------------------------------------------------------------
 def _pushed(system, load):
-    """Heap entries pushed while ``load(system)`` runs."""
-    before = system.sim._sequence
-    load(system)
-    return system.sim._sequence - before
+    """Entries the kernel queues while ``load(system)`` runs, not counting
+    the held stages a handoff queues."""
+    return _counting_pushes(system.sim, lambda: load(system))
+
+
+def _counting_pushes(sim, run):
+    pushes = [0]
+    enqueue = sim._enqueue
+
+    def counted(delay, entry):
+        pushes[0] += 1
+        enqueue(delay, entry)
+
+    sim._enqueue = counted
+    try:
+        run()
+    finally:
+        del sim._enqueue
+    return pushes[0]
 
 
 def test_quiet_loads_push_few_heap_entries():
@@ -182,25 +211,32 @@ def test_quiet_loads_push_few_heap_entries():
 
 
 def test_every_fleet_knee_buffer_takes_the_quiet_run(monkeypatch):
-    """A finished load leaves nothing of its own on the heap, so no later
-    buffer of the seed-1 knee campaign meets a stray entry in its window."""
-    outcomes = []
-    run_buffer = AxiDmaEngine._run_buffer
+    """A finished load leaves nothing of its own on the heap, so every
+    buffer of the seed-1 knee campaign runs whole in place: none meets a
+    stray entry in its window and hands off to the chain."""
+    outcomes, handed_off = [], []
+    run_buffer, queue_held = AxiDmaEngine._run_buffer, Simulator.queue_held
 
     def counted(engine):
         outcomes.append(run_buffer(engine))
         return outcomes[-1]
 
+    def recorded(sim, *entry):
+        handed_off.append(entry)
+        queue_held(sim, *entry)
+
     monkeypatch.setattr(AxiDmaEngine, "_run_buffer", counted)
+    monkeypatch.setattr(Simulator, "queue_held", recorded)
     run_fleet(FleetSpec(boards=4, seed=1, duration_ms=20.0, rate_per_ms=4.0))
     assert len(outcomes) == 61
     assert all(outcomes)
+    assert handed_off == []
 
 
 # -- the run's boundaries ------------------------------------------------------------
 def test_bounded_run_inside_a_load_stops_with_the_chains_counts():
     """``run(until=)`` inside a 200 MHz load stops there on both paths:
-    the buffer does not fit before the bound, so it runs on the chain."""
+    the run hands the stages past the bound to the chain."""
 
     def run(chain):
         system = _system(chain)
@@ -219,8 +255,8 @@ def test_bounded_run_inside_a_load_stops_with_the_chains_counts():
 
 
 def test_foreign_entry_inside_a_load_reads_the_chains_counts():
-    """An entry due 330 us into the run's window sees the datapath
-    exactly as the chain leaves it there."""
+    """An entry due 330 us into the load sees the datapath exactly as the
+    chain leaves it there: the run hands off before it."""
 
     def run(chain):
         system = _system(chain)
@@ -236,7 +272,7 @@ def test_foreign_entry_inside_a_load_reads_the_chains_counts():
     assert quiet_end == chain_end
 
 
-def _tied_transfer(chain):
+def _tied_transfer(chain, fifo_words=1024, foreign=None):
     """A transfer whose every drain ends in the instant the next burst
     leaves the port.
 
@@ -246,7 +282,13 @@ def _tied_transfer(chain):
     The memory path then takes 80 + 642 + 558 + 768 = 2048 ns per burst,
     as long as the ICAP's drain of 256 words, so drain k and the
     streaming of burst k + 1 fall due together: the drain was queued
-    first and runs first.
+    first and runs first.  Burst k issues at 80 + 2048 k ns, is in DDR
+    service from 642 to 1200 ns after that and leaves the port 1968 ns
+    after it.
+
+    ``foreign`` is ``(at_ns, act)``: ``act(dma, controller, stages)``
+    runs as an entry of its own at ``at_ns``, and the simulation then
+    runs until the heap drains instead of to the completion interrupt.
     """
     sim = Simulator()
     metrics = MetricsRegistry(now_fn=lambda: sim.now)
@@ -257,12 +299,12 @@ def _tied_transfer(chain):
     interconnect = AxiInterconnect(
         sim, controller, forward_latency_ns=642.0, metrics=metrics
     )
-    if chain:
-        interconnect.fault_stall_ns = lambda: 0.0
     port = AxiHpPort(sim, interconnect, clock_mhz=125.0)
     clock = ClockDomain(sim, 125.0)
-    stream = AxiStream(sim, fifo_words=1024, metrics=metrics)
+    stream = AxiStream(sim, fifo_words=fifo_words, metrics=metrics)
     dma = AxiDmaEngine(sim, clock, port, stream, metrics=metrics)
+    if chain:
+        _force_the_chain(dma)
     icap = IcapController(
         sim, clock, ConfigMemory(make_z7020_layout()), stream, metrics=metrics
     )
@@ -278,20 +320,32 @@ def _tied_transfer(chain):
         return finish_burst(burst)
 
     port.carried, icap.finish_burst = streamed, drained
+    if foreign is not None:
+        at_ns, act = foreign
+        sim.call_later(at_ns, act, dma, controller, stages)
     bursts = 12
     dram.store(0x1000, b"\x20\x00\x00\x00" * 256 * bursts)  # NOOP words
     icap.begin_transfer()
     dma.reg_write(MM2S_DMACR, DMACR_RS | DMACR_IOC_IRQ_EN)
     dma.reg_write(MM2S_SA, 0x1000)
     dma.reg_write(MM2S_LENGTH, 1024 * bursts)
-    before = sim._sequence
-    sim.run_until(dma.ioc_irq.wait_assert())
+    if foreign is None:
+        wait = dma.ioc_irq.wait_assert()
+        pushed = _counting_pushes(sim, lambda: sim.run_until(wait))
+    else:
+        pushed = _counting_pushes(sim, sim.run)
     return {
         "stages": stages,
         "metrics": metrics.to_dict(),
         "kernel": (sim.events_processed, sim.heap_high_water),
         "now": sim.now,
-    }, sim._sequence - before
+        "stream": (
+            stream.free_words,
+            stream.stat_granted_words,
+            stream.stat_released_words,
+            stream.queued_bursts,
+        ),
+    }, pushed
 
 
 def test_same_instant_drain_and_burst_keep_the_heaps_order():
@@ -309,6 +363,37 @@ def test_same_instant_drain_and_burst_keep_the_heaps_order():
     assert len(ties) == 11
 
 
+def _cpu_read(dma, controller, stages):
+    done = controller.read(0x90000, 64, master="cpu")
+    done.callbacks.append(lambda _event: stages.append((dma.sim.now, "cpu")))
+
+
+def _soft_reset(dma, controller, stages):
+    dma.reg_write(MM2S_DMACR, DMACR_RESET)
+
+
+@pytest.mark.parametrize(
+    "fifo_words, foreign",
+    [
+        # Burst 3 is in DDR service: the bus stays held for it.
+        (1024, (7000.0, _cpu_read)),
+        # A one-burst FIFO: the DMA waits for room, its grant queued.
+        (256, (3000.0, _soft_reset)),
+        # The ICAP waits for the next burst, which is in DDR service.
+        (256, (5000.0, _soft_reset)),
+    ],
+    ids=["second-master-in-service", "reset-awaiting-room", "reset-in-service"],
+)
+def test_handoff_leaves_the_chains_state(fifo_words, foreign):
+    """A foreign entry inside the buffer meets the lane, the bus, the
+    stream's taker and the FIFO grant as the chain holds them."""
+    (quiet, quiet_pushed), (chain, chain_pushed) = _both_paths(
+        lambda chain: _tied_transfer(chain, fifo_words, foreign)
+    )
+    assert quiet == chain
+    assert quiet_pushed < chain_pushed
+
+
 def _tenant(system):
     AxiTrafficGenerator(
         system.sim, system.interconnect, master="tenant", rate_mb_s=100.0
@@ -319,26 +404,111 @@ def _monitor(system):
     InvariantMonitor().attach(system)
 
 
+@pytest.mark.parametrize(
+    "setup", [_tenant, _monitor], ids=["second-master", "invariant-monitor"]
+)
+def test_unquiet_buffers_stay_on_the_chain(setup):
+    system = _system(chain=False)
+    setup(system)
+    pushed = _pushed(system, lambda s: s.reconfigure("RP1", _ASP, 200.0))
+    assert pushed > 5 * 517
+
+
+# -- hooks, faults and watchers: the run against the chain ---------------------
+def _idle_hooks(system):
+    _arm_noop_fault_hooks(system)
+    system.icap.fault_lockup_cycles = lambda: 0
+
+
+def _nth_call(n, fault, idle):
+    """A hook that returns ``fault`` on its ``n``-th call, else ``idle``."""
+    calls = [0]
+
+    def hook(*_args):
+        calls[0] += 1
+        return fault if calls[0] == n else idle
+
+    return hook
+
+
+def _slverr(system):
+    system.interconnect.fault_error = _nth_call(
+        200, AxiSlaveError("SLVERR on the 200th burst"), None
+    )
+
+
+def _lockup(system):
+    system.icap.fault_lockup_cycles = _nth_call(100, 20_000, 0)
+
+
+def _chaos_inside_the_buffer(system):
+    ChaosInjector(
+        system,
+        FaultPlan(
+            fault_seed=0,
+            horizon_us=700.0,
+            faults=(
+                Fault(
+                    "dram_latency", 300.0, (("extra_ns", 900.0), ("window_us", 120.0))
+                ),
+                Fault("axi_stall", 450.0, (("stall_ns", 2000.0), ("window_us", 80.0))),
+            ),
+        ),
+    ).arm()
+
+
 def _busy_waiter(system):
     system.icap.busy.wait_for(True)
 
 
-def _engine_refresh(system):
+def _nothing(system):
     pass
 
 
+# Stages the run takes in place, at least: five per burst it carries
+# whole (every burst's but the first one's issue, which is the run's own
+# entry), or burst 1's forward path, service and streaming tail before
+# its first word reaches the ICAP and wakes the waiter.
+_WHOLE_BUFFER = 5 * 517 - 1
+
+
 @pytest.mark.parametrize(
-    "setup, config",
+    "setup, config, in_place",
     [
-        (_tenant, {}),
-        (_monitor, {}),
-        (_busy_waiter, {}),
-        (_engine_refresh, {"dram_refresh_mode": "engine"}),
+        (_idle_hooks, {}, _WHOLE_BUFFER),
+        (_slverr, {}, 5 * 199 - 1),
+        (_lockup, {}, 5 * 99 - 1),
+        # 190 bursts leave the port before the delivery at 300 us.
+        (_chaos_inside_the_buffer, {}, 5 * 190 - 1),
+        (_nothing, {"dram_refresh_mode": "engine"}, _WHOLE_BUFFER),
+        (_busy_waiter, {}, 3),
     ],
-    ids=["second-master", "invariant-monitor", "busy-waiter", "engine-refresh"],
+    ids=[
+        "idle-hooks",
+        "slverr",
+        "icap-lockup",
+        "chaos-delivery",
+        "engine-refresh",
+        "busy-waiter",
+    ],
 )
-def test_unquiet_buffers_stay_on_the_chain(setup, config):
-    system = _system(chain=False, **config)
-    setup(system)
-    pushed = _pushed(system, lambda s: s.reconfigure("RP1", _ASP, 200.0))
-    assert pushed > 5 * 517
+def test_faults_and_watchers_match_the_chain(setup, config, in_place):
+    """Each load starts on the run and matches the chain, whether the run
+    finishes the buffer or hands it off at an SLVERR, a lock-up, a
+    delivery's entry or a waiter's wake-up.  Every stage the run takes
+    in place is a heap entry the chain queues and the run does not."""
+    seen, pushed = [], []
+    for chain in (False, True):
+        system = _system(chain, **config)
+        setup(system)
+        results = []
+        pushed.append(
+            _pushed(
+                system,
+                lambda s: results.append(s.reconfigure("RP1", _ASP, 200.0)),
+            )
+        )
+        seen.append(_observed(system, results))
+    quiet, chain = seen
+    assert quiet == chain
+    assert pushed[1] - pushed[0] >= in_place

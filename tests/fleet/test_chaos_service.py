@@ -10,7 +10,9 @@ chaos campaign costs seconds, not milliseconds.
 """
 
 import functools
+from dataclasses import replace
 
+from repro.chaos import ChaosInjector
 from repro.core import PdrSystem
 from repro.exec import SweepRunner
 from repro.fleet import FleetSpec, run_fleet
@@ -128,6 +130,35 @@ def test_verify_attaches_invariant_monitor():
     assert report.verify is not None
     assert report.verify["checks"] > 0
     assert report.verify["violations"] == []
+
+
+def test_verify_under_a_fault_storm_moves_nothing_but_its_fields(monkeypatch):
+    """``verify`` attaches a monitor, which keeps every burst of every
+    board on the chain; the storm, an SLVERR and an ICAP lock-up among
+    its faults, must play out exactly as on the quiet run."""
+    applied = set()
+    for hook in ("_axi_error_hook", "_icap_lockup_hook"):
+
+        def counted(injector, *args, _hook=getattr(ChaosInjector, hook), _name=hook):
+            fault = _hook(injector, *args)
+            if fault:
+                applied.add(_name)
+            return fault
+
+        monkeypatch.setattr(ChaosInjector, hook, counted)
+    storm = FleetSpec(
+        boards=1, seed=2, duration_ms=2.0, chaos=True, chaos_intensity=4
+    )
+    serial = SweepRunner(jobs=1)
+    plain = run_fleet(storm, runner=serial).to_dict()
+    assert applied == {"_axi_error_hook", "_icap_lockup_hook"}
+    verified = run_fleet(replace(storm, verify=True), runner=serial).to_dict()
+    assert verified["verify"]["checks"] > 0
+    assert verified["verify"]["violations"] == []
+    assert plain["spec"]["faults_injected"] > 0
+    verified["spec"]["verify"] = False
+    verified["verify"] = None
+    assert verified == plain
 
 
 def test_plain_fleet_has_no_health_or_failover_fields():

@@ -222,6 +222,11 @@ def test_cancelled_entry_never_runs_counts_or_meets_the_monitor():
     assert sim.heap_high_water == 4
     with pytest.raises(SchedulingError):
         sim.cancel(entries[2.0])
+    # The cancelled entry is no longer pending: four queued afresh reach
+    # the peak again, not past it.
+    for delay in (1.0, 2.0, 3.0, 4.0):
+        sim.call_later(delay, calls.append, delay)
+    assert sim.heap_high_water == 4
 
 
 def test_run_until_a_timeout_runs_to_its_time():
@@ -238,3 +243,87 @@ def test_pending_timeout_refuses_succeed_and_fail():
         timeout.succeed(1)
     with pytest.raises(SchedulingError):
         timeout.fail(RuntimeError("early"))
+
+
+def test_held_entries_run_in_place_only_while_next_in_the_heaps_order():
+    """An entry holds two stages under the sequence numbers ``call_later``
+    would give them: the first runs in place, the second trails a heap
+    entry of its own instant that was queued first, so it is queued."""
+    sim = Simulator()
+    order = []
+    sim.call_later(10.0, order.append, "queued first")
+
+    def stage():
+        early = sim.sequence = sim.sequence + 1
+        late = sim.sequence = sim.sequence + 1
+        sim.call_later(20.0, order.append, "queued while two are held")
+        assert sim.heap_high_water == 4  # two heap entries and the two held
+        assert sim.enter(5.0, early)
+        order.append(("in place", sim.now))
+        assert not sim.enter(10.0, late)
+        sim.queue_held(10.0, late, order.append, "held")
+
+    sim.call_later(0.0, stage)
+    sim.run()
+    assert order == [
+        ("in place", 5.0),
+        "queued first",
+        "held",
+        "queued while two are held",
+    ]
+    assert sim.events_processed == 5
+    assert sim.heap_high_water == 4
+
+
+def test_held_entries_stop_at_until_and_in_the_instant_the_target_fires():
+    sim = Simulator()
+    entered = []
+
+    def stage():
+        held = sim.sequence = sim.sequence + 1
+        entered.append(sim.enter(7.0, held))
+        sim.queue_held(7.0, held, lambda: None)
+
+    sim.call_later(0.0, stage)
+    sim.run(until=5.0)
+    assert entered == [False] and sim.now == 5.0
+    sim.run()
+
+    # The target fires inside an entry: a stage held earlier for the same
+    # instant stays queued, as the dispatch returns after that entry.
+    target = sim.event()
+
+    def fire():
+        held = sim.sequence = sim.sequence + 1
+        target.succeed("done")
+        entered.append(sim.enter(sim.now, held))
+        sim.queue_held(sim.now, held, lambda: None)
+
+    sim.call_later(1.0, fire)
+    assert sim.run_until(target) == "done"
+    assert entered == [False, False]
+    assert sim.peek() == sim.now
+
+
+def test_held_entries_are_checked_again_once_an_entry_is_queued():
+    """Held entries due before the heap's head run in place one after
+    another; an entry queued in between is seen by the next one."""
+    sim = Simulator()
+    order = []
+    sim.call_later(10.0, order.append, "queued first")
+
+    def stage():
+        first = sim.sequence = sim.sequence + 1
+        second = sim.sequence = sim.sequence + 1
+        third = sim.sequence = sim.sequence + 1
+        assert sim.enter(2.0, first)
+        assert sim.enter(4.0, second)
+        sim.call_later(2.0, order.append, "queued at 6")
+        assert not sim.enter(8.0, third)
+        sim.queue_held(8.0, third, order.append, "held")
+
+    sim.call_later(0.0, stage)
+    sim.run()
+    assert order == ["queued at 6", "held", "queued first"]
+    assert sim.events_processed == 6
+    assert sim.heap_high_water == 4  # the first heap entry and the three held

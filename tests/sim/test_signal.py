@@ -61,26 +61,6 @@ def test_wait_for_already_satisfied():
     assert seen["t"] == 0.0
 
 
-def test_wait_change_fires_once():
-    sim = Simulator()
-    signal = Signal(sim, initial=0)
-    seen = []
-
-    def waiter(sim):
-        value = yield signal.wait_change()
-        seen.append(value)
-
-    def driver(sim):
-        yield sim.timeout(1.0)
-        signal.set(10)
-        signal.set(20)
-
-    sim.process(waiter(sim))
-    sim.process(driver(sim))
-    sim.run()
-    assert seen == [10]
-
-
 def test_wait_until_predicate():
     sim = Simulator()
     signal = Signal(sim, initial=0)
@@ -101,16 +81,20 @@ def test_wait_until_predicate():
     assert seen["v"] == 5
 
 
-def test_watch_and_unwatch():
+def test_watchers_see_every_change_in_order():
     sim = Simulator()
     signal = Signal(sim, initial=0)
     hits = []
-    watcher = lambda old, new: hits.append(new)  # noqa: E731
-    signal.watch(watcher)
+    signal.watch(lambda old, new: hits.append(("first", old, new)))
+    signal.watch(lambda old, new: hits.append(("second", old, new)))
     signal.set(1)
-    signal.unwatch(watcher)
     signal.set(2)
-    assert hits == [1]
+    assert hits == [
+        ("first", 0, 1),
+        ("second", 0, 1),
+        ("first", 1, 2),
+        ("second", 1, 2),
+    ]
 
 
 def test_history_records_changes():
@@ -195,7 +179,10 @@ def test_wait_assert_edge_before_deadline_fires_true_and_withdraws_it():
     sim.run()
     assert seen == {"v": True, "t": 30.0, "next": float("inf")}
     assert sim.now == 30.0
-    assert not irq.observed
+    # The edge took the waiter off the line: a second edge wakes nothing.
+    irq.deassert()
+    irq.assert_()
+    assert sim.peek() == float("inf")
 
 
 def test_wait_assert_deadline_first_fires_false_and_leaves_the_line():
@@ -210,10 +197,8 @@ def test_wait_assert_deadline_first_fires_false_and_leaves_the_line():
     sim.process(waiter(sim))
     sim.run()
     assert seen == {"v": False, "t": 100.0}
-    assert not irq.observed
-    queued = sim._sequence
+    # The deadline took the waiter off the line: the edge wakes nothing.
     irq.assert_()
-    assert sim._sequence == queued
     assert sim.peek() == float("inf")
 
 
@@ -223,8 +208,9 @@ def test_wait_assert_without_deadline_waits_for_the_edge():
     wait = irq.wait_assert()
     sim.run()
     assert not wait.triggered
-    assert irq.observed
+    # The waiter stays on the line until the edge.
     irq.assert_()
+    assert sim.peek() == 0.0
     assert sim.run_until(wait) is True
     assert sim.now == 0.0
 

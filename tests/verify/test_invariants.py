@@ -53,7 +53,7 @@ def test_kernel_time_monotonicity_probe():
     sim = Simulator()
     monitor = InvariantMonitor()
     sim.monitor = monitor
-    sim._now = 100.0
+    sim.now = 100.0
     with pytest.raises(InvariantViolation, match="kernel.time_monotonic"):
         monitor.on_kernel_event(sim, 50.0, SimpleNamespace(_processed=False))
 
