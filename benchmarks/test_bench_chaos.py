@@ -55,25 +55,5 @@ def test_bench_chaos_soak():
         "kernel_events": report.events_processed,
     }
     with open(_REPORT_PATH, "w") as handle:
-        json.dump({**payload, "milestones": _MILESTONES}, handle, indent=2)
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
-
-
-#: Measured once per tentpole change; kept here so the resilience/perf
-#: history survives report regeneration.
-_MILESTONES = [
-    {
-        "date": "2026-08-06",
-        "change": "chaos engineering layer (fault injection + SEU soak)",
-        "host_cpus": 1,
-        "cli_10_case_campaign_s": 81.3,
-        "faults_injected_10_cases": 95,
-        "recovery_rate": 1.0,
-        "availability_mean": 0.9256,
-        "mttr_p99_us": 17860.6,
-        "note": (
-            "10-case seed-1 campaign via `repro-pdr chaos`; report "
-            "byte-identical across reruns, --jobs 2 and --replay."
-        ),
-    }
-]

@@ -72,22 +72,5 @@ def test_bench_dram_contention():
         "points": records,
     }
     with open(_REPORT_PATH, "w") as handle:
-        json.dump({**payload, "milestones": _MILESTONES}, handle, indent=2)
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
-
-
-#: Measured once per tentpole change; kept here so the memory-system
-#: history survives report regeneration.
-_MILESTONES = [
-    {
-        "date": "2026-08-08",
-        "change": "bank-aware DDR controller + multi-master crossbar",
-        "host_cpus": 1,
-        "note": (
-            "open-page keeps ~0.8 row-hit rate on the sequential fetch "
-            "under a 1000 MB/s reverse-walking tenant; default "
-            "calibration (tRP=0, lazy refresh) stays byte-identical to "
-            "the legacy flat model across the 6-point grid."
-        ),
-    }
-]

@@ -87,32 +87,5 @@ def test_bench_fleet_service():
         },
     }
     with open(_REPORT_PATH, "w") as handle:
-        json.dump({**payload, "milestones": _MILESTONES}, handle, indent=2)
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
-
-
-#: Measured once per tentpole change; kept here so the service-quality
-#: history survives report regeneration.
-_MILESTONES = [
-    {
-        "date": "2026-08-08",
-        "change": "fleet-scale PDR service (open-loop traffic + batching)",
-        "host_cpus": 1,
-        "note": (
-            "4-board seed-1 Poisson campaign via `repro-pdr fleet`; "
-            "report byte-identical across reruns and --jobs 2; batching "
-            "cuts mean queue wait ~4x vs --no-batching at 2 req/ms."
-        ),
-    },
-    {
-        "date": "2026-08-08",
-        "change": "fleet health/failover layer (chaos, board kill, breaker)",
-        "host_cpus": 1,
-        "note": (
-            "seed-17 board-kill campaign: 1 of 4 boards dies mid-run, "
-            "one quarantines then rejoins via half-open probe; zero "
-            "lost requests, availability held at 1.0 by the retry "
-            "budget, degradation shows in p99/goodput/failover penalty."
-        ),
-    },
-]

@@ -74,53 +74,5 @@ def test_bench_sweep_engine():
         "runs": {"serial": {"points": points}},
     }
     with open(_REPORT_PATH, "w") as handle:
-        json.dump({**payload, "milestones": _MILESTONES}, handle, indent=2)
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
-
-
-#: Measured once per tentpole change (see EXPERIMENTS.md for method);
-#: kept here so the perf history survives report regeneration.  Host
-#: time is measured by perfbench now; these entries are history only.
-_MILESTONES = [
-    {
-        "date": "2026-08-05",
-        "change": "parallel sweep engine + DES kernel fast path",
-        "host_cpus": 1,
-        "cli_all_serial_s": {"before": 94.3, "after": 67.3},
-        "cli_all_jobs2_s": 55.6,
-        "cold_single_point_s": {"before": 0.403, "after": 0.322},
-        "warm_single_point_s": 0.180,
-        "cached_table2_cli_s": {"cold": 1.7, "cached": 0.21},
-        "events_per_reconfigure_point": 7296,
-        "note": (
-            "1-core container: jobs=2 gain comes from overlapping "
-            "process setup, not true parallelism; byte-identity of the "
-            "parallel and cached reports verified against serial."
-        ),
-    },
-    {
-        "date": "2026-08-08",
-        "change": (
-            "copy-on-write snapshots + kernel fast-path round 2 "
-            "(batched same-timestamp dispatch, slicing-by-20 run folds, "
-            "vectorised CRC miss paths, template forking)"
-        ),
-        "host_cpus": 1,
-        "cold_single_point_s": {"before": 0.322, "after": 0.109},
-        "warm_single_point_s": {"before": 0.180, "after": 0.052},
-        "warm_events_per_s": {"before": 40539.0, "after": 141108.0},
-        "soak10_wall_s": 9.8,
-        "events_per_reconfigure_point": 7296,
-        "events_rebaselined": (
-            "7297 -> 7296 per point (7300 -> 7299 at 320 MHz): the "
-            "bank-aware DRAM controller dropped one kernel event per "
-            "point, latency unchanged"
-        ),
-        "note": (
-            "warm floor is 3x the pre-PR 200 MHz events/s (41316); "
-            "latencies and event counts stayed byte-identical "
-            "(677.0250006770251 us @200 MHz, 7297 events). 10-case "
-            "chaos campaign 9.8 s vs 81 s before the PR-6/7 work."
-        ),
-    },
-]

@@ -67,7 +67,7 @@ class AxiInterconnect:
         #: Per-master ledgers: exported ``bytes`` and ``wait_ns``, plus
         #: the model-only ``transactions`` count.
         self.masters: Dict[str, Counts] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         self.counts = self.metrics.counts(
             name, transactions=0, bytes=0, error_responses=0
         )

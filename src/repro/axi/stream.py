@@ -107,7 +107,7 @@ class AxiStream:
         self.stat_consumed_words = 0
         self.stat_pushed_bursts = 0
         self.stat_taken_bursts = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         #: ``backpressure_ns`` is the total sim time producers spent
         #: stalled on a full FIFO; results read it.
         self.counts = self.metrics.counts(

@@ -62,7 +62,7 @@ class ChaosInjector:
             "chaos.injected", **{fault.kind: 0 for fault in plan.faults}
         )
         self._spans = SpanRecorder(
-            now_fn=lambda: system.sim.now,
+            clock=system.sim,
             tracer=system.trace,
             source="chaos",
             metrics=metrics,

@@ -140,7 +140,7 @@ class PdrSystem:
         #: the same wiring lands on shared no-op metrics instead, and the
         #: count records still count but are not exported.
         if self.config.telemetry:
-            self.metrics = MetricsRegistry(now_fn=lambda: sim.now, name="pdr_system")
+            self.metrics = MetricsRegistry(clock=sim, name="pdr_system")
         else:
             self.metrics = NullMetricsRegistry(name="pdr_system")
 
@@ -223,7 +223,7 @@ class PdrSystem:
             temp_source=lambda: thermal.temperature_c,
         )
         #: Board supply state: brownouts clamp the usable over-clock.
-        self.supply = PowerSupply(now_fn=lambda: sim.now)
+        self.supply = PowerSupply(sim)
         self.thermal.pin_temperature(self.config.die_temp_c)
 
         # ---- board I/O -------------------------------------------------------
@@ -514,7 +514,7 @@ class PdrSystem:
         accumulates ``fw.phase.*_us`` histograms across reconfigurations.
         """
         spans = SpanRecorder(
-            now_fn=lambda: self.sim.now,
+            clock=self.sim,
             tracer=self.trace,
             source="fw",
             metrics=self.metrics,

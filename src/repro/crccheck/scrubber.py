@@ -66,7 +66,7 @@ class CrcScrubber:
         self.clock = clock
         self.memory = memory
         self.name = name
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         self.counts = self.metrics.counts(
             name, scrubs_run=0, mismatches=0, words_read=0
         )

@@ -127,7 +127,7 @@ class AxiDmaEngine:
         self.name = name
         self.max_burst_bytes = max_burst_bytes
         self.cmd_overhead_cycles = cmd_overhead_cycles
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         self.counts = self.metrics.counts(
             name,
             bursts_issued=0,
@@ -326,15 +326,16 @@ class AxiDmaEngine:
         stage by stage, while the kernel's order allows; returns whether
         it started, and so took the burst's issue (DESIGN §16).
 
-        It starts when no monitor watches the kernel, the port's master
-        alone uses an idle lane and bus, and the ICAP alone waits on an
-        empty stream.  The chain's two pending stages, the burst's memory
-        path and the ICAP's drain, are held under the numbers the chain
-        would queue them with; each runs in place, through the chain's
-        accounting and fault hooks, while it is the kernel's next entry.
-        The run is the stream's taker until the last drain, whose release
-        completes the buffer in :meth:`complete`.  A stage that is not
-        next, an SLVERR or an ICAP lock-up hands the rest to the chain.
+        It starts when the port's master alone uses an idle lane and
+        bus, and the ICAP alone waits on an empty stream.  The chain's
+        two pending stages, the burst's memory path and the ICAP's
+        drain, are held under the numbers the chain would queue them
+        with; each runs in place, through the chain's accounting and
+        fault hooks, while it is the kernel's next entry.  The run is
+        the stream's taker until the last drain, whose release completes
+        the buffer in :meth:`complete`.  A stage that is not next, an
+        SLVERR, an ICAP lock-up or a drain that leaves the DMA waiting
+        for FIFO room hands the rest to the chain.
         """
         sim = self.sim
         port = self.port
@@ -344,8 +345,7 @@ class AxiDmaEngine:
         icap = stream.consumer
         master = port.name
         if not (
-            sim.monitor is None
-            and stream.quiet(self._burst_bytes >> 2)
+            stream.quiet(self._burst_bytes >> 2)
             and interconnect.quiet(master)
             and controller.quiet(master)
         ):
@@ -420,6 +420,9 @@ class AxiDmaEngine:
                     return True
                 take(receive)
                 continue
+            if not mem:
+                # No stage held: the drain freed no room for the DMA.
+                break
             if mem_seq:
                 if not enter(mem_at, mem_seq):
                     break
@@ -612,7 +615,7 @@ class S2mmDmaEngine:
         self.stream = stream
         self.name = name
         self.cmd_overhead_cycles = cmd_overhead_cycles
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         self.counts = self.metrics.counts(
             name,
             bursts_issued=0,

@@ -184,7 +184,7 @@ class BankDramController:
         self._refresh_next_ns = self.timing.trefi_ns
         self._refresh_busy_until_ns = 0.0
         self._service_end_ns = 0.0
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         self.counts = self.metrics.counts(
             name,
             requests_served=0,

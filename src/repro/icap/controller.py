@@ -66,7 +66,7 @@ class IcapController:
         self._stream = weakref.ref(stream)
         self.name = name
         self.port = ConfigPort(memory)
-        self.metrics = metrics if metrics is not None else MetricsRegistry(now_fn=lambda: sim.now)
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock=sim)
         self.counts = self.metrics.counts(
             name,
             words_consumed=0,

@@ -6,9 +6,10 @@ Public surface::
     from repro.obs import export, profile, campaign
 
 The package is deliberately free of simulator imports — everything is
-parameterised by a ``now_fn`` time source or consumes already-recorded
-plain data — so it can sit below :mod:`repro.sim` in the layering and
-be reused by any component.
+parameterised by a clock (any object whose ``now`` reads the time in
+ns, the simulator as a rule) or consumes already-recorded plain data —
+so it can sit below :mod:`repro.sim` in the layering and be reused by
+any component.
 
 * :mod:`repro.obs.export` — OpenMetrics text + Chrome trace-event JSON.
 * :mod:`repro.obs.profile` — span-tree attribution, flame tables and

@@ -28,6 +28,7 @@ Registries export to plain dicts.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -41,8 +42,8 @@ __all__ = [
     "Series",
 ]
 
-#: Default time source for registries detached from a simulator.
-_ZERO_CLOCK = lambda: 0.0  # noqa: E731
+#: The clock of a registry detached from a simulator, stopped at 0.0.
+_STOPPED_CLOCK = SimpleNamespace(now=0.0)
 
 
 class Counts:
@@ -97,7 +98,7 @@ class Gauge:
 
     __slots__ = (
         "name",
-        "_now_fn",
+        "_clock",
         "value",
         "min",
         "max",
@@ -107,9 +108,9 @@ class Gauge:
         "sets",
     )
 
-    def __init__(self, name: str, now_fn: Callable[[], float]):
+    def __init__(self, name: str, clock):
         self.name = name
-        self._now_fn = now_fn
+        self._clock = clock
         self.value: Optional[float] = None
         self.min: Optional[float] = None
         self.max: Optional[float] = None
@@ -119,7 +120,7 @@ class Gauge:
         self.sets = 0
 
     def set(self, value: float) -> None:
-        now = self._now_fn()
+        now = self._clock.now
         if self.value is None:
             self._first_ns = now
             self.min = self.max = value
@@ -150,7 +151,7 @@ class Gauge:
         """
         if self.value is None:
             return None
-        end = self._now_fn() if end_ns is None else end_ns
+        end = self._clock.now if end_ns is None else end_ns
         if end < self._last_ns:
             end = self._last_ns
         window = end - self._first_ns
@@ -254,13 +255,13 @@ class Series:
 
     kind = "series"
 
-    __slots__ = ("name", "_now_fn", "samples", "_limit", "dropped")
+    __slots__ = ("name", "_clock", "samples", "_limit", "dropped")
 
-    def __init__(self, name: str, now_fn: Callable[[], float], limit: int = 10_000):
+    def __init__(self, name: str, clock, limit: int = 10_000):
         if limit < 1:
             raise ValueError("series must retain at least one sample")
         self.name = name
-        self._now_fn = now_fn
+        self._clock = clock
         self.samples: List[Tuple[float, float]] = []
         self._limit = limit
         self.dropped = 0
@@ -269,7 +270,7 @@ class Series:
         if len(self.samples) >= self._limit:
             del self.samples[0]
             self.dropped += 1
-        self.samples.append((self._now_fn(), value))
+        self.samples.append((self._clock.now, value))
 
     @property
     def last(self) -> Optional[float]:
@@ -314,9 +315,10 @@ class MetricsRegistry:
     data).
     """
 
-    def __init__(self, now_fn: Optional[Callable[[], float]] = None, name: str = ""):
+    def __init__(self, clock=None, name: str = ""):
         self.name = name
-        self.now_fn = now_fn or _ZERO_CLOCK
+        #: Its gauges and series read its ``now`` (ns): the simulator.
+        self.clock = _STOPPED_CLOCK if clock is None else clock
         self._metrics: Dict[str, Any] = {}
         self._records: Dict[str, Counts] = {}
 
@@ -355,13 +357,13 @@ class MetricsRegistry:
         self._lookup(name, _CountField, lambda: _CountField(record, field))
 
     def gauge(self, name: str) -> Gauge:
-        return self._lookup(name, Gauge, lambda: Gauge(name, self.now_fn))
+        return self._lookup(name, Gauge, lambda: Gauge(name, self.clock))
 
     def histogram(self, name: str, reservoir_size: int = 4096) -> Histogram:
         return self._lookup(name, Histogram, lambda: Histogram(name, reservoir_size))
 
     def series(self, name: str, limit: int = 10_000) -> Series:
-        return self._lookup(name, Series, lambda: Series(name, self.now_fn, limit))
+        return self._lookup(name, Series, lambda: Series(name, self.clock, limit))
 
     def probe(self, name: str, fn: Callable[[], float]) -> Probe:
         return self._lookup(name, Probe, lambda: Probe(name, fn))

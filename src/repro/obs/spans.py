@@ -6,8 +6,8 @@ completed ones.  Spans nest — the recorder maintains a stack, so a span
 opened inside another becomes its child and carries a ``/``-joined path
 (``reconfigure/dma_transfer``).
 
-The recorder is deliberately simulator-agnostic: it only needs a
-zero-argument ``now_fn`` returning the current time in nanoseconds, and
+The recorder is deliberately simulator-agnostic: it only needs a clock
+whose ``now`` attribute reads the current time in nanoseconds, and
 optionally mirrors every completed span into a
 :class:`~repro.sim.trace.Tracer` (as a structured ``kind="span"``
 record) and into a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["Span", "SpanRecorder"]
 
@@ -69,8 +69,9 @@ class SpanRecorder:
 
     Parameters
     ----------
-    now_fn:
-        Current simulation time in nanoseconds.
+    clock:
+        Its ``now`` is the current simulation time in nanoseconds (the
+        simulator, as a rule).
     tracer:
         Optional trace sink; every completed span is emitted as a
         structured record with ``kind="span"``.
@@ -83,13 +84,13 @@ class SpanRecorder:
 
     def __init__(
         self,
-        now_fn: Callable[[], float],
+        clock,
         tracer=None,
         source: str = "span",
         metrics=None,
         metrics_prefix: str = "span.",
     ):
-        self.now_fn = now_fn
+        self.clock = clock
         self.tracer = tracer
         self.source = source
         self.metrics = metrics
@@ -103,7 +104,7 @@ class SpanRecorder:
         parent = self._stack[-1].path if self._stack else None
         entry = Span(
             name=name,
-            begin_ns=self.now_fn(),
+            begin_ns=self.clock.now,
             parent=parent,
             depth=len(self._stack),
             fields=dict(fields),
@@ -113,7 +114,7 @@ class SpanRecorder:
             yield entry
         finally:
             self._stack.pop()
-            entry.end_ns = self.now_fn()
+            entry.end_ns = self.clock.now
             self.completed.append(entry)
             if self.metrics is not None:
                 self.metrics.histogram(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["PowerModelParams", "PowerModel", "PowerSupply"]
 
@@ -89,12 +89,12 @@ class PowerSupply:
     A voltage droop does not stop the design, but the timing margin at a
     reduced rail no longer supports the full over-clock — firmware must
     gate any requested ICAP frequency to the brownout ceiling while the
-    droop lasts.  Time comes from an injected ``now_fn`` (the simulator
-    clock) so the supply stays a plain-data model.
+    droop lasts.  Time comes from an injected clock's ``now`` (the
+    simulator) so the supply stays a plain-data model.
     """
 
-    def __init__(self, now_fn: Callable[[], float]):
-        self._now_fn = now_fn
+    def __init__(self, clock):
+        self._clock = clock
         #: (ceiling_mhz, expires_ns) windows, most recent last.
         self._windows: List[Tuple[float, float]] = []
         self.brownouts = 0
@@ -105,17 +105,17 @@ class PowerSupply:
             raise ValueError("brownout ceiling must be positive")
         if duration_ns <= 0:
             raise ValueError("brownout duration must be positive")
-        self._windows.append((ceiling_mhz, self._now_fn() + duration_ns))
+        self._windows.append((ceiling_mhz, self._clock.now + duration_ns))
         self.brownouts += 1
 
     @property
     def browned_out(self) -> bool:
-        now = self._now_fn()
+        now = self._clock.now
         return any(expires > now for _, expires in self._windows)
 
     def ceiling_mhz(self) -> float:
         """The tightest active ceiling, or +inf when the rail is healthy."""
-        now = self._now_fn()
+        now = self._clock.now
         self._windows = [w for w in self._windows if w[1] > now]
         if not self._windows:
             return math.inf

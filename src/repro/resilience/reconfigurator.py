@@ -194,9 +194,8 @@ class ResilientReconfigurator:
         )
         self._m_repair_us = metrics.histogram("resilience.time_to_repair_us")
         self._m_mttr_us = metrics.histogram("resilience.mttr_us")
-        sim = system.sim
         self._spans = SpanRecorder(
-            now_fn=lambda: sim.now,
+            clock=system.sim,
             tracer=system.trace,
             source="resilience",
             metrics=metrics,

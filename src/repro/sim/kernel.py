@@ -336,10 +336,6 @@ class Simulator:
         #: A held entry due before this is next (:meth:`enter`); queueing
         #: an entry resets it to 0.0, unchecked.
         self._clear = 0.0
-        #: Optional :class:`~repro.verify.InvariantMonitor` probing every
-        #: heap entry (time monotonicity, single-fire).  ``None`` costs one
-        #: identity check per event.
-        self.monitor = None
 
     # -- time ---------------------------------------------------------------
     @property
@@ -377,11 +373,11 @@ class Simulator:
         """Call ``fn(*args)`` ``delay`` ns from now, as one heap entry.
 
         The entry orders with events exactly like a :class:`Timeout`
-        created at this point (same time, FIFO among equal times), is
-        counted in ``events_processed`` and is seen by an attached
-        monitor.  Nothing can wait on it; an exception raised by ``fn``
-        propagates out of :meth:`run`.  Returns the entry, which
-        :meth:`cancel` can withdraw until it runs.
+        created at this point (same time, FIFO among equal times) and is
+        counted in ``events_processed``.  Nothing can wait on it; an
+        exception raised by ``fn`` propagates out of :meth:`run`.
+        Returns the entry, which :meth:`cancel` can withdraw until it
+        runs.
         """
         entry = _Call(fn, args)
         self._enqueue(delay, entry)
@@ -389,8 +385,8 @@ class Simulator:
 
     def cancel(self, entry: _Call) -> None:
         """Take the queued ``entry`` off the heap unrun: it is never
-        counted in ``events_processed`` nor shown to a monitor, and
-        ``heap_high_water`` keeps the peak it already recorded."""
+        counted in ``events_processed``, and ``heap_high_water`` keeps
+        the peak it already recorded."""
         self._note_pending()
         heap = self._heap
         for index, item in enumerate(heap):
@@ -426,7 +422,10 @@ class Simulator:
         target's own entry).  ``now`` then moves to ``when`` and the
         entry counts in ``events_processed``.  Until an entry is queued,
         one due before the heap's head needs no second look at the heap.
+        A held entry due before ``now`` raises :class:`SchedulingError`.
         """
+        if when < self.now:
+            raise SchedulingError(f"held entry at {when!r} ns is in the past")
         if not when < self._clear:
             heap = self._heap
             if when > self._until or (heap and heap[0] < (when, seq)):
@@ -444,7 +443,10 @@ class Simulator:
 
     def queue_held(self, when: float, seq: int, fn: Callable, *args: Any) -> None:
         """Queue the held entry ``(when, seq)`` as the ``call_later(fn,
-        *args)`` it stands for."""
+        *args)`` it stands for; one due before ``now`` raises
+        :class:`SchedulingError`."""
+        if when < self.now:
+            raise SchedulingError(f"held entry at {when!r} ns is in the past")
         self._note_pending()
         self._clear = 0.0
         heapq.heappush(self._heap, (when, seq, _Call(fn, args)))
@@ -527,18 +529,16 @@ class Simulator:
         drains, the next entry lies past ``until`` or ``target`` has
         triggered (later entries at the same time stay on the heap).
 
-        The monitor is read once per call; it sees each entry before
-        ``now`` advances to it.
+        Every entry lies at or after ``now``: a negative delay and a
+        held entry in the past raise :class:`SchedulingError`.  So
+        ``now`` never moves back; an event refuses a second trigger.
         """
         heap = self._heap
         pop = heapq.heappop
-        monitor = self.monitor
         self._until, self._target = until, target
         self._clear = 0.0
         while heap and heap[0][0] <= until:
             when, _seq, entry = pop(heap)
-            if monitor is not None:
-                monitor.on_kernel_event(self, when, entry)
             self.now = when
             self.events_processed += 1
             entry._process()

@@ -68,7 +68,7 @@ class SramPrSystem:
         sim = self.sim
 
         #: Shared telemetry registry (same naming scheme as PdrSystem).
-        self.metrics = MetricsRegistry(now_fn=lambda: sim.now, name="sram_pr_system")
+        self.metrics = MetricsRegistry(clock=sim, name="sram_pr_system")
 
         self.layout = make_z7020_layout()
         self.memory = ConfigMemory(self.layout)

@@ -1,20 +1,23 @@
 """Runtime invariant monitor for the simulated PDR platform.
 
-Every hardware model in this repository exposes an optional ``monitor``
+Every device model in this repository exposes an optional ``monitor``
 attribute (``None`` by default — a single identity check on the hot
-path).  :meth:`InvariantMonitor.attach` wires one monitor into every
-component of a :class:`~repro.core.PdrSystem`; from then on each kernel
-step, stream operation, DMA transition and ICAP word batch is checked
+path).  :meth:`InvariantMonitor.attach` wires one monitor into the
+devices of a :class:`~repro.core.PdrSystem`; from then on each stream
+operation, DMA transition, DRAM access and ICAP word batch is checked
 against the invariants below, and the check/violation totals are
-counted in the system registry's ``verify`` record.
+counted in the system registry's ``verify`` record.  The probes run
+inside the devices' own accounting, so a watched system runs exactly
+as an unwatched one: a DMA buffer takes the same path either way.
 
 Invariants checked
 ------------------
 
 kernel
-    Event time is monotonically non-decreasing; a processed event never
-    fires twice; the heap never drains while non-daemon processes still
-    wait (no lost wakeups — checked at quiescence).
+    The heap never drains while non-daemon processes still wait (no
+    lost wakeups — checked at quiescence).  Time order and single fire
+    are the kernel's own checks: it refuses an entry before ``now`` and
+    a second trigger of an event (:class:`~repro.sim.SchedulingError`).
 stream (:class:`~repro.axi.stream.AxiStream`)
     Word conservation: every word pushed is either still queued or was
     consumed; reservation accounting is exact
@@ -101,7 +104,6 @@ class InvariantMonitor:
         self.system = system
         self.counts = system.metrics.counts("verify", checks=0, violations=0)
         for component in (
-            system.sim,
             system.stream,
             system.dma,
             system.icap,
@@ -139,21 +141,6 @@ class InvariantMonitor:
             raise InvariantViolation(record)
 
     # -- kernel -----------------------------------------------------------------
-    def on_kernel_event(self, sim, when: float, event) -> None:
-        """Called by the kernel for every popped heap entry, before ``now``
-        advances to it."""
-        self._count(2)
-        if when < sim.now:
-            self.violate(
-                "kernel.time_monotonic",
-                f"event scheduled at {when}ns fires at now={sim.now}ns",
-            )
-        if getattr(event, "_processed", False):
-            self.violate(
-                "kernel.single_fire",
-                f"already-processed event {event!r} fired again",
-            )
-
     def check_kernel_quiescent(self, sim) -> None:
         """No lost wakeups: an empty heap must mean no waiting processes."""
         self._count()

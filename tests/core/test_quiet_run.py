@@ -37,7 +37,13 @@ from repro.dma import (
 )
 from repro.dram import BankDramController, DdrTiming, DramDevice
 from repro.experiments.calibration import PAPER_TABLE1
-from repro.fabric import Aes128Asp, ConfigMemory, FirFilterAsp, VectorScaleAsp
+from repro.fabric import (
+    Aes128Asp,
+    ConfigMemory,
+    FirFilterAsp,
+    MatMulAsp,
+    VectorScaleAsp,
+)
 from repro.fleet import FleetSpec, run_fleet
 from repro.icap import IcapController
 from repro.obs import MetricsRegistry
@@ -291,7 +297,7 @@ def _tied_transfer(chain, fifo_words=1024, foreign=None):
     runs until the heap drains instead of to the completion interrupt.
     """
     sim = Simulator()
-    metrics = MetricsRegistry(now_fn=lambda: sim.now)
+    metrics = MetricsRegistry(clock=sim)
     dram = DramDevice(timing=DdrTiming(peak_bytes_per_ns=4.0))
     controller = BankDramController(
         sim, dram, metrics=metrics, page_policy="closed", refresh_mode="off"
@@ -394,19 +400,44 @@ def test_handoff_leaves_the_chains_state(fifo_words, foreign):
     assert quiet_pushed < chain_pushed
 
 
+def test_a_drain_that_grants_no_room_hands_off(monkeypatch):
+    """A stream that keeps back a word at every release grants a one-burst
+    FIFO no room for the second burst once the first drains.  With no
+    stage held, the run hands off: both paths push one burst and meet the
+    ICAP's abort at the same time, after the same entries."""
+    release = AxiStream.release
+
+    def leaky_release(stream, words):
+        release(stream, max(0, words - 1))
+        stream.stat_released_words += 1
+
+    monkeypatch.setattr(AxiStream, "release", leaky_release)
+
+    def run(chain):
+        system = _system(chain, 40.8, stream_fifo_words=256, pad_bitstreams_to=None)
+        with pytest.raises(RuntimeError) as error:
+            system.reconfigure("RP2", MatMulAsp(4), 140.0)
+        seen = _counts(system)
+        seen.update(
+            pushed=system.stream.stat_pushed_bursts,
+            events=system.sim.events_processed,
+            error=str(error.value),
+        )
+        return seen
+
+    quiet, chain = _both_paths(run)
+    assert quiet == chain
+    assert quiet["pushed"] == 1
+    assert "abort cannot quiesce the stream" in quiet["error"]
+
+
 def _tenant(system):
     AxiTrafficGenerator(
         system.sim, system.interconnect, master="tenant", rate_mb_s=100.0
     ).start()
 
 
-def _monitor(system):
-    InvariantMonitor().attach(system)
-
-
-@pytest.mark.parametrize(
-    "setup", [_tenant, _monitor], ids=["second-master", "invariant-monitor"]
-)
+@pytest.mark.parametrize("setup", [_tenant], ids=["second-master"])
 def test_unquiet_buffers_stay_on_the_chain(setup):
     system = _system(chain=False)
     setup(system)
@@ -461,6 +492,10 @@ def _busy_waiter(system):
     system.icap.busy.wait_for(True)
 
 
+def _monitor(system):
+    InvariantMonitor().attach(system)
+
+
 def _nothing(system):
     pass
 
@@ -482,6 +517,7 @@ _WHOLE_BUFFER = 5 * 517 - 1
         (_chaos_inside_the_buffer, {}, 5 * 190 - 1),
         (_nothing, {"dram_refresh_mode": "engine"}, _WHOLE_BUFFER),
         (_busy_waiter, {}, 3),
+        (_monitor, {}, _WHOLE_BUFFER),
     ],
     ids=[
         "idle-hooks",
@@ -490,13 +526,16 @@ _WHOLE_BUFFER = 5 * 517 - 1
         "chaos-delivery",
         "engine-refresh",
         "busy-waiter",
+        "invariant-monitor",
     ],
 )
 def test_faults_and_watchers_match_the_chain(setup, config, in_place):
     """Each load starts on the run and matches the chain, whether the run
     finishes the buffer or hands it off at an SLVERR, a lock-up, a
-    delivery's entry or a waiter's wake-up.  Every stage the run takes
-    in place is a heap entry the chain queues and the run does not."""
+    delivery's entry or a waiter's wake-up.  An invariant monitor leaves
+    the buffer whole on the run, and its check count, exported with the
+    metrics, matches the chain's.  Every stage the run takes in place is
+    a heap entry the chain queues and the run does not."""
     seen, pushed = [], []
     for chain in (False, True):
         system = _system(chain, **config)

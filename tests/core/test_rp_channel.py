@@ -60,7 +60,7 @@ def test_s2mm_records_metrics_like_mm2s():
     interconnect = AxiInterconnect(sim, BankDramController(sim, device))
     port = AxiHpPort(sim, interconnect)
     clock = ClockDomain(sim, 150.0)
-    metrics = MetricsRegistry(now_fn=lambda: sim.now)
+    metrics = MetricsRegistry(clock=sim)
     stream = AxiStream(sim, fifo_words=512, metrics=metrics)
     engine = S2mmDmaEngine(sim, clock, port, stream, metrics=metrics)
     engine.arm(0x8000, 64)

@@ -19,12 +19,9 @@ class FakeClock:
     def __init__(self):
         self.now = 0.0
 
-    def __call__(self):
-        return self.now
-
 
 def _sample_registry(clock):
-    registry = MetricsRegistry(now_fn=clock, name="sys")
+    registry = MetricsRegistry(clock=clock, name="sys")
     registry.counts("dma", bytes=0).bytes += 1024
     gauge = registry.gauge("fifo.level")
     gauge.set(2.0)
@@ -105,9 +102,9 @@ def test_openmetrics_round_trip():
 
 def test_openmetrics_multiple_registries_one_page():
     clock = FakeClock()
-    first = MetricsRegistry(now_fn=clock)
+    first = MetricsRegistry(clock=clock)
     first.counts("fw", ops=0).ops += 1
-    second = MetricsRegistry(now_fn=clock)
+    second = MetricsRegistry(clock=clock)
     second.counts("fw", ops=0).ops += 2
     text = to_openmetrics(
         [("a", first.to_dict()), ("b", second.to_dict())]
@@ -140,7 +137,7 @@ def test_openmetrics_deterministic():
 
 def _record_spans(tracer, clock):
     """A realistic nested + zero-duration + shared-boundary span mix."""
-    spans = SpanRecorder(now_fn=clock, tracer=tracer, source="fw")
+    spans = SpanRecorder(clock=clock, tracer=tracer, source="fw")
     with spans.span("reconfigure", region="RP1"):
         with spans.span("clock_lock"):
             clock.now = 50.0

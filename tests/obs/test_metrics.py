@@ -12,13 +12,10 @@ from repro.obs import (
 
 
 class FakeClock:
-    """Controllable now_fn for time-weighted math tests."""
+    """A controllable clock for time-weighted math tests."""
 
     def __init__(self):
         self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 # -- count records -------------------------------------------------------------
@@ -43,7 +40,7 @@ def test_count_record_accumulates_and_exports_counters():
 
 def test_gauge_time_weighted_mean():
     clock = FakeClock()
-    gauge = Gauge("g", now_fn=clock)
+    gauge = Gauge("g", clock)
     gauge.set(10.0)          # t=0
     clock.now = 100.0
     gauge.set(20.0)          # held 10 for 100 ns
@@ -57,7 +54,7 @@ def test_gauge_mean_weights_by_duration_not_sample_count():
     # Nine instantaneous spikes to 100 and one long stretch at 0 must
     # average near 0, not near 90 — the whole point of time-weighting.
     clock = FakeClock()
-    gauge = Gauge("g", now_fn=clock)
+    gauge = Gauge("g", clock)
     gauge.set(0.0)
     clock.now = 1000.0
     for _ in range(9):
@@ -69,14 +66,14 @@ def test_gauge_mean_weights_by_duration_not_sample_count():
 
 def test_gauge_add_is_relative():
     clock = FakeClock()
-    gauge = Gauge("g", now_fn=clock)
+    gauge = Gauge("g", clock)
     gauge.add(3)
     gauge.add(-1)
     assert gauge.value == 2
 
 
 def test_gauge_unset_reports_none():
-    gauge = Gauge("g", now_fn=lambda: 0.0)
+    gauge = Gauge("g", FakeClock())
     assert gauge.time_weighted_mean() is None
     assert gauge.to_dict()["value"] is None
 
@@ -86,7 +83,7 @@ def test_gauge_final_segment_integrates_through_end_ns():
     # again must weight its final value over the whole remaining window,
     # not just up to its last set.
     clock = FakeClock()
-    gauge = Gauge("g", now_fn=clock)
+    gauge = Gauge("g", clock)
     gauge.set(0.0)           # t=0
     clock.now = 100.0
     gauge.set(10.0)          # 0 held for 100 ns, then 10 ... forever
@@ -104,7 +101,7 @@ def test_gauge_final_segment_integrates_through_end_ns():
 def test_gauge_end_before_last_set_clamps_not_subtracts():
     # A rewound/detached clock must never subtract tail mass.
     clock = FakeClock()
-    gauge = Gauge("g", now_fn=clock)
+    gauge = Gauge("g", clock)
     gauge.set(10.0)          # t=0
     clock.now = 100.0
     gauge.set(20.0)
@@ -113,7 +110,7 @@ def test_gauge_end_before_last_set_clamps_not_subtracts():
 
 def test_registry_to_dict_threads_end_ns_to_gauges_only():
     clock = FakeClock()
-    registry = MetricsRegistry(now_fn=clock)
+    registry = MetricsRegistry(clock=clock)
     gauge = registry.gauge("fifo.level")
     gauge.set(4.0)           # t=0, never set again
     registry.counts("fw", ops=0).ops += 3
@@ -204,7 +201,7 @@ def test_registry_get_or_create_returns_same_object():
 
 def test_registry_series_and_probe_export():
     clock = FakeClock()
-    registry = MetricsRegistry(now_fn=clock)
+    registry = MetricsRegistry(clock=clock)
     series = registry.series("bench.temp_c")
     series.sample(40.0)
     clock.now = 10.0

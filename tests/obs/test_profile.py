@@ -18,14 +18,11 @@ class FakeClock:
     def __init__(self):
         self.now = 0.0
 
-    def __call__(self):
-        return self.now
-
 
 def _recorded_tracer():
     clock = FakeClock()
     tracer = Tracer()
-    spans = SpanRecorder(now_fn=clock, tracer=tracer, source="fw")
+    spans = SpanRecorder(clock=clock, tracer=tracer, source="fw")
     for _ in range(2):  # two reconfigurations accumulate per-path
         with spans.span("reconfigure"):
             with spans.span("clock_lock"):

@@ -10,13 +10,10 @@ class FakeClock:
     def __init__(self):
         self.now = 0.0
 
-    def __call__(self):
-        return self.now
-
 
 def test_span_nesting_paths_and_durations():
     clock = FakeClock()
-    recorder = SpanRecorder(now_fn=clock)
+    recorder = SpanRecorder(clock=clock)
     with recorder.span("reconfigure") as outer:
         clock.now = 100.0
         with recorder.span("dma_transfer") as inner:
@@ -36,7 +33,7 @@ def test_span_nesting_paths_and_durations():
 
 def test_span_breakdown_filters_by_parent_and_accumulates():
     clock = FakeClock()
-    recorder = SpanRecorder(now_fn=clock)
+    recorder = SpanRecorder(clock=clock)
     with recorder.span("seq"):
         for _ in range(2):
             with recorder.span("phase_a"):
@@ -54,7 +51,7 @@ def test_span_breakdown_filters_by_parent_and_accumulates():
 
 def test_span_closes_on_exception():
     clock = FakeClock()
-    recorder = SpanRecorder(now_fn=clock)
+    recorder = SpanRecorder(clock=clock)
     with pytest.raises(RuntimeError):
         with recorder.span("doomed"):
             clock.now = 50.0
@@ -66,9 +63,9 @@ def test_span_closes_on_exception():
 def test_span_mirrors_into_tracer_and_metrics():
     clock = FakeClock()
     tracer = Tracer()
-    registry = MetricsRegistry(now_fn=clock)
+    registry = MetricsRegistry(clock=clock)
     recorder = SpanRecorder(
-        now_fn=clock,
+        clock=clock,
         tracer=tracer,
         source="fw",
         metrics=registry,
@@ -91,7 +88,7 @@ def test_span_works_across_generator_yields():
     from repro.sim import Simulator
 
     sim = Simulator()
-    recorder = SpanRecorder(now_fn=lambda: sim.now)
+    recorder = SpanRecorder(clock=sim)
 
     def proc(sim):
         with recorder.span("wait"):

@@ -156,19 +156,8 @@ def test_yield_non_event_still_rejected():
         sim.run()
 
 
-class _RecordingMonitor:
-    """Stands in for an InvariantMonitor: records every popped entry."""
-
-    def __init__(self):
-        self.seen = []
-
-    def on_kernel_event(self, sim, when, event):
-        self.seen.append((when, type(event).__name__))
-
-
-def test_call_later_entries_count_fire_fifo_and_pass_the_monitor():
+def test_call_later_entries_count_and_fire_fifo():
     sim = Simulator()
-    monitor = sim.monitor = _RecordingMonitor()
     calls = []
 
     def record(tag):
@@ -183,8 +172,6 @@ def test_call_later_entries_count_fire_fifo_and_pass_the_monitor():
     # Equal times fire in scheduling order, timeouts included.
     assert calls == [(1.0, "early"), (5.0, "a"), (5.0, "timeout"), (5.0, "b")]
     assert sim.events_processed == 4
-    assert [when for when, _ in monitor.seen] == [1.0, 5.0, 5.0, 5.0]
-    assert [kind for _, kind in monitor.seen].count("_Call") == 3
 
 
 def test_call_later_chains_without_processes_and_rejects_negative_delay():
@@ -205,9 +192,8 @@ def test_call_later_chains_without_processes_and_rejects_negative_delay():
         sim.call_later(-1.0, stage, 0)
 
 
-def test_cancelled_entry_never_runs_counts_or_meets_the_monitor():
+def test_cancelled_entry_never_runs_or_counts():
     sim = Simulator()
-    monitor = sim.monitor = _RecordingMonitor()
     calls = []
     entries = {
         delay: sim.call_later(delay, calls.append, delay)
@@ -218,7 +204,6 @@ def test_cancelled_entry_never_runs_counts_or_meets_the_monitor():
     # The rest still fire in time order: the heap stays a heap.
     assert calls == [2.0, 3.0, 4.0]
     assert sim.events_processed == 3
-    assert [when for when, _ in monitor.seen] == calls
     assert sim.heap_high_water == 4
     with pytest.raises(SchedulingError):
         sim.cancel(entries[2.0])
@@ -327,3 +312,27 @@ def test_held_entries_are_checked_again_once_an_entry_is_queued():
     assert order == ["queued at 6", "held", "queued first"]
     assert sim.events_processed == 6
     assert sim.heap_high_water == 4  # the first heap entry and the three held
+
+
+def test_held_entries_before_now_are_refused():
+    """A held entry due before ``now`` is refused, in place or queued,
+    even where the clearance left by an earlier check would admit it;
+    the clock, the counts and the heap stay as they were."""
+    sim = Simulator()
+    sim.call_later(10.0, lambda: None)
+    seen = []
+
+    def stage():
+        first = sim.sequence = sim.sequence + 1
+        late = sim.sequence = sim.sequence + 1
+        assert sim.enter(4.0, first)  # clears the way up to 10 ns
+        with pytest.raises(SchedulingError, match="in the past"):
+            sim.enter(3.0, late)
+        with pytest.raises(SchedulingError, match="in the past"):
+            sim.queue_held(3.0, late, seen.append, "held")
+        seen.append((sim.now, sim.events_processed, len(sim._heap)))
+        sim.queue_held(4.0, late, seen.append, "held")  # at now: accepted
+
+    sim.call_later(2.0, stage)
+    sim.run()
+    assert seen == [(4.0, 2, 1), "held"]

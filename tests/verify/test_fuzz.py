@@ -1,10 +1,14 @@
 """Tests for the deterministic scenario fuzzer and shrinker."""
 
+import functools
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.axi.stream import AxiStream
+from repro.chaos import SoakCaseGenerator, soak_case
+from repro.dma import AxiDmaEngine
 from repro.exec import canonical_params
 from repro.verify import (
     Scenario,
@@ -54,6 +58,39 @@ def test_benign_scenario_is_clean():
     assert record["violations"] == []
     assert record["succeeded_ops"] == 1
     assert record["checks"] > 10_000
+
+
+# Seed-1 fuzz cases: loads that hang and corrupt at 340.5 and 341.1 MHz,
+# a 333.7 MHz load recovered at 300 MHz, and 1 ms IRQ timeouts that abort
+# every attempt from 407.5, 242.4 and 105 MHz.  Soak case 2 injects all
+# eight fault kinds.
+_FUZZ = ScenarioGenerator(1)
+_MONITORED = {
+    f"fuzz-case{i}": functools.partial(run_scenario, _FUZZ.generate(i).to_mapping())
+    for i in (1, 2, 9, 10, 12, 18)
+}
+_MONITORED["soak-case2"] = functools.partial(
+    soak_case, **SoakCaseGenerator(1).generate(2).to_mapping()
+)
+
+
+@pytest.mark.parametrize("run", list(_MONITORED.values()), ids=list(_MONITORED))
+def test_monitored_records_match_the_chain(monkeypatch, run):
+    """The invariant monitor leaves every buffer's path to its datapath:
+    each buffer starts on the quiet run, and the record, its check count
+    included, is byte-identical with every buffer forced onto the chain."""
+    started = []
+    run_buffer = AxiDmaEngine._run_buffer
+
+    def counted(engine):
+        started.append(run_buffer(engine))
+        return started[-1]
+
+    monkeypatch.setattr(AxiDmaEngine, "_run_buffer", counted)
+    quiet = json.dumps(run(), sort_keys=True)
+    assert started and all(started)
+    monkeypatch.setattr(AxiDmaEngine, "_run_buffer", lambda engine: False)
+    assert json.dumps(run(), sort_keys=True) == quiet
 
 
 # -------------------------------------------------------------- shrinking --

@@ -44,29 +44,11 @@ def test_attach_registers_verify_metrics(system):
 def test_detach_removes_every_hook(system):
     monitor = InvariantMonitor().attach(system)
     monitor.detach()
-    for component in (system.sim, system.stream, system.dma, system.icap):
+    for component in (system.stream, system.dma, system.icap):
         assert component.monitor is None
 
 
 # --------------------------------------------------------- kernel probes --
-def test_kernel_time_monotonicity_probe():
-    sim = Simulator()
-    monitor = InvariantMonitor()
-    sim.monitor = monitor
-    sim.now = 100.0
-    with pytest.raises(InvariantViolation, match="kernel.time_monotonic"):
-        monitor.on_kernel_event(sim, 50.0, SimpleNamespace(_processed=False))
-
-
-def test_kernel_single_fire_probe():
-    sim = Simulator()
-    monitor = InvariantMonitor()
-    event = sim.event(name="dup")
-    event._processed = True
-    with pytest.raises(InvariantViolation, match="kernel.single_fire"):
-        monitor.on_kernel_event(sim, 0.0, event)
-
-
 def test_lost_wakeup_probe():
     sim = Simulator()
     monitor = InvariantMonitor()
