@@ -21,7 +21,8 @@ order, forward latency then controller service.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 from ..dram import BankDramController, MemoryRequest
 from ..obs import Counts, MetricsRegistry
@@ -130,16 +131,20 @@ class AxiInterconnect:
     def admit(self, request: MemoryRequest) -> _Lane:
         """Account ``request`` entering its master's lane now (the master
         is registered on its first request); returns the lane."""
-        master = request.master
-        lane = self._lanes.get(master)
+        lane = self._lanes.get(request.master)
         if lane is None:
-            lane = self._lanes[master] = deque()
-            ledger = self.masters[master] = self.metrics.counts(
-                f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
-            )
-            ledger.transactions = 0
+            lane = self._register(request.master)
         self._m_outstanding.add(1)
         request.submitted_ns = self.sim.now
+        return lane
+
+    def _register(self, master: str) -> _Lane:
+        """Give ``master`` its lane and ledger."""
+        lane = self._lanes[master] = deque()
+        ledger = self.masters[master] = self.metrics.counts(
+            f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
+        )
+        ledger.transactions = 0
         return lane
 
     def quiet(self, master: str) -> bool:
@@ -173,10 +178,14 @@ class AxiInterconnect:
         ledger.transactions += 1
         ledger.wait_ns += wait_ns
         self._m_queue_wait_us.observe(wait_ns / 1e3)
-        stall_ns = 0.0
-        if self.fault_stall_ns is not None:
-            stall_ns = max(0.0, self.fault_stall_ns())
-        return self.forward_latency_ns + stall_ns
+        return self.forward_latency_ns + self.stall_ns()
+
+    def stall_ns(self) -> float:
+        """The stall :attr:`fault_stall_ns` adds to the forward path of
+        the transaction taking it now (0.0 if none)."""
+        if self.fault_stall_ns is None:
+            return 0.0
+        return max(0.0, self.fault_stall_ns())
 
     def forwarded(self, lane: _Lane, request: MemoryRequest) -> None:
         """The head has crossed the forward path: an error response ends
@@ -222,3 +231,43 @@ class AxiInterconnect:
     def _next(self, lane: _Lane) -> None:
         if lane:
             self.forward(lane)
+
+    def pass_through(
+        self,
+        master: str,
+        issued: Sequence[float],
+        retired: Sequence[float],
+        routed_bytes: int,
+        retired_bytes: int,
+    ) -> None:
+        """Account, in bulk, requests of ``master`` that met an idle lane:
+        one admitted and routed with no wait at each time of ``issued``
+        (``routed_bytes`` in all) and one retired at each time of
+        ``retired`` (``retired_bytes``), each request retired before the
+        next is admitted.  The first retirement leads when it outnumbers
+        the admissions.  The gauge, histogram and ledgers read as
+        :meth:`admit`, :meth:`route` and :meth:`retire` per request leave
+        them."""
+        if not issued and not retired:
+            return
+        if master not in self._lanes:
+            self._register(master)
+        ledger = self.masters[master]
+        counts = self.counts
+        count = len(issued)
+        counts.transactions += count
+        counts.bytes += routed_bytes
+        ledger.transactions += count
+        ledger.bytes += retired_bytes
+        self._m_queue_wait_us.observe_many([0.0] * count)
+        # The outstanding count rises at each admission and falls at each
+        # retirement, alternately.
+        steps = count + len(retired)
+        times = [0.0] * steps
+        if count >= len(retired):
+            times[::2], times[1::2], deltas = issued, retired, (1, -1)
+        else:
+            times[::2], times[1::2], deltas = retired, issued, (-1, 1)
+        gauge = self._m_outstanding
+        levels = list(accumulate(deltas * (steps // 2 + 1), initial=gauge.value or 0.0))
+        gauge.set_many(times, levels[1 : steps + 1])

@@ -120,6 +120,11 @@ class AxiHpPort:
         """Count ``request``'s bytes, which have crossed the port now."""
         self.bytes_transferred += request.size
 
+    def carry(self, nbytes: int) -> None:
+        """Count ``nbytes`` of several requests that have crossed the
+        port: :meth:`carried` in bulk."""
+        self.bytes_transferred += nbytes
+
 
 class AxiAcpPort:
     """The Accelerator Coherency Port: cache-backed, low latency.

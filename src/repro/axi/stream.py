@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry
 from ..sim import Event, Simulator
@@ -233,14 +235,58 @@ class AxiStream:
         for granted in grants:
             granted()
 
-    def swap(self, old: Callable, new: Callable) -> None:
-        """Put ``new`` in the place of ``old`` wherever the stream holds it
-        waiting: as a taker, or as a blocked producer's grant."""
-        self._takers = deque(new if t == old else t for t in self._takers)
-        self._space_waiters = deque(
-            (words, new if granted == old else granted, since_ns)
-            for words, granted, since_ns in self._space_waiters
-        )
+    def settle(
+        self,
+        *,
+        free_words: int,
+        queued: Iterable[StreamBurst],
+        taker: Optional[Callable[[StreamBurst], None]],
+        waiter: Optional[Tuple[int, Callable[[], None], float]],
+        pushed_words: int,
+        taken_words: int,
+        taken_bursts: int,
+        granted_words: int,
+        released_words: int,
+        waits: int,
+        waited_ns: Sequence[float],
+        depths: Sequence[int],
+        levels_at: Sequence[float],
+        levels: Sequence[int],
+        ops: int,
+    ) -> None:
+        """Apply, in bulk, the operations of a producer and a consumer
+        that held this stream alone, and take the state they left: the
+        free room, the ``queued`` bursts, the consumer waiting as
+        ``taker`` (or draining) and the producer waiting as ``waiter``
+        (or not).  One burst was pushed per value of ``depths`` (the
+        depth each found), ``taken_bursts`` were handed off, ``waits``
+        reservations queued and were granted after ``waited_ns`` each;
+        the occupancy read each of ``levels`` from the matching time of
+        ``levels_at``.  The counts, ledgers, gauge and histogram read as
+        the :meth:`push`, :meth:`reserve`, :meth:`release` and
+        :meth:`take` calls leave them; the monitor checks the stream
+        ``ops`` times, once the whole batch is applied."""
+        if free_words > self.fifo_words:
+            raise AssertionError(f"{self.name}: released more words than consumed")
+        self._free_words = free_words
+        self._bursts = deque(queued)
+        self._takers = deque() if taker is None else deque((taker,))
+        self._space_waiters = deque() if waiter is None else deque((waiter,))
+        counts = self.counts
+        counts.words_total += pushed_words
+        counts.backpressure_stalls += waits
+        counts.backpressure_ns = reduce(add, waited_ns, counts.backpressure_ns)
+        self.stat_queued_words += pushed_words - taken_words
+        self.stat_consumed_words += taken_words
+        self.stat_pushed_bursts += len(depths)
+        self.stat_taken_bursts += taken_bursts
+        self.stat_granted_words += granted_words
+        self.stat_released_words += released_words
+        self._m_depth.observe_many(depths)
+        self._m_occupancy.set_many(levels_at, levels)
+        if self.monitor is not None:
+            for _ in range(ops):
+                self.monitor.on_stream_op(self)
 
     # -- inspection ---------------------------------------------------------------
     def quiet(self, held_words: int) -> bool:

@@ -391,6 +391,7 @@ class PdrSystem:
             name=f"fw.reconfigure:{region}",
         )
         result: ReconfigResult = self.sim.run_until(process)
+        self._check_conservation(result)
         self.results.append(result)
         return result
 
@@ -476,8 +477,61 @@ class PdrSystem:
             name=f"fw.reconfigure_batch:{label}",
         )
         batch: BatchReconfigResult = self.sim.run_until(process)
+        self._check_conservation(batch.load)
         self.results.append(batch.load)
         return batch
+
+    def _check_conservation(self, result: ReconfigResult) -> None:
+        """Raise :class:`RuntimeError` unless the datapath conserved what
+        it moved over this system's loads so far: every word of FIFO room
+        granted was released, with the FIFO empty and every burst pushed
+        taken; the DMA moved 4 bytes per word the stream carried and the
+        ICAP consumed; and the port, the crossbar and the DDR controller
+        count the same bytes for the DMA's port.  The load's timed phases
+        must sum to its latency within 1 us."""
+        stream, port = self.stream, self.hp0
+        breaches = []
+        if (
+            stream.stat_granted_words != stream.stat_released_words
+            or stream.free_words != stream.fifo_words
+            or stream.queued_bursts
+            or stream.stat_pushed_bursts != stream.stat_taken_bursts
+        ):
+            breaches.append(
+                f"stream granted {stream.stat_granted_words} / released "
+                f"{stream.stat_released_words} words, {stream.free_words} of "
+                f"{stream.fifo_words} free, bursts pushed "
+                f"{stream.stat_pushed_bursts} / taken {stream.stat_taken_bursts}"
+            )
+        moved = self.dma.counts.bytes_moved
+        carried = 4 * stream.counts.words_total
+        consumed = 4 * self.icap.counts.words_consumed
+        if not moved == carried == consumed:
+            breaches.append(
+                f"DMA moved {moved} bytes, the stream carried {carried}, "
+                f"the ICAP consumed {consumed}"
+            )
+        ledgers = (
+            self.interconnect.masters.get(port.name),
+            self.dram_controller.masters.get(port.name),
+        )
+        crossbar, ddr = (0 if ledger is None else ledger.bytes for ledger in ledgers)
+        if not port.bytes_transferred == crossbar == ddr:
+            breaches.append(
+                f"{port.name} carried {port.bytes_transferred} bytes, the "
+                f"crossbar {crossbar}, the DDR controller {ddr}"
+            )
+        if result.latency_us is not None:
+            timed = result.timed_phase_sum_us
+            if timed is None or abs(timed - result.latency_us) > 1.0:
+                breaches.append(
+                    f"timed phases sum to {timed} us, latency is {result.latency_us} us"
+                )
+        if breaches:
+            raise RuntimeError(
+                f"datapath conservation broken after {result.region}: "
+                + "; ".join(breaches)
+            )
 
     # ---------------------------------------------------------------- firmware --
     def _gate_clock(self, freq_mhz: float, target: str) -> float:

@@ -18,9 +18,10 @@ entry (:meth:`~repro.sim.Simulator.call_later`) ending in
 :meth:`~AxiDmaEngine.fetched` with the burst's bytes, which go onto the
 stream as read from DRAM.  A soft reset moves the transfer epoch on, so
 an entry or port access of the abandoned transfer drops out when it lands.
-A buffer whose datapath is quiet runs the same stages, with the same
-accounting, inside the ``issue`` entry of its first burst while the
-kernel's order lets it (:meth:`~AxiDmaEngine._run_buffer`).
+A buffer whose datapath is quiet runs the same stages as one loop inside
+the ``issue`` entry of its first burst while the kernel's order lets it,
+and each device applies the buffer's accounting at once
+(:meth:`~AxiDmaEngine._run_buffer`).
 
 Scatter-gather (SG) mode adds two stages to the chain, through the same
 HP port as the data: :meth:`~AxiDmaEngine.start_chain` reads a
@@ -38,7 +39,8 @@ interrupt (see :mod:`repro.timing`).
 from __future__ import annotations
 
 import struct
-from typing import Callable, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 from ..axi.ports import AxiHpPort
 from ..axi.stream import AxiStream, StreamBurst
@@ -70,6 +72,8 @@ _STATUS_COMPLETE = struct.pack(">I", STAT_CMPLT)
 #: A quiet buffer's memory-path stages, one kernel entry each on the
 #: chain (:meth:`AxiDmaEngine._run_buffer`).
 _ISSUE, _FORWARD, _SERVE, _STREAM = 1, 2, 3, 4
+#: Drained bytes a quiet buffer's run holds before the ICAP takes them.
+_FEED_BYTES = 64 * 1024
 
 
 class _PortTarget:
@@ -323,149 +327,404 @@ class AxiDmaEngine:
 
     def _run_buffer(self) -> bool:
         """Run the buffer whose first burst issues now inside this entry,
-        stage by stage, while the kernel's order allows; returns whether
-        it started, and so took the burst's issue (DESIGN §16).
+        as one loop over its stages, while the kernel's order allows;
+        returns whether it started, and so took the burst's issue
+        (DESIGN §16).
 
         It starts when the port's master alone uses an idle lane and
-        bus, and the ICAP alone waits on an empty stream.  The chain's
-        two pending stages, the burst's memory path and the ICAP's
-        drain, are held under the numbers the chain would queue them
-        with; each runs in place, through the chain's accounting and
-        fault hooks, while it is the kernel's next entry.  The run is
-        the stream's taker until the last drain, whose release completes
-        the buffer in :meth:`complete`.  A stage that is not next, an
-        SLVERR, an ICAP lock-up or a drain that leaves the DMA waiting
-        for FIFO room hands the rest to the chain.
+        bus, the ICAP alone waits on an empty stream and the buffer lies
+        inside the DRAM.  The chain's two pending stages, the burst's
+        memory path and the ICAP's drain, are held in local variables
+        under the numbers the chain would queue them with, their times
+        made from the chain's delays in the chain's order; each runs in
+        place while it is the kernel's next entry.  The devices'
+        accounting is tallied and applied through each device's bulk
+        method when the buffer ends or hands off; the ICAP takes its
+        bursts' bytes every 64 KiB, and while a monitor watches, the
+        stream settles after every stage that operated on it.  The
+        first burst's arrival at the ICAP and the last drain run the
+        chain's own methods, so ``busy``, ``done`` and the completion
+        move as there.  A stage that is not next, an SLVERR or an ICAP
+        lock-up hands the rest to the chain.
         """
         sim = self.sim
         port = self.port
         interconnect = port.interconnect
         controller = interconnect.controller
+        device = controller.device
         stream = self.stream
         icap = stream.consumer
         master = port.name
+        cursor, remaining, size = self._cursor, self._remaining, self._burst_bytes
         if not (
-            stream.quiet(self._burst_bytes >> 2)
+            stream.quiet(size >> 2)
             and interconnect.quiet(master)
             and controller.quiet(master)
+            and device.holds(cursor, remaining)
         ):
             return False
+        # A monitor's probes run at the stages they check: the DDR
+        # controller's at each access and the ICAP's at each drain, on
+        # state the loop keeps live, and the stream's after each stage
+        # that operated on it, once the stream has settled.
+        dram_monitor, icap_monitor = controller.monitor, icap.monitor
+        stream_watched = stream.monitor is not None
+        stall_hook, error_hook = interconnect.fault_stall_ns, interconnect.fault_error
+        latency_hook = controller.fault_latency_ns
+        tamper_hook = controller.fault_read_tamper
+        lockup_hook = icap.fault_lockup_cycles
+        load = device.load
+
         # The delays every full burst shares.
-        size = self.max_burst_bytes
+        full = self.max_burst_bytes
+        full_words = full >> 2
         gap = self.clock.cycles_to_ns(self.cmd_overhead_cycles)
-        tail = port.tail_ns(size)
-        drain = icap.drain_ns(size >> 2)
+        forward = interconnect.forward_latency_ns
+        transfer = device.transfer_ns(full)
+        tail = port.tail_ns(full)
+        drain = icap.drain_ns(full_words)
+        fifo = stream.fifo_words
+        feed_every = max(1, _FEED_BYTES // full)
+        # The bank machine is asked once per row: the bursts after the
+        # first in a row hit it, or miss it again under the closed page.
+        timing = controller.timing
+        row_bytes = device.timing.row_bytes
+        policy = controller.page_policy
+        closed = policy == "closed"
+        again = "miss" if closed else "hit"
+        again_ns = timing.access_ns(again)
+        row = bank = -1
+        # Lazy refresh is due once tREFI has passed since the last one;
+        # the refresh engine is asked at every burst.
+        trefi = timing.trefi_ns
+        lazy = controller.refresh_mode == "lazy" and trefi > 0
+        engine = controller.refresh_mode == "engine" and trefi > 0
+        last_refresh = controller.last_refresh_ns
+        last_end = None
 
+        # The kernel's counters, mirrored: the held stages take their
+        # numbers from ``seq``, ``events`` counts the stages run in place
+        # and ``peak`` the most entries pending as one began.
+        now = sim.now
+        seq, events, peak, clear = sim.sequence, sim.events_processed, 0, sim.clear
         # The held stages: the memory path's (``mem``: 0 while the DMA
-        # waits for FIFO room) and the drain's (``drained``: the burst, or
-        # None; ``lockup``: the lock-up holding it back), each with its
-        # time and sequence number; ``now`` is the time of the stage being
-        # run, which for the first is this entry.
-        now = mem_at = sim.now
-        mem = _ISSUE
-        mem_seq = 0
-        drained = None
-        drain_at = lockup = 0.0
-        drain_seq = 0
-
-        # A stage is held under the number its ``call_later`` would take.
-        def granted() -> None:
-            nonlocal mem, mem_at, mem_seq
-            mem, mem_at = _ISSUE, now + gap
-            mem_seq = sim.sequence = sim.sequence + 1
-
-        def receive(burst: StreamBurst) -> None:
-            nonlocal drained, drain_at, drain_seq, lockup
-            start_burst()
-            lockup = icap.lockup_ns()
-            drained = burst
-            drain_seq = sim.sequence = sim.sequence + 1
-            if lockup:
-                drain_at = now + lockup
-            else:
-                full = len(burst.data) == size
-                drain_at = now + (drain if full else icap.drain_ns(burst.word_count))
-
-        # The loop runs a stage per pass; its calls are bound once.
-        enter = sim.enter
-        admit, route, retire = interconnect.admit, interconnect.route, interconnect.retire
-        queue, begin_service, finish_service = (
-            controller.admit,
-            controller.begin_service,
-            controller.finish_service,
-        )
-        carried = port.carried
-        start_burst, finish_burst = icap.start_burst, icap.finish_burst
-        release, take = stream.release, stream.take
-        issued, push, reserve_next = self._issued, self._push, self._reserve_next
-
-        stream.swap(icap.receive, receive)
-        request = MemoryRequest(self._cursor, self._burst_bytes, master=master)
+        # waits for FIFO room) and the drain's (``drained``: the burst's
+        # bytes, or None; ``lockup``: the lock-up holding it back), each
+        # with its time and number.  The first is this entry.
+        mem, mem_at, mem_seq = _ISSUE, now, 0
+        drained, drain_at, drain_seq, drained_words, lockup = None, 0.0, 0, 0, 0.0
+        data = b""
         error = None
-        while not lockup:
+        # The stream: its free room, the bursts pushed and not yet taken,
+        # whether the ICAP waits for one and the room the DMA waits for.
+        free = stream.free_words
+        queued: Deque[Tuple[bytes, int]] = deque()
+        consumer_waits = True
+        waiting, waited_at = 0, 0.0
+        total = -(-remaining // full)
+        received = 0
+        wait_from = 0.0
+        request = MemoryRequest(cursor, size, master=master)
+
+        # The tallies each device applies in bulk.
+        issued, started, ended = [], [], []
+        issued_bytes = served_bytes = 0
+        outcomes = dict.fromkeys(("hit", "miss", "conflict"), 0)
+        pushed = pushed_size = pushed_len = pushed_words = 0
+        depths, levels_at, levels, waited_ns = [], [], [], []
+        taken = taken_words = granted_words = released_words = waits = ops = 0
+        bursts, received_at, waited_since = [], [], []
+
+        def sync() -> None:
+            # The kernel's counters as the stages run so far leave them.
+            nonlocal peak
+            sim.sequence = seq
+            sim.advance(now, events - sim.events_processed, peak)
+            peak = 0
+
+        def call(fn: Callable, *args):
+            # A call out of the loop (a fault hook, a signal's edge) sees
+            # the kernel at the stage, and may queue entries.
+            nonlocal seq, clear
+            sync()
+            result = fn(*args)
+            seq, clear = sim.sequence, sim.clear
+            return result
+
+        def entered(when: float, number: int) -> bool:
+            # A stage due at or after the clearance asks the kernel.
+            nonlocal events, clear
+            sync()
+            if not sim.enter(when, number):
+                return False
+            events, clear = sim.events_processed, sim.clear
+            return True
+
+        def settle() -> None:
+            # The stream takes the operations so far and the state the
+            # loop leaves it in.
+            nonlocal pushed_words, taken, taken_words, granted_words
+            nonlocal released_words, waits, ops
+            next_grant = self.granted if remaining else self.complete
+            stream.settle(
+                free_words=free,
+                queued=[
+                    StreamBurst(burst, received + index == total)
+                    for index, (burst, _words) in enumerate(queued, 1)
+                ],
+                taker=icap.receive if consumer_waits else None,
+                waiter=(waiting, next_grant, waited_at) if waiting else None,
+                pushed_words=pushed_words,
+                taken_words=taken_words,
+                taken_bursts=taken,
+                granted_words=granted_words,
+                released_words=released_words,
+                waits=waits,
+                waited_ns=waited_ns,
+                depths=depths,
+                levels_at=levels_at,
+                levels=levels,
+                ops=ops,
+            )
+            for tally in (depths, levels_at, levels, waited_ns):
+                tally.clear()
+            pushed_words = taken = taken_words = granted_words = 0
+            released_words = waits = ops = 0
+
+        def flush() -> None:
+            # Every device applies the tallies so far and takes the state
+            # the loop leaves it in.
+            nonlocal issued_bytes, served_bytes, pushed, pushed_size, pushed_len
+            sync()
+            icap.finish_bursts(bursts, received_at, waited_since, wait_from)
+            controller.serve_through(master, started, ended, served_bytes, outcomes)
+            interconnect.pass_through(master, issued, ended, issued_bytes, served_bytes)
+            port.carry(pushed_size)
+            if ops:
+                settle()
+            counts = self.counts
+            counts.cmd_overhead_cycles += len(issued) * self.cmd_overhead_cycles
+            counts.bursts_issued += pushed
+            counts.bytes_moved += pushed_size
+            self._pushed_bytes += pushed_len
+            self._cursor, self._remaining, self._burst_bytes = cursor, remaining, size
+            if mem:
+                self._reservation = (size >> 2, self.granted)
+            elif waiting:
+                grant = self.granted if remaining else self.complete
+                self._reservation = (waiting, grant)
+            for tally in (issued, started, ended, bursts, received_at, waited_since):
+                tally.clear()
+            outcomes.update(hit=0, miss=0, conflict=0)
+            issued_bytes = served_bytes = pushed = pushed_size = pushed_len = 0
+
+        while True:
             # The drain runs first when the heap would order it first: by
-            # time, then by sequence number.
+            # time, then by number.
             if drained is not None and (
                 not mem
                 or drain_at < mem_at
                 or (drain_at == mem_at and drain_seq < mem_seq)
             ):
-                if not enter(drain_at, drain_seq):
+                if drain_at < clear:
+                    if seq - events > peak:
+                        peak = seq - events
+                    events += 1
+                elif not entered(drain_at, drain_seq):
                     break
                 now = drain_at
-                burst, drained = drained, None
-                release(finish_burst(burst))
-                if burst.last:
-                    take(icap.receive)
+                if received == total:
+                    # The last burst: the chain's own drain completes the
+                    # buffer once the devices hold the loop's state.
+                    flush()
+                    stream.release(icap.finish_burst(StreamBurst(drained, True)))
+                    stream.take(icap.receive)
                     return True
-                take(receive)
+                if icap_monitor is not None:
+                    call(icap_monitor.on_icap_words, icap, drained_words)
+                bursts.append(drained)
+                wait_from = now
+                free += drained_words
+                released_words += drained_words
+                ops += 1
+                if waiting and free >= waiting:
+                    free -= waiting
+                    granted_words += waiting
+                    waited_ns.append(now - waited_at)
+                    waiting = 0
+                    mem, mem_at = _ISSUE, now + gap
+                    seq += 1
+                    mem_seq = seq
+                levels_at.append(now)
+                levels.append(fifo - free)
+                # The ICAP takes the next burst, if one is queued.
+                if queued:
+                    drained, drained_words = queued.popleft()
+                    received += 1
+                    taken += 1
+                    taken_words += drained_words
+                    if lockup_hook is not None:
+                        lockup = call(icap.lockup_ns)
+                    if lockup:
+                        drain_at = now + lockup
+                    elif drained_words == full_words:
+                        drain_at = now + drain
+                    else:
+                        drain_at = now + icap.drain_ns(drained_words)
+                    seq += 1
+                    drain_seq = seq
+                else:
+                    drained = None
+                    consumer_waits = True
+                if stream_watched:
+                    sync()
+                    settle()
+                if len(bursts) == feed_every:
+                    icap.finish_bursts(bursts, received_at, waited_since, now)
+                    bursts.clear()
+                    received_at.clear()
+                    waited_since.clear()
+                if lockup:
+                    break
                 continue
             if not mem:
-                # No stage held: the drain freed no room for the DMA.
+                # No stage held: nothing drains and the DMA has no room.
                 break
             if mem_seq:
-                if not enter(mem_at, mem_seq):
+                if mem_at < clear:
+                    if seq - events > peak:
+                        peak = seq - events
+                    events += 1
+                elif not entered(mem_at, mem_seq):
                     break
                 now = mem_at
-            # ``crossed`` once the burst has left the port.
-            crossed = False
             if mem == _ISSUE:
-                issued()
-                request.addr = self._cursor
-                request.size = self._burst_bytes
-                admit(request)
-                mem, mem_at = _FORWARD, now + route(request)
+                issued.append(now)
+                issued_bytes += size
+                if stall_hook is None:
+                    mem_at = now + forward
+                else:
+                    mem_at = now + (forward + call(interconnect.stall_ns))
+                mem = _FORWARD
             elif mem == _FORWARD:
-                error = interconnect.error_response(request)
-                if error is not None:
-                    break
-                queue(request)
-                mem, mem_at = _SERVE, now + begin_service(request)
+                if error_hook is not None:
+                    request.addr, request.size = cursor, size
+                    error = call(interconnect.error_response, request)
+                    if error is not None:
+                        break
+                started.append(now)
+                stall = 0.0
+                if lazy:
+                    if now - last_refresh >= trefi:
+                        stall = controller.refresh_stall(now)
+                        last_refresh = controller.last_refresh_ns
+                elif engine:
+                    stall = controller.refresh_stall(now, last_end)
+                if cursor // row_bytes == row:
+                    outcome, access = again, again_ns
+                    opened = None if closed else row
+                else:
+                    outcome, bank, row, opened = device.bank_access(
+                        cursor, size, policy
+                    )
+                    access = timing.access_ns(outcome)
+                outcomes[outcome] += 1
+                if dram_monitor is not None:
+                    request.addr, request.size = cursor, size
+                    call(
+                        dram_monitor.on_dram_access,
+                        controller, request, bank, row, outcome, opened, stall,
+                    )
+                if size == full:
+                    mem_at = stall + access + transfer
+                else:
+                    mem_at = stall + access + device.transfer_ns(size)
+                if latency_hook is not None:
+                    request.addr, request.size = cursor, size
+                    mem_at += call(controller.fault_ns, request)
+                mem_at += now
+                mem = _SERVE
             elif mem == _SERVE:
-                finish_service(request)
-                retire(request)
-                extra = tail if request.size == size else port.tail_ns(request.size)
+                data = load(cursor, size)
+                if tamper_hook is not None:
+                    request.addr, request.size, request.read_data = cursor, size, data
+                    data = call(tamper_hook, request, data)
+                ended.append(now)
+                served_bytes += size
+                last_end = now
+                extra = tail if size == full else port.tail_ns(size)
                 if extra > 0:
                     mem, mem_at = _STREAM, now + extra
                 else:
-                    crossed = True
+                    mem = 0
             else:
-                crossed = True
-            if crossed:
-                carried(request)
                 mem = 0
-                push(request.read_data)
-                reserve_next(granted)
+            if mem:
+                seq += 1
+                mem_seq = seq
             else:
-                mem_seq = sim.sequence = sim.sequence + 1
+                # The burst has left the port: push it onto the stream,
+                # where the ICAP may wait for it, then reserve room for
+                # the next burst, or for the final drain.
+                pushed += 1
+                pushed_size += size
+                pushed_len += len(data)
+                words = len(data) >> 2
+                pushed_words += words
+                depths.append(fifo - free)
+                ops += 2
+                if consumer_waits:
+                    consumer_waits = False
+                    received += 1
+                    taken += 1
+                    taken_words += words
+                    if received == 1:
+                        call(icap.start_burst)
+                    else:
+                        received_at.append(now)
+                        waited_since.append(wait_from)
+                    drained, drained_words = data, words
+                    if lockup_hook is not None:
+                        lockup = call(icap.lockup_ns)
+                    if lockup:
+                        drain_at = now + lockup
+                    elif words == full_words:
+                        drain_at = now + drain
+                    else:
+                        drain_at = now + icap.drain_ns(words)
+                    seq += 1
+                    drain_seq = seq
+                else:
+                    queued.append((data, words))
+                cursor += size
+                remaining -= size
+                if remaining:
+                    size = full if remaining > full else remaining
+                    need = size >> 2
+                else:
+                    need = fifo
+                if free >= need:
+                    free -= need
+                    granted_words += need
+                    levels_at.append(now)
+                    levels.append(fifo - free)
+                    mem, mem_at = _ISSUE, now + gap
+                    seq += 1
+                    mem_seq = seq
+                else:
+                    waits += 1
+                    waiting, waited_at = need, now
+            if stream_watched and ops:
+                sync()
+                settle()
+            if lockup:
+                break
 
-        # The handoff: the stream's taker and the FIFO grant go back to
-        # the chain's, a burst past its issue goes on its lane, then the
-        # held stages are queued as the chain's entries.
-        stream.swap(receive, icap.receive)
-        stream.swap(granted, self.granted)
-        if self._reservation is not None and self._reservation[1] is granted:
-            self._reservation = (self._reservation[0], self.granted)
+        # The handoff: the devices take the loop's state, a burst past its
+        # issue goes on its lane, then the held stages are queued as the
+        # chain's entries.
+        flush()
+        request.addr, request.size, request.read_data = cursor, size, data
         request.done = _PortTarget(self, self.fetched, self._epoch)
         if mem == _FORWARD or mem == _SERVE:
             lane = interconnect.occupy(request, port.deliver)
@@ -483,7 +742,8 @@ class AxiDmaEngine:
             sim.queue_held(mem_at, mem_seq, port.streamed, request)
         if drained is not None:
             stage = icap.clock_in if lockup else icap.drained
-            sim.queue_held(drain_at, drain_seq, stage, drained)
+            burst = StreamBurst(drained, received == total)
+            sim.queue_held(drain_at, drain_seq, stage, burst)
         return True
 
     def failed(self, epoch: int, exc: BaseException) -> None:

@@ -55,7 +55,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from functools import reduce
+from itertools import repeat
+from operator import add, sub, truediv
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Counts, MetricsRegistry
 from ..sim import Event, Simulator
@@ -177,8 +180,8 @@ class BankDramController:
         #: Per-master ledgers: exported ``bytes`` and ``wait_ns``, plus
         #: the model-only ``requests`` count.
         self.masters: Dict[str, Counts] = {}
-        # Lazy-refresh state.
-        self._last_refresh_ns = 0.0
+        #: Lazy-refresh state: when the refreshes accounted so far end.
+        self.last_refresh_ns = 0.0
         # Engine-refresh state: next due time, bus-held-until, last
         # service end (a refresh can't preempt an in-flight burst).
         self._refresh_next_ns = self.timing.trefi_ns
@@ -267,17 +270,21 @@ class BankDramController:
         """Account ``request`` reaching the multiplexer now (its master is
         registered on its first request); returns its master's queue."""
         request.submitted_ns = self.sim.now
-        master = request.master
-        queue = self._queues.get(master)
+        queue = self._queues.get(request.master)
         if queue is None:
-            queue = self._queues[master] = deque()
-            self._rr_order.append(master)
-            ledger = self.masters[master] = self.metrics.counts(
-                f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
-            )
-            ledger.requests = 0
+            queue = self._register(request.master)
         self._pending += 1
         self._m_queue_depth.set(self._pending)
+        return queue
+
+    def _register(self, master: str) -> Deque:
+        """Give ``master`` its queue, round-robin slot and ledger."""
+        queue = self._queues[master] = deque()
+        self._rr_order.append(master)
+        ledger = self.masters[master] = self.metrics.counts(
+            f"{self.name}.master.{master}", bytes=0, wait_ns=0.0
+        )
+        ledger.requests = 0
         return queue
 
     def quiet(self, master: str) -> bool:
@@ -321,7 +328,18 @@ class BankDramController:
         raise AssertionError("pending count out of sync with queues")
 
     # -- refresh engine -------------------------------------------------------
-    def _refresh_stall(self, start_ns: float) -> float:
+    def refresh_stall(self, start_ns: float, floor_ns: Optional[float] = None) -> float:
+        """Charge refresh to a burst going on the bus at ``start_ns``:
+        returns its stall, counted in ``refresh_stall_ns``.  ``floor_ns``
+        is when the bus last finished a burst, if not yet accounted."""
+        stall_ns = self._refresh_stall(start_ns, floor_ns)
+        if stall_ns:
+            self.counts.refresh_stall_ns += stall_ns
+        return stall_ns
+
+    def _refresh_stall(
+        self, start_ns: float, floor_ns: Optional[float] = None
+    ) -> float:
         """Stall imposed on a burst starting at ``start_ns`` by refresh.
 
         Advances refresh bookkeeping as a side effect.  Deterministic:
@@ -331,17 +349,17 @@ class BankDramController:
         if self.refresh_mode == "off" or timing.trefi_ns <= 0:
             return 0.0
         if self.refresh_mode == "lazy":
-            elapsed = start_ns - self._last_refresh_ns
+            elapsed = start_ns - self.last_refresh_ns
             if elapsed >= timing.trefi_ns:
                 intervals = int(elapsed // timing.trefi_ns)
-                self._last_refresh_ns += intervals * timing.trefi_ns
+                self.last_refresh_ns += intervals * timing.trefi_ns
                 self.counts.refreshes_completed += intervals
                 return timing.trfc_ns
             return 0.0
         # engine: run every refresh due by start_ns at its earliest slot.
         busy_until = self._refresh_busy_until_ns
         next_due = self._refresh_next_ns
-        floor = self._service_end_ns
+        floor = self._service_end_ns if floor_ns is None else floor_ns
         completed = 0
         while next_due <= start_ns:
             begin = max(next_due, busy_until, floor)
@@ -382,9 +400,7 @@ class BankDramController:
         ledger.requests += 1
         ledger.wait_ns += wait_ns
 
-        stall_ns = self._refresh_stall(started)
-        if stall_ns:
-            counts.refresh_stall_ns += stall_ns
+        stall_ns = self.refresh_stall(started)
         outcome, bank, row, open_before = device.bank_access(
             request.addr, request.size, self.page_policy
         )
@@ -400,10 +416,14 @@ class BankDramController:
             )
         access = self.timing.access_ns(outcome)
         transfer = device.transfer_ns(request.size)
-        fault_ns = 0.0
-        if self.fault_latency_ns is not None:
-            fault_ns = max(0.0, self.fault_latency_ns(request))
-        return stall_ns + access + transfer + fault_ns
+        return stall_ns + access + transfer + self.fault_ns(request)
+
+    def fault_ns(self, request: MemoryRequest) -> float:
+        """The latency :attr:`fault_latency_ns` adds to ``request``'s
+        service (0.0 if none)."""
+        if self.fault_latency_ns is None:
+            return 0.0
+        return max(0.0, self.fault_latency_ns(request))
 
     def finish_service(self, request: MemoryRequest) -> None:
         """Complete the burst on the bus now: move its data and close its
@@ -427,3 +447,54 @@ class BankDramController:
         self.busy_ns += now - self._service_start_ns
         self._m_service_us.observe((now - self._service_start_ns) / 1e3)
         self._service_end_ns = now
+
+    def serve_through(
+        self,
+        master: str,
+        started: Sequence[float],
+        ended: Sequence[float],
+        nbytes: int,
+        outcomes: Dict[str, int],
+    ) -> None:
+        """Account, in bulk, reads of ``master`` that met an idle bus: one
+        put on the bus with no wait at each time of ``started`` (the count
+        of each bank outcome in ``outcomes``; its refresh already
+        charged by :meth:`refresh_stall` and its bank classified by the
+        device), and one served at each time of ``ended``, ``nbytes`` in
+        all.  The first end closes the service begun last before these
+        when it has no start among them.  The
+        gauges, histograms and ledgers read as :meth:`begin_service` and
+        :meth:`finish_service` per read leave them."""
+        if not started and not ended:
+            return
+        ledger = self.masters.get(master)
+        if ledger is None:
+            self._register(master)
+            ledger = self.masters[master]
+        counts = self.counts
+        # Pair every end with its start, the first perhaps from before.
+        begins = started
+        if len(ended) > len(started):
+            begins = [self._service_start_ns]
+            begins += started
+        if started:
+            count = len(started)
+            # Each read is queued and put on the bus in one instant.
+            times = [0.0] * (2 * count)
+            times[::2] = times[1::2] = started
+            levels = [self._pending + 1, self._pending] * count
+            self._m_queue_depth.set_many(times, levels)
+            self._m_queue_wait_us.observe_many([0.0] * count)
+            ledger.requests += count
+            counts.row_hits += outcomes["hit"]
+            counts.row_misses += outcomes["miss"]
+            counts.row_conflicts += outcomes["conflict"]
+            self._service_start_ns = started[-1]
+        if ended:
+            spans = list(map(sub, ended, begins))
+            self.busy_ns = reduce(add, spans, self.busy_ns)
+            self._m_service_us.observe_many(list(map(truediv, spans, repeat(1e3))))
+            counts.bytes_read += nbytes
+            ledger.bytes += nbytes
+            counts.requests_served += len(ended)
+            self._service_end_ns = ended[-1]

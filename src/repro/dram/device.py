@@ -115,6 +115,10 @@ class DramDevice:
             offset += chunk
         return bytes(out)
 
+    def holds(self, addr: int, size: int) -> bool:
+        """True when ``[addr, addr + size)`` lies inside the device."""
+        return addr >= 0 and size >= 0 and addr + size <= self.size_bytes
+
     # -- internals ----------------------------------------------------------
     def _bounds(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0 or addr + size > self.size_bytes:

@@ -27,7 +27,10 @@ runs fail their CRC.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Optional, Tuple
+from functools import reduce
+from itertools import repeat
+from operator import add, sub, truediv
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..axi.stream import AxiStream, StreamBurst
 from ..fabric.config_memory import ConfigMemory
@@ -237,6 +240,49 @@ class IcapController:
                 self.error_irq.assert_()
         self._wait_started_ns = self.sim.now
         return count
+
+    def finish_bursts(
+        self,
+        bursts: Sequence[bytes],
+        received_at: Sequence[float],
+        waited_since: Sequence[float],
+        drained_at: float,
+    ) -> None:
+        """Account, in bulk, bursts of a stream that is not at its last
+        burst: each of ``bursts`` (its bytes) passed the ICAP, the last
+        at ``drained_at``, and a burst reached the busy ICAP at each time
+        of ``received_at`` after a wait since the matching time of
+        ``waited_since``.  The counts and the decode batches are those of
+        :meth:`start_burst` and :meth:`finish_burst` per burst; a monitor
+        checks each drain where it happens."""
+        counts = self.counts
+        counts.stall_cycles = reduce(
+            add,
+            map(
+                truediv,
+                map(sub, received_at, waited_since),
+                repeat(self.clock.period_ns),
+            ),
+            counts.stall_cycles,
+        )
+        if not bursts:
+            return
+        corruptor = self.word_corruptor
+        pending = self._pending
+        words = 0
+        for data in bursts:
+            count = len(data) >> 2
+            if corruptor is not None:
+                data, flipped = corruptor(data)
+                counts.corrupted_words += flipped
+            pending.append(data)
+            self._pending_bytes += len(data)
+            words += count
+            if self._pending_bytes >= _BATCH_BYTES:
+                self._decode_pending()
+        counts.words_consumed += words
+        counts.bursts_consumed += len(bursts)
+        self._wait_started_ns = drained_at
 
     def _decode_pending(self) -> None:
         """Feed the queued bursts to the configuration port as one batch."""

@@ -28,8 +28,10 @@ Registries export to plain dicts.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul, sub
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counts",
@@ -138,6 +140,38 @@ class Gauge:
         """Adjust the level relative to its current value (0 if unset)."""
         self.set((self.value or 0.0) + delta)
 
+    def set_many(self, times: Sequence[float], values: Sequence[float]) -> None:
+        """Set the level to each of ``values`` at the matching time of
+        ``times`` (ns, in order): the bulk form of one :meth:`set` per
+        value, with the same integral (its terms added in the same order),
+        bounds, last value and count."""
+        if not values:
+            return
+        first = 0
+        if self.value is None:
+            self._first_ns = self._last_ns = times[0]
+            self.value = self.min = self.max = values[0]
+            first = 1
+        later = values[first:]
+        if later:
+            # Each set closes the interval since the one before it at the
+            # level that one left.
+            levels = [self.value]
+            levels += values[first:-1]
+            since = [self._last_ns]
+            since += times[first:-1]
+            self._integral = reduce(
+                add, map(mul, levels, map(sub, times[first:], since)), self._integral
+            )
+            low, high = min(later), max(later)
+            if low < self.min:
+                self.min = low
+            if high > self.max:
+                self.max = high
+        self.value = values[-1]
+        self._last_ns = times[-1]
+        self.sets += len(values)
+
     def time_weighted_mean(self, end_ns: Optional[float] = None) -> Optional[float]:
         """Integral of the level over the observation window, divided by it.
 
@@ -215,6 +249,33 @@ class Histogram:
             self._stride *= 2
             self._skip = self._stride - 1
         self._reservoir.append(value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe each of ``values`` in turn: the bulk form of one
+        :meth:`observe` per value, with the same sum (added in order),
+        bounds and decimated reservoir."""
+        if not values:
+            return
+        self.count += len(values)
+        self.sum = reduce(add, values, self.sum)
+        low, high = min(values), max(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+        # ``taken`` indexes the next value the reservoir keeps: one every
+        # ``_stride``, after the ``_skip`` still owed.
+        reservoir, stride, cap = self._reservoir, self._stride, self._cap
+        taken = self._skip
+        while taken < len(values):
+            if len(reservoir) >= cap:
+                reservoir = reservoir[::2]
+                stride *= 2
+            kept = values[taken : taken + (cap - len(reservoir)) * stride : stride]
+            reservoir += kept
+            taken += len(kept) * stride
+        self._reservoir, self._stride = reservoir, stride
+        self._skip = taken - len(values)
 
     @property
     def mean(self) -> Optional[float]:
@@ -431,7 +492,13 @@ class _NullMetric:
     def add(self, delta: float) -> None:
         pass
 
+    def set_many(self, times: Sequence[float], values: Sequence[float]) -> None:
+        pass
+
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: Sequence[float]) -> None:
         pass
 
     def sample(self, value: float) -> None:

@@ -333,9 +333,10 @@ class Simulator:
         #: on the heap, and it ends once ``_target`` has triggered.
         self._until = float("-inf")
         self._target: Optional[Event] = None
-        #: A held entry due before this is next (:meth:`enter`); queueing
-        #: an entry resets it to 0.0, unchecked.
-        self._clear = 0.0
+        #: The clearance: a held entry due before this is next
+        #: (:meth:`enter`, :meth:`advance`); queueing an entry resets it
+        #: to 0.0, unchecked.
+        self.clear = 0.0
 
     # -- time ---------------------------------------------------------------
     @property
@@ -402,7 +403,7 @@ class Simulator:
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay!r} ns in the past")
         self.sequence += 1
-        self._clear = 0.0
+        self.clear = 0.0
         heapq.heappush(self._heap, (self.now + delay, self.sequence, event))
         pending = self.sequence - self.events_processed - self._cancelled
         if pending > self.heap_high_water:
@@ -426,20 +427,37 @@ class Simulator:
         """
         if when < self.now:
             raise SchedulingError(f"held entry at {when!r} ns is in the past")
-        if not when < self._clear:
+        if not when < self.clear:
             heap = self._heap
             if when > self._until or (heap and heap[0] < (when, seq)):
                 return False
             target = self._target
             if when == self.now and target is not None and target.triggered:
                 return False
-            self._clear = min(heap[0][0], self._until) if heap else self._until
+            self.clear = min(heap[0][0], self._until) if heap else self._until
         pending = self.sequence - self.events_processed - self._cancelled
         if pending > self.heap_high_water:
             self.heap_high_water = pending
         self.now = when
         self.events_processed += 1
         return True
+
+    def advance(self, when: float, entries: int, peak: int) -> None:
+        """Account ``entries`` held entries run in place, each due before
+        :attr:`clear` and so next without a look at the heap, the last at
+        ``when``: ``now`` moves there and they count in
+        ``events_processed``.  ``peak`` is the highest ``sequence -
+        events_processed`` read as one of them began (0 if none), which
+        ``heap_high_water`` keeps as :meth:`enter` would have.  A ``when``
+        before ``now`` raises :class:`SchedulingError`.
+        """
+        if when < self.now:
+            raise SchedulingError(f"held entry at {when!r} ns is in the past")
+        pending = peak - self._cancelled
+        if pending > self.heap_high_water:
+            self.heap_high_water = pending
+        self.now = when
+        self.events_processed += entries
 
     def queue_held(self, when: float, seq: int, fn: Callable, *args: Any) -> None:
         """Queue the held entry ``(when, seq)`` as the ``call_later(fn,
@@ -448,7 +466,7 @@ class Simulator:
         if when < self.now:
             raise SchedulingError(f"held entry at {when!r} ns is in the past")
         self._note_pending()
-        self._clear = 0.0
+        self.clear = 0.0
         heapq.heappush(self._heap, (when, seq, _Call(fn, args)))
 
     # -- execution -------------------------------------------------------------
@@ -536,7 +554,7 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         self._until, self._target = until, target
-        self._clear = 0.0
+        self.clear = 0.0
         while heap and heap[0][0] <= until:
             when, _seq, entry = pop(heap)
             self.now = when

@@ -168,3 +168,37 @@ def test_a_finished_load_leaves_nothing_behind():
         assert result.interrupt_seen == (freq_mhz < 310.0)
         assert [when for when, _seq, _entry in sim._heap if when > sim.now] == []
         assert system.dma.ioc_irq._waiters == []
+
+
+def test_a_dropped_burst_count_breaks_conservation():
+    """Each load ends by checking the datapath's conservation laws: a
+    stream that loses count of one burst it handed the ICAP raises."""
+    system = PdrSystem()
+    system.set_die_temperature(40.0)
+    settle, dropped = system.stream.settle, []
+
+    def drop_one(**batch):
+        if not dropped and batch["taken_bursts"]:
+            dropped.append(batch["taken_bursts"])
+            batch["taken_bursts"] -= 1
+        settle(**batch)
+
+    system.stream.settle = drop_one
+    with pytest.raises(RuntimeError, match="bursts pushed 517 / taken 516"):
+        system.reconfigure("RP1", FirFilterAsp([1, 2, 3, 4]), 200.0)
+    assert dropped
+
+
+def test_conservation_reads_an_unmade_ledger_as_zero():
+    """An SLVERR on the first burst ends it at the crossbar: the DDR
+    controller never makes a ledger for the port, which reads as the 0
+    bytes the port and the crossbar carried."""
+    from repro.axi import AxiSlaveError
+
+    system = PdrSystem(PdrSystemConfig(irq_timeout_us=1000.0))
+    system.set_die_temperature(40.0)
+    system.interconnect.fault_error = lambda *_request: AxiSlaveError("SLVERR")
+    result = system.reconfigure("RP1", FirFilterAsp([1, 2, 3, 4]), 200.0)
+    assert result.latency_us is None
+    assert "hp0" not in system.dram_controller.masters
+    assert system.interconnect.masters["hp0"].bytes == system.hp0.bytes_transferred == 0

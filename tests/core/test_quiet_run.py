@@ -41,7 +41,6 @@ from repro.fabric import (
     Aes128Asp,
     ConfigMemory,
     FirFilterAsp,
-    MatMulAsp,
     VectorScaleAsp,
 )
 from repro.fleet import FleetSpec, run_fleet
@@ -155,6 +154,21 @@ def test_telemetry_off_load_matches_the_chain():
         return _observed(system, [system.reconfigure("RP1", _ASP, 200.0)])
 
     quiet, chain = _both_paths(run)
+    assert quiet == chain
+
+
+def test_seventeen_loads_on_one_system_match_the_chain():
+    """17 loads at 200 MHz on one system observe 17 x 517 = 8,789 values
+    in each per-burst histogram, past two doublings of the 4,096-sample
+    reservoir, and integrate every gauge across the loads."""
+
+    def run(chain):
+        system = _system(chain)
+        results = [system.reconfigure("RP1", _ASP, 200.0) for _ in range(17)]
+        return _observed(system, results)
+
+    quiet, chain = _both_paths(run)
+    assert quiet["metrics"]["ddrc.service_us"]["count"] == 17 * 517
     assert quiet == chain
 
 
@@ -278,7 +292,27 @@ def test_foreign_entry_inside_a_load_reads_the_chains_counts():
     assert quiet_end == chain_end
 
 
-def _tied_transfer(chain, fifo_words=1024, foreign=None):
+class _StageRecorder:
+    """Watches a stream and its ICAP as an invariant monitor does, noting
+    when a burst reaches the stream ("streamed") and when one leaves the
+    ICAP ("drained").  The chain calls it from each operation and the
+    run after each stage, so both read the order the stages ran in."""
+
+    def __init__(self, sim, stages):
+        self.sim = sim
+        self.stages = stages
+        self.pushed = 0
+
+    def on_stream_op(self, stream):
+        if stream.stat_pushed_bursts > self.pushed:
+            self.pushed = stream.stat_pushed_bursts
+            self.stages.append((self.sim.now, "streamed"))
+
+    def on_icap_words(self, icap, words):
+        self.stages.append((self.sim.now, "drained"))
+
+
+def _tied_transfer(chain, fifo_words=1024, foreign=None, watch=False):
     """A transfer whose every drain ends in the instant the next burst
     leaves the port.
 
@@ -295,6 +329,9 @@ def _tied_transfer(chain, fifo_words=1024, foreign=None):
     ``foreign`` is ``(at_ns, act)``: ``act(dma, controller, stages)``
     runs as an entry of its own at ``at_ns``, and the simulation then
     runs until the heap drains instead of to the completion interrupt.
+    With ``watch``, a :class:`_StageRecorder` watches the stream and the
+    ICAP, so the run settles the stream after every stage that touched
+    it and checks each drain where it happens.
     """
     sim = Simulator()
     metrics = MetricsRegistry(clock=sim)
@@ -315,17 +352,8 @@ def _tied_transfer(chain, fifo_words=1024, foreign=None):
         sim, clock, ConfigMemory(make_z7020_layout()), stream, metrics=metrics
     )
     stages = []
-    carried, finish_burst = port.carried, icap.finish_burst
-
-    def streamed(request):
-        stages.append((sim.now, "streamed"))
-        carried(request)
-
-    def drained(burst):
-        stages.append((sim.now, "drained"))
-        return finish_burst(burst)
-
-    port.carried, icap.finish_burst = streamed, drained
+    if watch:
+        stream.monitor = icap.monitor = _StageRecorder(sim, stages)
     if foreign is not None:
         at_ns, act = foreign
         sim.call_later(at_ns, act, dma, controller, stages)
@@ -354,12 +382,92 @@ def _tied_transfer(chain, fifo_words=1024, foreign=None):
     }, pushed
 
 
-def test_same_instant_drain_and_burst_keep_the_heaps_order():
-    (quiet, quiet_pushed), (chain, chain_pushed) = _both_paths(_tied_transfer)
+def _small_transfers(
+    chain, length, fifo_words, burst, cmd_cycles, freq_mhz, policy, refresh
+):
+    """Two back-to-back transfers of ``length`` bytes on a hand-built
+    datapath of the given geometry, unwatched and then watched."""
+    seen = []
+    for watch in (False, True):
+        sim = Simulator()
+        metrics = MetricsRegistry(clock=sim)
+        dram = DramDevice()
+        controller = BankDramController(
+            sim, dram, metrics=metrics, page_policy=policy, refresh_mode=refresh
+        )
+        interconnect = AxiInterconnect(sim, controller, metrics=metrics)
+        port = AxiHpPort(sim, interconnect)
+        clock = ClockDomain(sim, freq_mhz)
+        stream = AxiStream(sim, fifo_words=fifo_words, metrics=metrics)
+        dma = AxiDmaEngine(
+            sim,
+            clock,
+            port,
+            stream,
+            max_burst_bytes=burst,
+            cmd_overhead_cycles=cmd_cycles,
+            metrics=metrics,
+        )
+        if chain:
+            _force_the_chain(dma)
+        icap = IcapController(
+            sim, clock, ConfigMemory(make_z7020_layout()), stream, metrics=metrics
+        )
+        if watch:
+            monitor = InvariantMonitor()
+            stream.monitor = icap.monitor = controller.monitor = monitor
+        dram.store(0x3000, b"\x20\x00\x00\x00" * (length // 4))  # NOOP words
+        icap.begin_transfer()
+        dma.reg_write(MM2S_DMACR, DMACR_RS | DMACR_IOC_IRQ_EN)
+        dma.reg_write(MM2S_SA, 0x3000)
+        for _ in range(2):
+            dma.reg_write(MM2S_LENGTH, length)
+            sim.run_until(dma.ioc_irq.wait_assert())
+            dma.ioc_irq.deassert()
+        seen.append(
+            (
+                metrics.to_dict(),
+                (sim.events_processed, sim.heap_high_water, sim.now),
+                controller.busy_ns,
+                port.bytes_transferred,
+                monitor.counts.checks if watch else None,
+            )
+        )
+    return seen
+
+
+@pytest.mark.parametrize(
+    "length, fifo_words, burst, cmd_cycles, freq_mhz, policy, refresh",
+    [
+        (4, 256, 1024, 10, 200.0, "open", "lazy"),
+        (1028, 300, 1024, 0, 100.0, "closed", "engine"),
+        (9000, 300, 64, 10, 333.0, "open", "off"),
+        (9000, 1024, 64, 0, 200.0, "closed", "lazy"),
+        (3 * 1024 + 8, 256, 1024, 10, 333.0, "open", "engine"),
+    ],
+)
+def test_small_geometries_match_the_chain(
+    length, fifo_words, burst, cmd_cycles, freq_mhz, policy, refresh
+):
+    """One-word and short-tailed buffers, 64-byte bursts, FIFOs that are
+    not a whole number of bursts, no command gap, the closed page and
+    every refresh mode: the run matches the chain, watched or not."""
+    geometry = (length, fifo_words, burst, cmd_cycles, freq_mhz, policy, refresh)
+    quiet, chain = _both_paths(lambda chain: _small_transfers(chain, *geometry))
     assert quiet == chain
-    # The run pushed the completion interrupt's wake-up alone; the chain
-    # pushed every stage but the first command gap's, and the wake-up.
-    assert (quiet_pushed, chain_pushed) == (1, 5 * 12)
+
+
+def test_same_instant_drain_and_burst_keep_the_heaps_order():
+    for watch in (False, True):
+        (quiet, quiet_pushed), (chain, chain_pushed) = _both_paths(
+            lambda chain: _tied_transfer(chain, watch=watch)
+        )
+        assert quiet == chain, f"watch={watch}"
+        # The run pushed the completion interrupt's wake-up alone; the
+        # chain pushed every stage but the first command gap's, and the
+        # wake-up.
+        assert (quiet_pushed, chain_pushed) == (1, 5 * 12)
+    # The watched transfer's stage order, the last one compared.
     stages = quiet["stages"]
     ties = [
         when
@@ -392,43 +500,14 @@ def _soft_reset(dma, controller, stages):
 )
 def test_handoff_leaves_the_chains_state(fifo_words, foreign):
     """A foreign entry inside the buffer meets the lane, the bus, the
-    stream's taker and the FIFO grant as the chain holds them."""
-    (quiet, quiet_pushed), (chain, chain_pushed) = _both_paths(
-        lambda chain: _tied_transfer(chain, fifo_words, foreign)
-    )
-    assert quiet == chain
-    assert quiet_pushed < chain_pushed
-
-
-def test_a_drain_that_grants_no_room_hands_off(monkeypatch):
-    """A stream that keeps back a word at every release grants a one-burst
-    FIFO no room for the second burst once the first drains.  With no
-    stage held, the run hands off: both paths push one burst and meet the
-    ICAP's abort at the same time, after the same entries."""
-    release = AxiStream.release
-
-    def leaky_release(stream, words):
-        release(stream, max(0, words - 1))
-        stream.stat_released_words += 1
-
-    monkeypatch.setattr(AxiStream, "release", leaky_release)
-
-    def run(chain):
-        system = _system(chain, 40.8, stream_fifo_words=256, pad_bitstreams_to=None)
-        with pytest.raises(RuntimeError) as error:
-            system.reconfigure("RP2", MatMulAsp(4), 140.0)
-        seen = _counts(system)
-        seen.update(
-            pushed=system.stream.stat_pushed_bursts,
-            events=system.sim.events_processed,
-            error=str(error.value),
+    stream's taker and the FIFO grant as the chain holds them, whether a
+    monitor watches the buffer or not."""
+    for watch in (False, True):
+        (quiet, quiet_pushed), (chain, chain_pushed) = _both_paths(
+            lambda chain: _tied_transfer(chain, fifo_words, foreign, watch)
         )
-        return seen
-
-    quiet, chain = _both_paths(run)
-    assert quiet == chain
-    assert quiet["pushed"] == 1
-    assert "abort cannot quiesce the stream" in quiet["error"]
+        assert quiet == chain, f"watch={watch}"
+        assert quiet_pushed < chain_pushed
 
 
 def _tenant(system):
@@ -465,6 +544,12 @@ def _nth_call(n, fault, idle):
 def _slverr(system):
     system.interconnect.fault_error = _nth_call(
         200, AxiSlaveError("SLVERR on the 200th burst"), None
+    )
+
+
+def _first_slverr(system):
+    system.interconnect.fault_error = _nth_call(
+        1, AxiSlaveError("SLVERR on the first burst"), None
     )
 
 
@@ -512,6 +597,8 @@ _WHOLE_BUFFER = 5 * 517 - 1
     [
         (_idle_hooks, {}, _WHOLE_BUFFER),
         (_slverr, {}, 5 * 199 - 1),
+        # The DDR controller never sees the port: no ledger is made.
+        (_first_slverr, {}, 1),
         (_lockup, {}, 5 * 99 - 1),
         # 190 bursts leave the port before the delivery at 300 us.
         (_chaos_inside_the_buffer, {}, 5 * 190 - 1),
@@ -522,6 +609,7 @@ _WHOLE_BUFFER = 5 * 517 - 1
     ids=[
         "idle-hooks",
         "slverr",
+        "first-slverr",
         "icap-lockup",
         "chaos-delivery",
         "engine-refresh",

@@ -20,6 +20,9 @@ KILL_FLEET = (
     "fleet --boards 4 --seed 17 --duration-ms 14 "
     "--chaos --chaos-intensity 6 --kill-boards 1"
 ).split()
+#: The plain fleet at its knee: every buffer takes the quiet run, with
+#: about 8,400 observations in each board's per-burst histograms.
+KNEE_FLEET = "fleet --boards 4 --seed 1 --duration-ms 20 --rate 4".split()
 
 
 def canonical_digest(doc) -> str:
@@ -45,8 +48,12 @@ def canonical_digest(doc) -> str:
             KILL_FLEET,
             "3d854353ec8a0d007c10e902130e3da9a02f4e3ec31691131ebd41fa0cdd2fad",
         ),
+        (
+            KNEE_FLEET,
+            "3fa81cd459b2b39072fefd7b4b947973fc87910e2de8644306dd49715506ff73",
+        ),
     ],
-    ids=["table2", "fleet-kill"],
+    ids=["table2", "fleet-kill", "fleet-knee"],
 )
 def test_metrics_export_pinned_across_commits(argv, digest, tmp_path, capsys):
     path = tmp_path / "metrics.json"

@@ -231,23 +231,28 @@ def test_icap_decodes_in_bounded_batches():
     bitstream, frames = rig.load("RP1")
     icap, port = rig.icap, rig.icap.port
     batches, undecoded, at_tlast = [], [], []
-    feed_bytes, finish_burst = port.feed_bytes, icap.finish_burst
+    feed_bytes = port.feed_bytes
+    finish_burst, finish_bursts = icap.finish_burst, icap.finish_bursts
 
     def tap(data):
         batches.append(len(data))
         feed_bytes(data)
 
     def watch(burst):
-        # Every drain, on the callback chain or in a quiet buffer's run,
-        # goes through the ICAP's per-burst accounting.
+        # A drain on the callback chain, or a quiet buffer's last one.
         undecoded.append(icap.counts.words_consumed * 4 - sum(batches))
         words = finish_burst(burst)
         if burst.last:
             at_tlast.append(_port_state(port))
         return words
 
+    def watch_many(bursts, *timing):
+        # The drains of a quiet buffer's run, in bulk.
+        undecoded.append(icap.counts.words_consumed * 4 - sum(batches))
+        finish_bursts(bursts, *timing)
+
     port.feed_bytes = tap
-    icap.finish_burst = watch
+    icap.finish_burst, icap.finish_bursts = watch, watch_many
     icap.begin_transfer()
     rig.start(bitstream.size_bytes)
     rig.sim.run_until(rig.dma.ioc_irq.wait_assert())

@@ -1,6 +1,10 @@
 """Tests for the metric primitives and the registry."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     Gauge,
@@ -141,6 +145,110 @@ def test_null_registry_returns_shared_noop_metric():
     assert NULL_METRIC.value == 0.0
     assert NULL_METRIC.time_weighted_mean() is None
     assert NULL_METRIC.to_dict() == {"type": "null"}
+
+
+# -- bulk forms ----------------------------------------------------------------
+
+#: Levels as the model sets them: ints (queue depths, FIFO occupancy) and
+#: floats, zeros of both types included.
+_LEVELS = st.one_of(
+    st.integers(min_value=-3, max_value=1024),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0, 0.0, 1, 1.0]),
+)
+
+
+def _chunks(values, cuts):
+    """``values`` split at the sorted positions ``cuts``."""
+    bounds = [0] + sorted(min(cut, len(values)) for cut in cuts) + [len(values)]
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1.25, 7.0, 1e3 / 3]), _LEVELS),
+        max_size=60,
+    ),
+    one_by_one=st.integers(min_value=0, max_value=60),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+)
+def test_property_gauge_set_many_equals_its_sets(steps, one_by_one, cuts):
+    """A gauge fed in bulk reads byte for byte as one fed a set at a
+    time: from unset (the first value opens the window and the bounds),
+    or after some single sets, in any split into batches."""
+    times, now = [], 0.0
+    for gap, _level in steps:
+        now += gap
+        times.append(now)
+    levels = [level for _gap, level in steps]
+    clock = FakeClock()
+    single, bulk = Gauge("single", clock), Gauge("bulk", clock)
+    for when, level in zip(times, levels):
+        clock.now = when
+        single.set(level)
+    for when, level in zip(times[:one_by_one], levels[:one_by_one]):
+        clock.now = when
+        bulk.set(level)
+    rest = list(zip(times, levels))[one_by_one:]
+    for batch in _chunks(rest, cuts):
+        bulk.set_many([when for when, _ in batch], [level for _, level in batch])
+    end = now + 2.5
+    assert json.dumps(bulk.to_dict(end)) == json.dumps(single.to_dict(end))
+    assert (bulk.sets, repr(bulk.min), repr(bulk.max)) == (
+        single.sets,
+        repr(single.min),
+        repr(single.max),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_LEVELS, max_size=400),
+    reservoir=st.integers(min_value=2, max_value=9),
+    one_by_one=st.integers(min_value=0, max_value=400),
+    cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=5),
+)
+def test_property_histogram_observe_many_equals_its_observations(
+    values, reservoir, one_by_one, cuts
+):
+    """A histogram fed in bulk reads byte for byte as one fed a value at
+    a time, through the same decimation of its reservoir."""
+    single = Histogram("single", reservoir_size=reservoir)
+    bulk = Histogram("bulk", reservoir_size=reservoir)
+    for value in values:
+        single.observe(value)
+    for value in values[:one_by_one]:
+        bulk.observe(value)
+    for batch in _chunks(values[one_by_one:], cuts):
+        bulk.observe_many(batch)
+    assert json.dumps(bulk.to_dict()) == json.dumps(single.to_dict())
+    assert (bulk._reservoir, bulk._stride, bulk._skip) == (
+        single._reservoir,
+        single._stride,
+        single._skip,
+    )
+
+
+def test_observe_many_crosses_three_decimation_doublings():
+    """Past three doublings of a small reservoir, one batch and a value
+    at a time keep the same samples."""
+    values = [float(value % 97) + value / 7 for value in range(200)]
+    single, bulk = Histogram("single", 4), Histogram("bulk", 4)
+    for value in values:
+        single.observe(value)
+    bulk.observe_many(values[:3])
+    bulk.observe_many(values[3:])
+    assert single._stride >= 8
+    assert json.dumps(bulk.to_dict()) == json.dumps(single.to_dict())
+    assert bulk._reservoir == single._reservoir
+
+
+def test_null_metric_takes_the_bulk_forms():
+    NULL_METRIC.set_many([1.0, 2.0], [3, 4.0])
+    NULL_METRIC.observe_many([1.0, 2])
+    assert NULL_METRIC.to_dict() == {"type": "null"}
+    assert (NULL_METRIC.sets, NULL_METRIC.count) == (0, 0)
 
 
 # -- histograms ----------------------------------------------------------------

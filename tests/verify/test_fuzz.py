@@ -173,15 +173,26 @@ def test_run_fuzz_smoke_clean():
     assert "seed 2, 3 case(s)" in text
 
 
-def test_run_fuzz_reports_and_shrinks_findings(monkeypatch):
-    # Break word conservation behind the monitor's back for every run.
-    original_push = AxiStream.push
+def _phantom_words(monkeypatch):
+    """Break word conservation behind the monitor's back: every burst
+    pushed onto a stream, one at a time on the chain or in bulk by a
+    quiet buffer's run, queues a word the stream never carried."""
+    original_push, original_settle = AxiStream.push, AxiStream.settle
 
     def phantom_push(self, burst):
         original_push(self, burst)
-        self.stat_queued_words += 1  # a word the stream never carried
+        self.stat_queued_words += 1
+
+    def phantom_settle(self, **batch):
+        self.stat_queued_words += len(batch["depths"])
+        original_settle(self, **batch)
 
     monkeypatch.setattr(AxiStream, "push", phantom_push)
+    monkeypatch.setattr(AxiStream, "settle", phantom_settle)
+
+
+def test_run_fuzz_reports_and_shrinks_findings(monkeypatch):
+    _phantom_words(monkeypatch)
     report = run_fuzz(seed=3, cases=1, shrink=True)
     assert not report.ok
     finding = report.findings[0]
@@ -206,12 +217,6 @@ def test_cli_replay_round_trip(capsys):
 def test_cli_fuzz_exit_code_on_violation(monkeypatch, capsys):
     from repro.experiments.cli import main
 
-    original_push = AxiStream.push
-
-    def phantom_push(self, burst):
-        original_push(self, burst)
-        self.stat_queued_words += 1
-
-    monkeypatch.setattr(AxiStream, "push", phantom_push)
+    _phantom_words(monkeypatch)
     assert main(["fuzz", "--seed", "4", "--cases", "1", "--no-shrink"]) == 1
     assert "VIOLATIONS" in capsys.readouterr().out
